@@ -6,10 +6,14 @@ Library layout:
 * words     -- alternation semantics and induced graphs
 * encode    -- graph/word/chord-diagram/polygon-arrangement encoders
 * search    -- bounded exhaustive search for word representants
-* geometry  -- exact rational geometry (moment curve, Gale, Breen, LP)
+* lp        -- exact rational LP feasibility (Phase-I simplex)
+* geometry  -- exact rational geometry (moment curve, Gale, Breen,
+               orientation) and the planar primitives (cross product,
+               hull, general-position check)
 * nerve     -- colored configurations, nerve complexes, extensions
 * formats   -- stable text/JSON formats
 * svgplot   -- deterministic SVG rendering (2D)
+* oracles   -- brute-force oracles shared by `selftest` and the tests
 * cli       -- the `wordnerve` command
 """
 
@@ -50,13 +54,11 @@ from .encode import (
 from .geometry import (
     GeometryError,
     Hyperplane,
-    MomentConfig,
     breen_intersect,
     convex_position_subset_2d,
     gale_facets,
     hulls_intersect,
     hyperplane_through_moment_points,
-    moment_config,
     moment_point,
     orientation,
     point,

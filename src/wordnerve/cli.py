@@ -20,35 +20,28 @@ from pathlib import Path
 
 from . import formats
 from .encode import ChordDiagram, word_any_graph, word_bipartite, word_from_chord_diagram
-from .geometry import GeometryError, breen_intersect, gale_facets, hulls_intersect, moment_point
-from .graphs import Graph, GraphError, bipartition, one_skeleton
+from .geometry import breen_intersect, gale_facets, hulls_intersect, moment_point
+from .graphs import Graph, from_edge_list, one_skeleton
 from .nerve import (
-    DegenerateInputError,
     ExtensionError,
     extend_coloring_2d,
     extend_coloring_bipartite,
     nerve,
     realize_on_moment_curve,
 )
-from .search import NODE_LIMIT, NOT_FOUND, SearchBudget, SearchError, find_general_word
+from .oracles import brute_max_alternation, facet_oracle
+from .search import NODE_LIMIT, NOT_FOUND, SearchBudget, find_general_word
 from .svgplot import svg_for_config
-from .words import Word, WordError, induced_graph_general, max_alternation
+from .words import Word, induced_graph_general, max_alternation
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-_INPUT_ERRORS = (
-    formats.FormatError,
-    GraphError,
-    WordError,
-    GeometryError,
-    DegenerateInputError,
-    SearchError,
-    ValueError,
-    OSError,
-)
+# Every library input error (FormatError, GraphError, WordError,
+# GeometryError, DegenerateInputError, SearchError) is a ValueError.
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 class _CliInputError(Exception):
@@ -191,23 +184,12 @@ def _selftest(seed: int) -> list[tuple[str, bool]]:
         ok = ok and lhs == rhs
     checks.append(("breen-vs-feasibility", ok))
 
-    ok = True
-    from .geometry import hyperplane_through_points  # brute facet oracle
-
-    for r, d in [(5, 3), (6, 2), (6, 4), (7, 3)]:
-        pts = [moment_point(t, d) for t in range(1, r + 1)]
-        brute = []
-        for sub in combinations(range(r), d):
-            h = hyperplane_through_points([pts[i] for i in sub])
-            sides = {h.side(pts[i]) for i in range(r) if i not in sub}
-            if len(sides) == 1 and 0 not in sides:
-                brute.append(tuple(i + 1 for i in sub))
-        ok = ok and brute == gale_facets(r, d)
+    ok = all(
+        facet_oracle(r, d) == gale_facets(r, d) for r, d in [(5, 3), (6, 2), (6, 4), (7, 3)]
+    )
     checks.append(("gale-vs-hyperplane-sides", ok))
 
     ok = True
-    from .graphs import from_edge_list
-
     for _ in range(40):  # encoder round-trip on random graphs
         n = rng.randint(1, 6)
         verts = [f"v{i}" for i in range(n)]
@@ -218,18 +200,11 @@ def _selftest(seed: int) -> list[tuple[str, bool]]:
     checks.append(("encode-roundtrip", ok))
 
     ok = True
-    for _ in range(200):  # run-count alternation vs brute subsequence DP
+    for _ in range(200):  # run-count alternation vs brute-force enumeration
         n = rng.randint(2, 12)
         letters = [rng.choice("abc") for _ in range(n)]
-        w = Word(tuple(letters))
-        best = 0
-        for mask in range(1 << n):
-            sub = [letters[i] for i in range(n) if mask >> i & 1]
-            if all(x in ("a", "b") for x in sub) and all(
-                p != q for p, q in zip(sub, sub[1:])
-            ):
-                best = max(best, len(sub))
-        ok = ok and best == max_alternation(w, "a", "b")
+        best = brute_max_alternation(letters, "a", "b")
+        ok = ok and best == max_alternation(Word(tuple(letters)), "a", "b")
     checks.append(("alternation-vs-bruteforce", ok))
     return checks
 
@@ -309,7 +284,7 @@ def main(argv=None) -> int:
     except (_CliInputError, *_INPUT_ERRORS) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except (ExtensionError, RuntimeError, AssertionError) as exc:
+    except (RuntimeError, AssertionError) as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
 

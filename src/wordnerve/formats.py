@@ -79,7 +79,7 @@ def parse_graph_file(text: str) -> Graph:
     """Sniff JSON vs. plain text."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return graph_from_doc(_load_json(text))
+        return graph_from_doc(load_json(text))
     return parse_graph_text(text)
 
 
@@ -123,10 +123,12 @@ def points_to_doc(points: list[Point], dimension: int) -> dict:
 
 def points_from_doc(doc: dict) -> tuple[list[Point], int]:
     try:
-        d = int(doc["dimension"])
+        d = doc["dimension"]
         raw = doc["points"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"bad point document: {exc}") from exc
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise FormatError(f"bad point document: dimension {d!r} is not an integer")
     points = []
     for row in raw:
         p = tuple(_parse_coord(c) for c in row)
@@ -203,7 +205,7 @@ def dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _load_json(text: str) -> dict:
+def load_json(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -212,6 +214,3 @@ def _load_json(text: str) -> dict:
         raise FormatError("top-level JSON value must be an object")
     return doc
 
-
-def load_json(text: str) -> dict:
-    return _load_json(text)

@@ -15,6 +15,7 @@ oracle cross-checks in the test-suite rely on bit-true answers.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -29,7 +30,10 @@ class GeometryError(ValueError):
 
 
 def rational(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction."""
+    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction.
+    Booleans are rejected: JSON `true` is not the coordinate 1."""
+    if isinstance(x, bool):
+        raise GeometryError(f"not an exact rational: {x!r}")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -88,31 +92,6 @@ def orientation(points: list[Point]) -> int:
             raise GeometryError("mixed dimensions")
     value = det([[ONE] + list(p) for p in points])
     return (value > 0) - (value < 0)
-
-
-@dataclass(frozen=True)
-class MomentConfig:
-    """Strictly increasing parameters and their moment-curve images."""
-
-    d: int
-    params: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise GeometryError("dimension must be >= 1")
-        if len(self.params) < 1:
-            raise GeometryError("need at least one parameter")
-        for a, b in zip(self.params, self.params[1:]):
-            if not a < b:
-                raise GeometryError("parameters must be strictly increasing")
-
-    @property
-    def points(self) -> list[Point]:
-        return [moment_point(t, self.d) for t in self.params]
-
-
-def moment_config(params, d: int) -> MomentConfig:
-    return MomentConfig(d, tuple(sorted(rational(t) for t in set(params))))
 
 
 def hulls_intersect(classes: list[list[Point]]) -> bool:
@@ -221,22 +200,17 @@ class Hyperplane:
         return (value > 0) - (value < 0)
 
 
-def _canonical_hyperplane(normal: list[Fraction], offset: Fraction) -> Hyperplane:
-    from math import gcd
-
-    denom_lcm = 1
-    for a in list(normal) + [offset]:
-        denom_lcm = denom_lcm * a.denominator // gcd(denom_lcm, a.denominator)
-    ints = [int(a * denom_lcm) for a in normal] + [int(offset * denom_lcm)]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+def _primitive(values: list[Fraction]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of `values`: rationals
+    scaled to integers, divided by their gcd, first nonzero entry positive."""
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [int(v * scale) for v in values]
+    g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    first = next(v for v in ints[:-1] if v != 0)
-    if first < 0:
+    if next((v for v in ints if v), 0) < 0:
         ints = [-v for v in ints]
-    return Hyperplane(tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1]))
+    return tuple(ints)
 
 
 def hyperplane_through_points(points: list[Point]) -> Hyperplane:
@@ -258,7 +232,8 @@ def hyperplane_through_points(points: list[Point]) -> Hyperplane:
     normal = cof[1:]
     if all(a == 0 for a in normal):
         raise GeometryError("points do not span a hyperplane")
-    return _canonical_hyperplane(normal, -cof[0])
+    *ints, offset = _primitive(normal + [-cof[0]])
+    return Hyperplane(tuple(Fraction(v) for v in ints), Fraction(offset))
 
 
 def hyperplane_through_moment_points(params, d: int) -> Hyperplane:
@@ -277,6 +252,24 @@ def hyperplane_through_moment_points(params, d: int) -> Hyperplane:
 
 def _cross(o: Point, a: Point, b: Point) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull_2d(points: list[Point]) -> list[Point]:
+    """Monotone-chain hull in counterclockwise order (general position)."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    lower: list[Point] = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[Point] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
 
 
 def _check_general_position_2d(points: list[Point]):

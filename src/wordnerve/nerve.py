@@ -21,11 +21,16 @@ from itertools import combinations
 
 from .encode import BipartiteLayout, bipartite_layout
 from .geometry import (
+    GeometryError,
     Hyperplane,
     Point,
+    _check_general_position_2d,
+    _hull_2d,
+    _primitive,
     hulls_intersect,
     hyperplane_through_moment_points,
     moment_point,
+    point,
     rational,
 )
 from .graphs import Graph, SimplicialComplex, complex_from_faces, one_skeleton, is_triangle_free
@@ -146,41 +151,6 @@ _FIXED_DIRECTIONS = [
 ]
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _hull_2d(points: list[Point]) -> list[Point]:
-    """Monotone-chain hull in counterclockwise order (general position)."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _primitive(dx: Fraction, dy: Fraction) -> tuple[int, int]:
-    from math import gcd
-
-    lcm = dx.denominator * dy.denominator // gcd(dx.denominator, dy.denominator)
-    a, b = int(dx * lcm), int(dy * lcm)
-    g = gcd(abs(a), abs(b))
-    if g:
-        a, b = a // g, b // g
-    if a < 0 or (a == 0 and b < 0):
-        a, b = -a, -b
-    return a, b
-
-
 @dataclass(frozen=True)
 class _Line:
     """Oriented support line n.q = c with the class on the side n.q <= c;
@@ -237,30 +207,31 @@ def _direction_pool(own: list[Point],
     hull = _hull_2d(own)
     for a, b in zip(hull, hull[1:] + hull[:1]):
         if a != b:
-            add(_primitive(b[0] - a[0], b[1] - a[1]))
+            add(_primitive([b[0] - a[0], b[1] - a[1]]))
     for dir2 in _FIXED_DIRECTIONS:
-        add(_primitive(Fraction(dir2[0]), Fraction(dir2[1])))
+        add(_primitive([Fraction(dir2[0]), Fraction(dir2[1])]))
     all_points = [q for c in sorted(class_points) for q in class_points[c]]
     for a, b in combinations(all_points, 2):
-        add(_primitive(b[0] - a[0], b[1] - a[1]))
-        add(_primitive(a[1] - b[1], b[0] - a[0]))  # perpendicular
+        add(_primitive([b[0] - a[0], b[1] - a[1]]))
+        add(_primitive([a[1] - b[1], b[0] - a[0]]))  # perpendicular
     return ordered
 
 
 def _assign_extras_2d(class_points: dict[str, list[Point]],
-                      intersects: dict[frozenset, bool],
+                      original: SimplicialComplex,
                       extras: list[Point]) -> dict[int, str]:
     """Recursive planar extension on the remaining colors.
 
     Returns extra-index -> color.  Mirrors the two-color base split and
     the peel-one-color recursion: find a color and a support line whose
     class side contains no class disjoint from it, give that side's extras
-    to the color, and recurse on the rest.
+    to the color, and recurse on the rest.  Pair verdicts are read from
+    the original nerve.
     """
     colors = sorted(class_points)
     if len(colors) == 1:
         return {i: colors[0] for i in range(len(extras))}
-    if len(colors) == 2 and intersects[frozenset(colors)]:
+    if len(colors) == 2 and original.is_face(colors):
         return {i: colors[1] for i in range(len(extras))}
 
     for color in colors:
@@ -275,7 +246,7 @@ def _assign_extras_2d(class_points: dict[str, list[Point]],
                 values = [line.value(q) for q in class_points[other]]
                 inside = all(v < 0 for v in values)
                 outside = all(v > 0 for v in values)
-                if inside and not intersects[frozenset((color, other))]:
+                if inside and not original.is_face((color, other)):
                     admissible = False  # disjoint class trapped on our side
                     break
                 if not inside and not outside and not line.chord:
@@ -284,7 +255,7 @@ def _assign_extras_2d(class_points: dict[str, list[Point]],
             if not admissible:
                 continue
             rest = {c: pts for c, pts in class_points.items() if c != color}
-            sub = _assign_extras_2d(rest, intersects, extras)
+            sub = _assign_extras_2d(rest, original, extras)
             for i, q in enumerate(extras):
                 if line.value(q) < 0:
                     sub[i] = color
@@ -300,31 +271,24 @@ def extend_coloring_2d(config: ColoredConfig, extras: list[Point]) -> ColoredCon
     """
     if config.dimension != 2:
         raise DegenerateInputError("planar extension needs a 2D configuration")
-    extras = [tuple(rational(c) for c in p) for p in extras]
+    extras = [point(p) for p in extras]
     for p in extras:
         if len(p) != 2:
             raise DegenerateInputError("extras must be 2-dimensional")
     allpts = list(config.points) + extras
-    if len(set(allpts)) != len(allpts):
-        raise DegenerateInputError("duplicate points between configuration and extras")
-    for a, b, c in combinations(allpts, 3):
-        if _cross(a, b, c) == 0:
-            raise DegenerateInputError(f"collinear triple {a}, {b}, {c}")
+    try:
+        _check_general_position_2d(allpts)
+    except GeometryError as exc:
+        raise DegenerateInputError(str(exc)) from exc
     if len(config.points) >= 3 and len(_hull_2d(list(config.points))) != len(config.points):
         raise DegenerateInputError("colored points are not in convex position")
 
-    class_points = config.classes()
-    labels = config.color_labels
-    intersects = {
-        frozenset((a, b)): hulls_intersect([class_points[a], class_points[b]])
-        for a, b in combinations(labels, 2)
-    }
-    assignment = _assign_extras_2d(class_points, intersects, extras)
+    before = nerve(config, 2)
+    assignment = _assign_extras_2d(config.classes(), before.complex, extras)
 
     extended = ColoredConfig(
         tuple(allpts), config.colors + tuple(assignment[i] for i in range(len(extras)))
     )
-    before = nerve(config, 2)
     after = nerve(extended, 2)
     if before.complex != after.complex:
         raise ExtensionError("internal error: planar extension changed the nerve")
@@ -376,7 +340,7 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
     expected = realize_on_moment_curve(w, d)
     if config.points != expected.points or config.colors != expected.colors:
         raise DegenerateInputError("configuration is not the moment-curve realization of the word")
-    extras = [tuple(rational(c) for c in p) for p in extras]
+    extras = [point(p) for p in extras]
     for p in extras:
         if len(p) != d:
             raise DegenerateInputError(f"extras must live in R^{d}")
@@ -412,18 +376,15 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
         hyperplanes.append((layout.u_labels[j - 1], h, block_sign))
 
     labels = config.color_labels
-    classes = {c: list(pts) for c, pts in config.classes().items()}
-    adjacent = {
-        frozenset(pair): hulls_intersect([classes[pair[0]], classes[pair[1]]])
-        for pair in combinations(labels, 2)
-    }
+    classes = config.classes()
+    before = nerve(config, 2)
 
     def safe(c: str, e: Point) -> bool:
         """Would coloring e with c keep every non-intersecting pair apart?
         Growth cannot delete an intersection, so this is the whole check."""
         grown = classes[c] + [e]
         return not any(
-            not adjacent[frozenset((c, x))] and hulls_intersect([grown, classes[x]])
+            not before.complex.is_face((c, x)) and hulls_intersect([grown, classes[x]])
             for x in labels
             if x != c
         )
@@ -457,7 +418,6 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
     extended = ColoredConfig(
         config.points + tuple(extras), config.colors + tuple(assignment)
     )
-    before = nerve(config, 2)
     after = nerve(extended, 2)
     if before.complex != after.complex:
         raise ExtensionError("internal error: bipartite extension changed the nerve")

@@ -64,14 +64,21 @@ class SearchVerdict:
         return self.outcome == FOUND
 
 
-def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """All adjacency-preserving vertex permutations, as index tuples over
-    the sorted vertex order.  Backtracking with degree pruning."""
-    n = len(g.vertices)
-    idx = {v: i for i, v in enumerate(g.vertices)}
+def _problem_arrays(g: Graph):
+    letters = list(g.vertices)
+    n = len(letters)
+    idx = {v: i for i, v in enumerate(letters)}
     adj = [[False] * n for _ in range(n)]
     for u, v in g.edges:
         adj[idx[u]][idx[v]] = adj[idx[v]][idx[u]] = True
+    return letters, adj
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """All adjacency-preserving vertex permutations, as index tuples over
+    the sorted vertex order.  Backtracking with degree pruning."""
+    _, adj = _problem_arrays(g)
+    n = len(adj)
     deg = [sum(row) for row in adj]
     perms: list[tuple[int, ...]] = []
     mapping = [-1] * n
@@ -244,23 +251,10 @@ class _Enumeration:
                 return
 
     def replay(self, prefix: tuple[int, ...]):
-        undos = []
         for x in prefix:
-            ok, undo = self._append(x)
-            undos.append(undo)
+            ok, _ = self._append(x)
             assert ok, "enumerated prefix cannot be in violation"
         self.nodes -= len(prefix)  # replays are bookkeeping, not exploration
-        return undos
-
-
-def _problem_arrays(g: Graph, d: int):
-    letters = list(g.vertices)
-    n = len(letters)
-    idx = {v: i for i, v in enumerate(letters)}
-    adj = [[False] * n for _ in range(n)]
-    for u, v in g.edges:
-        adj[idx[u]][idx[v]] = adj[idx[v]][idx[u]] = True
-    return letters, adj
 
 
 def _run_prefix_batch_impl(n, adj, d, budget, auts, ranked_prefixes):
@@ -296,7 +290,7 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
     if jobs < 1:
         raise SearchError("jobs must be >= 1")
 
-    letters, adj = _problem_arrays(g, d)
+    letters, adj = _problem_arrays(g)
     n = len(letters)
     auts = automorphisms(g)
 

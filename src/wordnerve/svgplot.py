@@ -10,7 +10,8 @@ identical bytes.
 
 from __future__ import annotations
 
-from .nerve import ColoredConfig, _hull_2d
+from .geometry import _hull_2d
+from .nerve import ColoredConfig
 
 CANVAS = 800
 _PALETTE = [

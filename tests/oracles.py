@@ -1,31 +1,14 @@
-"""Independent brute-force oracles.
+"""Independent brute-force oracles used only by the tests (the ones
+`wordnerve selftest` also runs live in `wordnerve.oracles`).
 
 Each oracle recomputes a quantity through a different route than the
-library (exhaustive enumeration, hyperplane side tests, LP membership),
+library (dynamic programming, exhaustive enumeration, LP membership),
 so agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from wordnerve.geometry import hulls_intersect, hyperplane_through_points, moment_point
-
-
-def brute_max_alternation(letters, x, y) -> int:
-    """Longest alternating x/y subsequence by explicit enumeration
-    (exponential; keep inputs small)."""
-    n = len(letters)
-    best = 0
-    for mask in range(1 << n):
-        sub = [letters[i] for i in range(n) if mask >> i & 1]
-        if not sub:
-            continue
-        if any(a not in (x, y) for a in sub):
-            continue
-        if all(a != b for a, b in zip(sub, sub[1:])):
-            best = max(best, len(sub))
-    return best
+from wordnerve.geometry import hulls_intersect
 
 
 def dp_max_alternation(letters, x, y) -> int:
@@ -57,19 +40,6 @@ def has_odd_cycle_bruteforce(vertices, edges) -> bool:
         if all((mask >> a & 1) != (mask >> b & 1) for a, b in pairs):
             return False
     return True
-
-
-def facet_oracle(r: int, d: int) -> list[tuple[int, ...]]:
-    """Facets of C(r, d) by the definition: all remaining vertices lie
-    strictly on one side of the spanned hyperplane."""
-    pts = [moment_point(t, d) for t in range(1, r + 1)]
-    out = []
-    for sub in combinations(range(r), d):
-        h = hyperplane_through_points([pts[i] for i in sub])
-        sides = {h.side(pts[i]) for i in range(r) if i not in sub}
-        if len(sides) == 1 and 0 not in sides:
-            out.append(tuple(i + 1 for i in sub))
-    return out
 
 
 def convex_position_lp(points) -> bool:

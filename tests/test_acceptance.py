@@ -24,8 +24,7 @@ from wordnerve.nerve import (
 )
 from wordnerve.search import SearchBudget, find_general_word
 from wordnerve.words import Word, induced_graph_general, rotate, word
-
-from .oracles import facet_oracle
+from wordnerve.oracles import facet_oracle
 
 F = Fraction
 

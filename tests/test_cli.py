@@ -226,6 +226,20 @@ def test_extend_dimension_mismatch(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("extras", [
+    '{"dimension": 2, "points": [[true, 9]]}',
+    '{"dimension": 2.9, "points": [["-2", "3"]]}',
+])
+def test_extend_rejects_bool_coordinate_and_float_dimension(tmp_path, capsys, extras):
+    wf = write(tmp_path, "w.txt", "1 4 2 1 3 2 4 3\n")
+    cfg_path = tmp_path / "cfg.json"
+    assert run(capsys, "realize", wf, "--dim", "2", "--output", str(cfg_path))[0] == 0
+    ef = write(tmp_path, "extras.json", extras)
+    code, out, err = run(capsys, "extend", str(cfg_path), ef, "--mode", "planar")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--seed", "0")
     assert code == 0

@@ -60,6 +60,14 @@ def test_fraction_strings():
         formats.points_from_doc({"dimension": 3, "points": [["1", "2"]]})
 
 
+def test_points_from_doc_rejects_bool_and_non_integer_dimension():
+    with pytest.raises(formats.FormatError):
+        formats.points_from_doc({"dimension": 2, "points": [[True, 9]]})
+    for dim in (True, 2.9, "2", None):
+        with pytest.raises(formats.FormatError):
+            formats.points_from_doc({"dimension": dim, "points": [["1", "2"]]})
+
+
 def test_config_doc_roundtrip():
     cfg = realize_on_moment_curve(word("abab"), 2)
     doc = formats.config_to_doc(cfg)

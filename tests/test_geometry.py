@@ -6,7 +6,6 @@ import pytest
 
 from wordnerve.geometry import (
     GeometryError,
-    MomentConfig,
     breen_intersect,
     convex_position_subset_2d,
     det,
@@ -14,14 +13,14 @@ from wordnerve.geometry import (
     hulls_intersect,
     hyperplane_through_moment_points,
     hyperplane_through_points,
-    moment_config,
     moment_point,
     orientation,
     point,
     rational,
 )
+from wordnerve.oracles import facet_oracle
 
-from .oracles import convex_position_lp, facet_oracle
+from .oracles import convex_position_lp
 
 F = Fraction
 
@@ -33,18 +32,18 @@ def test_rational_parsing():
         rational(0.5)
 
 
+def test_rational_rejects_bool():
+    for x in (True, False):
+        with pytest.raises(GeometryError):
+            rational(x)
+    with pytest.raises(GeometryError):
+        point([True, 9])
+
+
 def test_moment_point_examples():
     assert moment_point(2, 3) == (2, 4, 8)
     assert moment_point(0, 4) == (0, 0, 0, 0)
     assert moment_point(F(1, 2), 2) == (F(1, 2), F(1, 4))
-
-
-def test_moment_config_validation():
-    cfg = moment_config([3, 1, 2], 2)
-    assert cfg.params == (1, 2, 3)
-    assert cfg.points[0] == (1, 1)
-    with pytest.raises(GeometryError):
-        MomentConfig(2, (F(1), F(1)))
 
 
 def test_orientation_examples():

@@ -16,8 +16,9 @@ from wordnerve.words import (
     rotate,
     word,
 )
+from wordnerve.oracles import brute_max_alternation
 
-from .oracles import brute_max_alternation, dp_max_alternation, strictly_alternates
+from .oracles import dp_max_alternation, strictly_alternates
 
 
 def test_word_basics():
