@@ -4,7 +4,7 @@ Library layout:
 
 * graphs    -- simple graphs and simplicial complexes
 * words     -- alternation semantics and induced graphs
-* encode    -- graph/word/chord-diagram/polygon-arrangement encoders
+* encode    -- graph/word/chord-diagram encoders
 * search    -- bounded exhaustive search for word representants
 * lp        -- exact rational LP feasibility (Phase-I simplex)
 * geometry  -- exact rational geometry (moment curve, Gale, Breen,
@@ -42,14 +42,11 @@ from .words import (
 )
 from .encode import (
     ChordDiagram,
-    PolygonArrangement,
     bipartite_layout,
     chord_intersection_graph,
-    polygon_arrangement_from_word,
     word_any_graph,
     word_bipartite,
     word_from_chord_diagram,
-    word_from_polygon_arrangement,
 )
 from .geometry import (
     GeometryError,

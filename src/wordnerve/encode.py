@@ -1,5 +1,4 @@
-"""Constructive encoders between graphs, words, chord diagrams, and
-polygon arrangements on a circle.
+"""Constructive encoders between graphs, words and chord diagrams.
 
 Every encoder comes with a guarantee of the form "the induced graph of
 the output equals the input", and the test-suite re-checks that guarantee
@@ -19,25 +18,6 @@ from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, bipartition
 from .words import Word
-
-
-@dataclass(frozen=True)
-class PolygonArrangement:
-    """Cyclically ordered circle slots, each carrying one color label.
-
-    The slots of one color are the vertices of one inscribed polygon; the
-    reading order is clockwise starting at slot 1.
-    """
-
-    slots: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.slots:
-            raise ValueError("arrangement needs at least one slot")
-
-    @property
-    def colors(self) -> frozenset[str]:
-        return frozenset(self.slots)
 
 
 @dataclass(frozen=True)
@@ -154,16 +134,6 @@ def word_bipartite(g: Graph) -> tuple[Word, int]:
     """Encode a bipartite graph with d = size of its smaller part."""
     layout = bipartite_layout(g)
     return layout.word, layout.d
-
-
-def word_from_polygon_arrangement(p: PolygonArrangement) -> Word:
-    """Read the slot colors in cyclic order starting at slot 1."""
-    return Word(p.slots)
-
-
-def polygon_arrangement_from_word(w: Word) -> PolygonArrangement:
-    """Slot i gets the color of letter i; inverse of the reading map."""
-    return PolygonArrangement(w.letters)
 
 
 def word_from_chord_diagram(dgm: ChordDiagram) -> Word:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .encode import ChordDiagram, PolygonArrangement
+from .encode import ChordDiagram
 from .geometry import Point, rational
 from .graphs import Graph, GraphError, from_edge_list
 from .nerve import ColoredConfig
@@ -129,6 +129,8 @@ def points_from_doc(doc: dict) -> tuple[list[Point], int]:
         raise FormatError(f"bad point document: {exc}") from exc
     if isinstance(d, bool) or not isinstance(d, int):
         raise FormatError(f"bad point document: dimension {d!r} is not an integer")
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise FormatError("bad point document: points must be a list of coordinate lists")
     points = []
     for row in raw:
         p = tuple(_parse_coord(c) for c in row)
@@ -152,35 +154,27 @@ def config_from_doc(doc: dict) -> ColoredConfig:
         colors = [str(c) for c in doc["colors"]]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad configuration document: {exc}") from exc
-    if len(colors) != len(points):
-        raise FormatError("configuration needs one color per point")
     return ColoredConfig(tuple(points), tuple(colors))
 
 
 # -- circle structures ------------------------------------------------------
 
-def arrangement_to_doc(p: PolygonArrangement) -> dict:
-    return {"kind": "polygon-arrangement", "slots": list(p.slots)}
-
-
 def chord_diagram_to_doc(d: ChordDiagram) -> dict:
     return {"kind": "chord-diagram", "slots": list(d.slots)}
 
 
-def circle_structure_from_doc(doc: dict):
+def circle_structure_from_doc(doc: dict) -> ChordDiagram:
     try:
         kind = doc["kind"]
         slots = tuple(str(s) for s in doc["slots"])
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad circle document: {exc}") from exc
+    if kind != "chord-diagram":
+        raise FormatError(f"unknown circle structure kind {kind!r}")
     try:
-        if kind == "polygon-arrangement":
-            return PolygonArrangement(slots)
-        if kind == "chord-diagram":
-            return ChordDiagram(slots)
+        return ChordDiagram(slots)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    raise FormatError(f"unknown circle structure kind {kind!r}")
 
 
 # -- search verdicts --------------------------------------------------------

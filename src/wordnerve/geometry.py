@@ -161,25 +161,35 @@ def breen_intersect(positions_a, positions_b, d: int) -> bool:
 def gale_facets(r: int, d: int) -> list[tuple[int, ...]]:
     """Facets of the cyclic polytope C(r, d) by the evenness condition.
 
-    Returns all d-subsets S of {1..r} such that every pair of indices
-    outside S has an even number of S-elements strictly between them.
+    Returns, in lexicographic order, all d-subsets S of {1..r} such that
+    every pair of indices outside S has an even number of S-elements
+    strictly between them.  Equivalently, of the maximal runs of
+    consecutive indices in S only those holding 1 or r may have odd length
+    (Gale 1963), so each facet is built directly rather than found by a
+    scan: maximal end runs [1..a] and [r-b+1..r], and k = (d-a-b)/2
+    disjoint pairs {i, i+1} among the L = r-a-b-2 indices strictly between
+    a+1 and r-b.  Such pairs correspond one to one to k-subsets of
+    range(L-k): slot c in position j (from 0) gives the pair starting at
+    a+2+c+j.
     """
     if d < 2:
         raise GeometryError("dimension must be >= 2")
     if r <= d:
         raise GeometryError(f"need more points than the dimension (r={r}, d={d})")
     facets = []
-    for sub in combinations(range(1, r + 1), d):
-        inside = set(sub)
-        outside = [i for i in range(1, r + 1) if i not in inside]
-        ok = True
-        for x, y in combinations(outside, 2):
-            between = sum(1 for s in sub if x < s < y)
-            if between % 2:
-                ok = False
-                break
-        if ok:
-            facets.append(sub)
+    for a in range(d + 1):
+        for b in range(d - a + 1):
+            k, odd = divmod(d - a - b, 2)
+            if odd:
+                continue
+            head = tuple(range(1, a + 1))
+            tail = tuple(range(r - b + 1, r + 1))
+            for slots in combinations(range(r - a - b - 2 - k), k):
+                pairs = tuple(
+                    i for j, c in enumerate(slots) for i in (a + 2 + c + j, a + 3 + c + j)
+                )
+                facets.append(head + pairs + tail)
+    facets.sort()
     return facets
 
 

@@ -85,7 +85,6 @@ class ColoredConfig:
 @dataclass(frozen=True)
 class NerveResult:
     complex: SimplicialComplex
-    max_dim_checked: int
 
 
 def realize_on_moment_curve(w: Word, d: int, params=None) -> ColoredConfig:
@@ -126,7 +125,7 @@ def nerve(config: ColoredConfig, max_dim: int) -> NerveResult:
         if not layer_hits:
             break
         faces.update(layer_hits)
-    return NerveResult(complex_from_faces(labels, faces), max_dim)
+    return NerveResult(complex_from_faces(labels, faces))
 
 
 def verify_partition_induced(g: Graph, w: Word, d: int) -> bool:
@@ -139,6 +138,24 @@ def verify_partition_induced(g: Graph, w: Word, d: int) -> bool:
     if is_triangle_free(g) and result.complex.faces_of_size(3):
         return False
     return True
+
+
+def _coerce_extras(extras, d: int) -> list[Point]:
+    """The extras as exact points, each of the configuration's dimension."""
+    extras = [point(p) for p in extras]
+    if any(len(p) != d for p in extras):
+        raise DegenerateInputError(f"extras must live in R^{d}")
+    return extras
+
+
+def _verified_extension(config: ColoredConfig, before: NerveResult,
+                        extras: list[Point], new_colors) -> ColoredConfig:
+    """The configuration grown by the colored extras, after recomputing
+    its nerve from scratch and checking it against the original one."""
+    extended = ColoredConfig(config.points + tuple(extras), config.colors + tuple(new_colors))
+    if nerve(extended, 2).complex != before.complex:
+        raise ExtensionError("internal error: extension changed the nerve")
+    return extended
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +288,9 @@ def extend_coloring_2d(config: ColoredConfig, extras: list[Point]) -> ColoredCon
     """
     if config.dimension != 2:
         raise DegenerateInputError("planar extension needs a 2D configuration")
-    extras = [point(p) for p in extras]
-    for p in extras:
-        if len(p) != 2:
-            raise DegenerateInputError("extras must be 2-dimensional")
-    allpts = list(config.points) + extras
+    extras = _coerce_extras(extras, 2)
     try:
-        _check_general_position_2d(allpts)
+        _check_general_position_2d(list(config.points) + extras)
     except GeometryError as exc:
         raise DegenerateInputError(str(exc)) from exc
     if len(config.points) >= 3 and len(_hull_2d(list(config.points))) != len(config.points):
@@ -285,14 +298,9 @@ def extend_coloring_2d(config: ColoredConfig, extras: list[Point]) -> ColoredCon
 
     before = nerve(config, 2)
     assignment = _assign_extras_2d(config.classes(), before.complex, extras)
-
-    extended = ColoredConfig(
-        tuple(allpts), config.colors + tuple(assignment[i] for i in range(len(extras)))
+    return _verified_extension(
+        config, before, extras, (assignment[i] for i in range(len(extras)))
     )
-    after = nerve(extended, 2)
-    if before.complex != after.complex:
-        raise ExtensionError("internal error: planar extension changed the nerve")
-    return extended
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +348,7 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
     expected = realize_on_moment_curve(w, d)
     if config.points != expected.points or config.colors != expected.colors:
         raise DegenerateInputError("configuration is not the moment-curve realization of the word")
-    extras = [point(p) for p in extras]
-    for p in extras:
-        if len(p) != d:
-            raise DegenerateInputError(f"extras must live in R^{d}")
+    extras = _coerce_extras(extras, d)
     if set(extras) & set(config.points):
         raise DegenerateInputError("extras must be disjoint from the configuration")
 
@@ -414,11 +419,4 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
                 break
         else:
             raise ExtensionError(f"extension step failed: no safe color for extra {e}")
-
-    extended = ColoredConfig(
-        config.points + tuple(extras), config.colors + tuple(assignment)
-    )
-    after = nerve(extended, 2)
-    if before.complex != after.complex:
-        raise ExtensionError("internal error: bipartite extension changed the nerve")
-    return extended
+    return _verified_extension(config, before, extras, assignment)

@@ -222,33 +222,47 @@ class _Enumeration:
                         return True
         return False
 
-    def dfs(self, depth_cap: int | None = None,
-            prefix_sink: list[tuple[int, ...]] | None = None):
-        """Exhaust the subtree below the current word.  With a depth cap,
-        words reaching the cap are emitted to prefix_sink instead of
-        being expanded."""
-        if self.found is not None or self.limit_hit:
-            return
+    def _children(self, depth_cap: int | None, prefix_sink):
+        """The letters to try below the current word, fixed on entry: none
+        at the length bound, and none at the depth cap, where the word is
+        emitted to prefix_sink instead of being expanded."""
         if len(self.word) >= self.max_len:
-            return
+            return iter(())
         if depth_cap is not None and len(self.word) >= depth_cap:
             prefix_sink.append(tuple(self.word))
-            return
-        for x in list(self._candidates()):
+            return iter(())
+        return iter(list(self._candidates()))
+
+    def dfs(self, depth_cap: int | None = None,
+            prefix_sink: list[tuple[int, ...]] | None = None):
+        """Exhaust the subtree below the current word.  The stack holds one
+        candidate iterator per open word, and undos[k] removes the letter
+        that opened frames[k + 1], so depth is bounded by max_len only."""
+        frames = [self._children(depth_cap, prefix_sink)]
+        undos = []
+        while frames:
+            x = next(frames[-1], None)
+            if x is None:
+                frames.pop()
+                if undos:
+                    self._undo(undos.pop())
+                continue
             if self.nodes >= self.node_limit:
                 self.limit_hit = True
-                return
+                break
             ok, undo = self._append(x)
             if ok:
                 if self.total_deficit == 0 and self.introduced == self.n:
                     self.found = list(self.word)
                     self._undo(undo)
-                    return
+                    break
                 if not self._prune(x):
-                    self.dfs(depth_cap, prefix_sink)
+                    frames.append(self._children(depth_cap, prefix_sink))
+                    undos.append(undo)
+                    continue
             self._undo(undo)
-            if self.found is not None or self.limit_hit:
-                return
+        for undo in reversed(undos):
+            self._undo(undo)
 
     def replay(self, prefix: tuple[int, ...]):
         for x in prefix:

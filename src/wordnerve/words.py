@@ -49,10 +49,6 @@ class Word:
             raise WordError(f"position {i} out of range 1..{len(self.letters)}")
         return self.letters[i - 1]
 
-    def restriction(self, keep) -> tuple[str, ...]:
-        keep = set(keep)
-        return tuple(a for a in self.letters if a in keep)
-
     def count(self, x: str) -> int:
         return self.letters.count(x)
 

@@ -8,6 +8,8 @@ so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from wordnerve.geometry import hulls_intersect
 
 
@@ -51,3 +53,17 @@ def convex_position_lp(points) -> bool:
         if hulls_intersect([[p], others]):
             return False
     return True
+
+
+def gale_facets_scan(r: int, d: int) -> list[tuple[int, ...]]:
+    """Facets of C(r, d) by testing the evenness condition on every
+    d-subset of {1..r}, in lexicographic order."""
+    facets = []
+    for sub in combinations(range(1, r + 1), d):
+        outside = [i for i in range(1, r + 1) if i not in sub]
+        if all(
+            sum(1 for s in sub if x < s < y) % 2 == 0
+            for x, y in combinations(outside, 2)
+        ):
+            facets.append(sub)
+    return facets

@@ -229,6 +229,8 @@ def test_extend_dimension_mismatch(tmp_path, capsys):
 @pytest.mark.parametrize("extras", [
     '{"dimension": 2, "points": [[true, 9]]}',
     '{"dimension": 2.9, "points": [["-2", "3"]]}',
+    '{"dimension": 2, "points": 5}',
+    '{"dimension": 2, "points": [5]}',
 ])
 def test_extend_rejects_bool_coordinate_and_float_dimension(tmp_path, capsys, extras):
     wf = write(tmp_path, "w.txt", "1 4 2 1 3 2 4 3\n")
@@ -236,6 +238,11 @@ def test_extend_rejects_bool_coordinate_and_float_dimension(tmp_path, capsys, ex
     assert run(capsys, "realize", wf, "--dim", "2", "--output", str(cfg_path))[0] == 0
     ef = write(tmp_path, "extras.json", extras)
     code, out, err = run(capsys, "extend", str(cfg_path), ef, "--mode", "planar")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+    # the same document read as a configuration
+    good = write(tmp_path, "good.json", '{"dimension": 2, "points": [["-2", "3"]]}')
+    code, out, err = run(capsys, "extend", ef, good, "--mode", "planar")
     assert code == 2
     assert out == "" and err.startswith("error: ")
 

@@ -5,14 +5,11 @@ import pytest
 
 from wordnerve.encode import (
     ChordDiagram,
-    PolygonArrangement,
     bipartite_layout,
     chord_intersection_graph,
-    polygon_arrangement_from_word,
     word_any_graph,
     word_bipartite,
     word_from_chord_diagram,
-    word_from_polygon_arrangement,
 )
 from wordnerve.graphs import GraphError, bipartition, from_edge_list
 from wordnerve.words import (
@@ -139,30 +136,18 @@ def test_bipartite_layout_positions_match_word():
 
 
 def test_polygon_arrangement_roundtrip_examples():
-    interleaved = PolygonArrangement(("a", "b", "a", "b", "a", "b"))
-    w = word_from_polygon_arrangement(interleaved)
-    assert w == word("ababab")
-    assert induced_graph_general(w, 2) == from_edge_list([("a", "b")])
-    nested = word_from_polygon_arrangement(PolygonArrangement(("a", "a", "b", "b")))
-    g = induced_graph_general(nested, 2)
+    # Interleaved polygons on a circle read off as ababab, nested ones as aabb.
+    assert induced_graph_general(word("ababab"), 2) == from_edge_list([("a", "b")])
+    g = induced_graph_general(word("aabb"), 2)
     assert g.vertices == ("a", "b") and not g.edges
 
 
 def test_polygon_arrangement_wheel_fixture():
-    arr = polygon_arrangement_from_word(word("156216326436546"))
     w5 = from_edge_list(
         [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("1", "5"),
          ("1", "6"), ("2", "6"), ("3", "6"), ("4", "6"), ("5", "6")]
     )
-    assert induced_graph_general(word_from_polygon_arrangement(arr), 2) == w5
-
-
-def test_polygon_arrangement_roundtrip_random():
-    rng = random.Random(7)
-    for _ in range(100):
-        letters = tuple(rng.choice("abcd") for _ in range(rng.randint(1, 12)))
-        w = Word(letters)
-        assert word_from_polygon_arrangement(polygon_arrangement_from_word(w)) == w
+    assert induced_graph_general(word("156216326436546"), 2) == w5
 
 
 def test_chord_diagram_validation():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wordnerve import formats
-from wordnerve.encode import ChordDiagram, PolygonArrangement
+from wordnerve.encode import ChordDiagram
 from wordnerve.graphs import from_edge_list
 from wordnerve.nerve import ColoredConfig, realize_on_moment_curve
 from wordnerve.search import SearchBudget, SearchVerdict
@@ -66,6 +66,9 @@ def test_points_from_doc_rejects_bool_and_non_integer_dimension():
     for dim in (True, 2.9, "2", None):
         with pytest.raises(formats.FormatError):
             formats.points_from_doc({"dimension": dim, "points": [["1", "2"]]})
+    for points in (5, [5], "12", [["1", "2"], "34"], {"1": "2"}):
+        with pytest.raises(formats.FormatError):
+            formats.points_from_doc({"dimension": 2, "points": points})
 
 
 def test_config_doc_roundtrip():
@@ -77,14 +80,12 @@ def test_config_doc_roundtrip():
 
 
 def test_circle_structure_docs():
-    arr = PolygonArrangement(("a", "b", "a"))
-    doc = formats.arrangement_to_doc(arr)
-    assert formats.circle_structure_from_doc(doc) == arr
     dgm = ChordDiagram(("a", "b", "a", "b"))
     doc = formats.chord_diagram_to_doc(dgm)
     assert formats.circle_structure_from_doc(doc) == dgm
-    with pytest.raises(formats.FormatError):
-        formats.circle_structure_from_doc({"kind": "nope", "slots": ["a"]})
+    for kind in ("nope", "polygon-arrangement"):
+        with pytest.raises(formats.FormatError):
+            formats.circle_structure_from_doc({"kind": kind, "slots": ["a", "b", "a"]})
     with pytest.raises(formats.FormatError):
         formats.circle_structure_from_doc({"kind": "chord-diagram", "slots": ["a"]})
 

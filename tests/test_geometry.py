@@ -20,7 +20,7 @@ from wordnerve.geometry import (
 )
 from wordnerve.oracles import facet_oracle
 
-from .oracles import convex_position_lp
+from .oracles import convex_position_lp, gale_facets_scan
 
 F = Fraction
 
@@ -164,6 +164,12 @@ def test_gale_matches_bruteforce_oracle():
     for d in (2, 3, 4):
         for r in range(d + 1, 9):
             assert gale_facets(r, d) == facet_oracle(r, d), (r, d)
+
+
+def test_gale_facets_match_evenness_scan():
+    for r in range(3, 15):
+        for d in range(2, r):
+            assert gale_facets(r, d) == gale_facets_scan(r, d), (r, d)
 
 
 def test_hyperplane_construction_and_sides():

@@ -66,6 +66,15 @@ def test_find_wheel():
     assert induced_graph_general(verdict.witness, 2) == wheel5()
 
 
+def test_deep_search_needs_no_recursion():
+    # 1,202 letters deep: far past the interpreter's recursion limit.
+    g = from_edge_list([("a", "b")])
+    verdict = find_general_word(g, 1200, SearchBudget(700, 1300, 5_000_000), jobs=1)
+    assert verdict.outcome == FOUND
+    assert verdict.witness == Word(("a", "b") * 601)
+    assert verdict.nodes_explored == 1202
+
+
 def test_node_limit_exceeded():
     verdict = find_general_word(cycle(4), 2, SearchBudget(3, 12, 1))
     assert verdict.outcome == NODE_LIMIT
