@@ -6,7 +6,8 @@ Library layout:
 * words     -- alternation semantics and induced graphs
 * encode    -- graph/word/chord-diagram encoders
 * search    -- bounded exhaustive search for word representants
-* lp        -- exact rational LP feasibility (Phase-I simplex)
+* lp        -- exact rational LP feasibility (fraction-free integer
+               Phase-I simplex)
 * geometry  -- exact rational geometry (moment curve, Gale, Breen,
                orientation) and the planar primitives (cross product,
                hull, general-position check)

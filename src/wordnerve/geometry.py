@@ -20,9 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .lp import ZERO, ONE, feasible_eq_nonneg
+from .lp import feasible_eq_nonneg
 
 Point = tuple[Fraction, ...]
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class GeometryError(ValueError):
@@ -119,23 +122,23 @@ def hulls_intersect(classes: list[list[Point]]) -> bool:
         offsets.append(total)
         total += s
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[Fraction | int]] = []
+    rhs: list[Fraction | int] = []
     for i in range(k):  # each block sums to one
-        row = [ZERO] * total
+        row = [0] * total
         for j in range(sizes[i]):
-            row[offsets[i] + j] = ONE
+            row[offsets[i] + j] = 1
         rows.append(row)
-        rhs.append(ONE)
+        rhs.append(1)
     for i in range(1, k):  # block 1 combination == block i combination
         for c in range(d):
-            row = [ZERO] * total
+            row = [0] * total
             for j, p in enumerate(classes[0]):
                 row[offsets[0] + j] = p[c]
             for j, p in enumerate(classes[i]):
                 row[offsets[i] + j] = -p[c]
             rows.append(row)
-            rhs.append(ZERO)
+            rhs.append(0)
     return feasible_eq_nonneg(rows, rhs)
 
 

@@ -54,26 +54,32 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices: {es or 'no edges'})"
 
 
+def check_token(label: str, error: type[ValueError]) -> None:
+    """Raise `error` unless `label` is one token of the text formats:
+    nonempty, with no whitespace and no '#' (which starts a comment)."""
+    if "#" in label or label.split() != [label]:
+        raise error(f"labels must be nonempty tokens without whitespace or '#': {label!r}")
+
+
 def from_edge_list(pairs, isolated=()) -> Graph:
     """Build a canonical Graph from edge pairs plus extra isolated vertices.
 
-    Duplicate edges collapse; a self-loop is rejected.
+    Duplicate edges collapse; a self-loop is rejected, and so is a label
+    that is not a token (`check_token`).
     """
     verts: set[str] = set(str(x) for x in isolated)
     edges: set[tuple[str, str]] = set()
     for a, b in pairs:
         a, b = str(a), str(b)
-        if not a or not b:
-            raise GraphError("vertex labels must be nonempty tokens")
         if a == b:
             raise GraphError(f"self-loop at vertex {a!r}")
         verts.add(a)
         verts.add(b)
         edges.add((a, b) if a < b else (b, a))
-    for v in verts:
-        if not v:
-            raise GraphError("vertex labels must be nonempty tokens")
-    return Graph(tuple(sorted(verts)), frozenset(edges))
+    vertices = tuple(sorted(verts))
+    for v in vertices:
+        check_token(v, GraphError)
+    return Graph(vertices, frozenset(edges))
 
 
 def is_triangle_free(g: Graph) -> bool:

@@ -1,48 +1,70 @@
 """Exact feasibility of equality systems A x = b, x >= 0 over the rationals.
 
-Phase-I simplex with Bland's smallest-index anti-cycling rule, on a dense
-Fraction tableau: minimize the sum of one artificial variable per row.
-Feasible iff the optimum is zero.  Everything is exact, so the verdict is
-independent of row and column order, and termination is guaranteed.
+Phase-I simplex with Bland's smallest-index anti-cycling rule: minimize
+the sum of one artificial variable per row; feasible iff the optimum is
+zero.  The tableau is integer and fraction-free.  Each row's denominators
+are cleared once, with the row's lcm, and every pivot is the
+integer-preserving update of Bareiss (1968, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination"):
+
+    T'[i][j] = (p * T[i][j] - T[i][s] * T[r][j]) // D,    then D = p,
+
+for pivot p = T[r][s] and every row i != r, the objective row included.
+The rational tableau is T / D, and every entry of T is a minor of the
+starting integer matrix, so the division is exact.  Pivots are positive,
+so D > 0, T and T / D share their signs, and the ratio test compares
+cross products with no division.  The pivot loop takes no gcd and does
+no Fraction arithmetic.  The verdict is exact and independent of row and
+column order, and termination is guaranteed.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
+def feasible_eq_nonneg(rows: list[list[Fraction | int]], rhs: list[Fraction | int]) -> bool:
+    """Is there x >= 0 with rows . x = rhs?  Exact Phase-I simplex.
 
-def feasible_eq_nonneg(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
-    """Is there x >= 0 with rows . x = rhs?  Exact Phase-I simplex."""
+    Entries are rationals (`Fraction` or `int`).  A rhs whose length is
+    not the row count, or rows of unequal length, raise ValueError.
+    """
     m = len(rows)
+    if len(rhs) != m:
+        raise ValueError(f"rhs has {len(rhs)} entries for {m} rows")
     if m == 0:
         return True
     n = len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise ValueError("rows must all have the same length")
 
-    # Tableau: [A | I | b], artificial j has column n+j.  Flip rows so b >= 0.
-    tab: list[list[Fraction]] = []
+    # Tableau: [A | I | b] in integers, artificial j has column n+j.  Each
+    # row of A and b is scaled by the lcm of its denominators, negated when
+    # b < 0 so that b >= 0; the artificial identity is not scaled.
+    tab: list[list[int]] = []
     for i in range(m):
-        assert len(rows[i]) == n
-        sign = -1 if rhs[i] < 0 else 1
-        row = [sign * a for a in rows[i]]
-        row += [ONE if j == i else ZERO for j in range(m)]
-        row.append(sign * rhs[i])
+        entries = [*rows[i], rhs[i]]
+        # A list, not a generator: unpacking a generator builds a resized
+        # tuple, and those pile up in the interpreter's tuple free lists.
+        scale = math.lcm(*[a.denominator for a in entries])
+        if rhs[i] < 0:
+            scale = -scale
+        row = [a.numerator * (scale // a.denominator) for a in entries]
+        row[n:n] = [1 if j == i else 0 for j in range(m)]
         tab.append(row)
     basis = [n + i for i in range(m)]
-    width = n + m + 1
 
-    # Phase-I objective row: z = sum of artificials; express in terms of
-    # nonbasic columns by subtracting every tableau row.
-    obj = [ZERO] * width
-    for j in range(n, n + m):
-        obj[j] = ONE
+    # Row m is the Phase-I objective: z = sum of artificials, expressed in
+    # terms of the nonbasic columns by subtracting every tableau row.
+    obj = [0] * n + [1] * m + [0]
     for row in tab:
-        for j in range(width):
-            obj[j] -= row[j]
+        obj = [a - b for a, b in zip(obj, row)]
+    tab.append(obj)
 
+    denom = 1
     while True:
+        obj = tab[m]
         enter = -1
         for j in range(n + m):  # Bland: smallest eligible index enters
             if obj[j] < 0:
@@ -51,27 +73,27 @@ def feasible_eq_nonneg(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
         if enter < 0:
             break
         leave = -1
-        best = None
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                # b_i / a_i against b_leave / a_leave; both a's are > 0.
+                diff = tab[i][-1] * tab[leave][enter] - tab[leave][-1] * a
+                if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             # Unbounded Phase-I objective cannot happen (bounded below by 0);
             # guard anyway.
             raise ArithmeticError("phase-I simplex unbounded")
-        piv = tab[leave][enter]
-        tab[leave] = [a / piv for a in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
+        p = tab[leave][enter]
+        prow = tab[leave]
+        for i in range(m + 1):
+            if i != leave:
                 f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, tab[leave])]
+                tab[i] = [(p * a - f * b) // denom for a, b in zip(tab[i], prow)]
+        denom = p
         basis[leave] = enter
 
-    return -obj[-1] == 0  # objective value = -obj[rhs]; feasible iff 0
+    return tab[m][-1] == 0  # objective value = -obj[rhs] / D; feasible iff 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, check_token
 
 
 class WordError(ValueError):
@@ -33,8 +33,7 @@ class Word:
 
     def __post_init__(self):
         for a in self.letters:
-            if not a:
-                raise WordError("letters must be nonempty tokens")
+            check_token(a, WordError)
 
     @property
     def alphabet(self) -> frozenset[str]:

@@ -8,6 +8,7 @@ so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from wordnerve.geometry import hulls_intersect
@@ -67,3 +68,71 @@ def gale_facets_scan(r: int, d: int) -> list[tuple[int, ...]]:
         ):
             facets.append(sub)
     return facets
+
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def feasible_eq_nonneg_fraction(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
+    """Is there x >= 0 with rows . x = rhs?  Exact Phase-I simplex on a
+    dense Fraction tableau (the solver `wordnerve.lp` replaced)."""
+    m = len(rows)
+    if m == 0:
+        return True
+    n = len(rows[0])
+
+    # Tableau: [A | I | b], artificial j has column n+j.  Flip rows so b >= 0.
+    tab: list[list[Fraction]] = []
+    for i in range(m):
+        assert len(rows[i]) == n
+        sign = -1 if rhs[i] < 0 else 1
+        row = [sign * a for a in rows[i]]
+        row += [ONE if j == i else ZERO for j in range(m)]
+        row.append(sign * rhs[i])
+        tab.append(row)
+    basis = [n + i for i in range(m)]
+    width = n + m + 1
+
+    # Phase-I objective row: z = sum of artificials; express in terms of
+    # nonbasic columns by subtracting every tableau row.
+    obj = [ZERO] * width
+    for j in range(n, n + m):
+        obj[j] = ONE
+    for row in tab:
+        for j in range(width):
+            obj[j] -= row[j]
+
+    while True:
+        enter = -1
+        for j in range(n + m):  # Bland: smallest eligible index enters
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            # Unbounded Phase-I objective cannot happen (bounded below by 0);
+            # guard anyway.
+            raise ArithmeticError("phase-I simplex unbounded")
+        piv = tab[leave][enter]
+        tab[leave] = [a / piv for a in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [a - f * b for a, b in zip(obj, tab[leave])]
+        basis[leave] = enter
+
+    return -obj[-1] == 0  # objective value = -obj[rhs]; feasible iff 0

@@ -72,6 +72,17 @@ def test_encode_bipartite_rejects_triangle(tmp_path, capsys):
     assert "bipartite" in err
 
 
+@pytest.mark.parametrize("label", ["a b", "a#b"])
+def test_encode_rejects_labels_the_text_formats_cannot_carry(tmp_path, capsys, label):
+    # "a b" would come back as two letters, "a#b" as a comment after "a"
+    doc = {"vertices": [label, "c"], "edges": [[label, "c"]]}
+    gf = write(tmp_path, "g.json", json.dumps(doc))
+    code, out, err = run(capsys, "encode", gf, "--mode", "any")
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 def test_encode_chords(tmp_path, capsys):
     doc = formats.dump_json({"kind": "chord-diagram", "slots": ["a", "b", "a", "b"]})
     cf = write(tmp_path, "d.json", doc)

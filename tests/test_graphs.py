@@ -43,8 +43,11 @@ def test_from_edge_list_examples():
     assert dedup.edge_list == [("a", "b")]
     with pytest.raises(GraphError):
         from_edge_list([("a", "a")])
-    with pytest.raises(GraphError):
-        from_edge_list([("a", "")])
+    for bad in ("", "a b", "a\nb", "a#b"):
+        with pytest.raises(GraphError):
+            from_edge_list([("a", bad)])
+        with pytest.raises(GraphError):
+            from_edge_list([], [bad])
 
 
 def test_graph_accessors():

@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import random
 from itertools import combinations, product
 
@@ -153,6 +155,45 @@ def test_jobs_deterministic():
     assert v1.witness == v4.witness
     v4b = find_general_word(w5, 2, budget, jobs=4)
     assert v4b == v4
+
+
+def _inline_pool(sizes):
+    """A stand-in for ProcessPoolExecutor that records its max_workers and
+    runs every submitted call inline, so no process starts."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    return InlinePool
+
+
+def test_pool_is_capped_at_cpu_count(monkeypatch):
+    w5 = wheel5()  # 4 depth-2 prefixes, so jobs=64 makes 4 nonempty batches
+    budget = SearchBudget(5, 15, 10_000_000)
+    cpus = os.cpu_count() or 1
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(sizes))
+    verdict = find_general_word(w5, 2, budget, jobs=64)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    at_two = find_general_word(w5, 2, budget, jobs=64)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+    uncapped = find_general_word(w5, 2, budget, jobs=64)
+    assert sizes == [min(4, cpus), 2, 4]
+    assert verdict == at_two == uncapped
+    sequential = find_general_word(w5, 2, budget, jobs=1)
+    assert (verdict.outcome, verdict.witness) == (sequential.outcome, sequential.witness)
 
 
 def test_jobs_match_sequential_on_random_graphs():

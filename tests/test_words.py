@@ -35,6 +35,9 @@ def test_word_basics():
 def test_word_tokenized_forms():
     assert word("ab ba x").letters == ("ab", "ba", "x")
     assert word(["v1", "u1"]).letters == ("v1", "u1")
+    for bad in ("", "a b", "a\tb", " a", "a#b", "#"):
+        with pytest.raises(WordError):
+            Word(("x", bad))
 
 
 def test_max_alternation_examples():
