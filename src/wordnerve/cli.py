@@ -39,7 +39,7 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 # Every library input error (FormatError, GraphError, WordError,
-# GeometryError, DegenerateInputError, SearchError) is a ValueError.
+# GeometryError alias DegenerateInputError, SearchError) is a ValueError.
 _INPUT_ERRORS = (ValueError, OSError)
 
 

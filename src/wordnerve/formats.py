@@ -204,6 +204,8 @@ def load_json(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise FormatError("JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise FormatError("top-level JSON value must be an object")
     return doc

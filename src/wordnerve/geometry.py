@@ -29,7 +29,7 @@ ONE = Fraction(1)
 
 
 class GeometryError(ValueError):
-    """Degenerate or inconsistent geometric input."""
+    """Degenerate or inconsistent geometric input (nerve.DegenerateInputError)."""
 
 
 def rational(x) -> Fraction:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .encode import BipartiteLayout, bipartite_layout
 from .geometry import (
@@ -41,8 +41,7 @@ class ExtensionError(RuntimeError):
     """The extension search failed or produced a nerve change."""
 
 
-class DegenerateInputError(ValueError):
-    """Input violates a geometric precondition (never silently perturbed)."""
+DegenerateInputError = GeometryError  # the nerve code's name for the same class
 
 
 @dataclass(frozen=True)
@@ -168,70 +167,47 @@ _FIXED_DIRECTIONS = [
 ]
 
 
-@dataclass(frozen=True)
-class _Line:
-    """Oriented support line n.q = c with the class on the side n.q <= c;
-    chord lines (two class points on the line) tolerate straddling
-    neighbors, tangent lines do not."""
+def _support_lines(own: list[Point], class_points: dict[str, list[Point]],
+                   extras: list[Point]):
+    """Yield candidate support lines of conv(own), lazily and in a fixed
+    order, as (normal, offset, chord): the line normal.q = offset with the
+    class on the side normal.q <= offset, and normal an integer vector.
 
-    normal: tuple[Fraction, Fraction]
-    offset: Fraction
-    chord: bool
+    Directions come from the class's own hull edges first (the cheap,
+    usually admissible chords), then a fixed fan, then every pairwise point
+    direction and its perpendicular (these realize separating tangents
+    whose direction is forced by other classes), each primitive direction
+    once.  For each direction the two extreme lines are offered; a line
+    through two own points is a chord, which other classes may straddle,
+    and a tangent is not.
 
-    def value(self, q: Point) -> Fraction:
-        return self.normal[0] * q[0] + self.normal[1] * q[1] - self.offset
-
-
-def _support_lines(own: list[Point], foreign: list[Point],
-                   pool: list[tuple[int, int]]):
-    """Yield candidate support lines of conv(own) in deterministic order.
-
-    For every pool direction the two extreme tangents are offered; a line
-    through two own points is a chord, and any candidate containing a
-    foreign point is dropped so side classifications stay strict.
+    Only the extras are tested for lying on a line.  Class points need no
+    test: a third point on a chord would be a collinear triple, which the
+    general-position check rejects up front, and a point of another class
+    on a tangent has value 0 there, so the caller's strict inside/outside
+    test already rejects the line.
     """
-    seen = set()
-    for dx, dy in pool:
-        n = (Fraction(-dy), Fraction(dx))
-        values = [n[0] * p[0] + n[1] * p[1] for p in own]
-        for extreme, sign in ((max(values), 1), (min(values), -1)):
-            normal = (sign * n[0], sign * n[1])
-            offset = sign * extreme
-            key = (normal, offset)
-            if key in seen:
-                continue
-            seen.add(key)
-            on_own = sum(1 for v in values if v == extreme)
-            if any(normal[0] * q[0] + normal[1] * q[1] == offset for q in foreign):
-                continue
-            yield _Line(normal, offset, chord=on_own >= 2)
-
-
-def _direction_pool(own: list[Point],
-                    class_points: dict[str, list[Point]]) -> list[tuple[int, int]]:
-    """Line directions to try for one class: its own hull edges first (the
-    cheap, usually admissible chords), then a fixed fan, then all pairwise
-    point directions and their perpendiculars (these realize separating
-    tangents whose direction is forced by other classes)."""
-    ordered: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-
-    def add(dir2: tuple[int, int]):
-        if dir2 not in seen:
-            seen.add(dir2)
-            ordered.append(dir2)
-
     hull = _hull_2d(own)
-    for a, b in zip(hull, hull[1:] + hull[:1]):
-        if a != b:
-            add(_primitive([b[0] - a[0], b[1] - a[1]]))
-    for dir2 in _FIXED_DIRECTIONS:
-        add(_primitive([Fraction(dir2[0]), Fraction(dir2[1])]))
-    all_points = [q for c in sorted(class_points) for q in class_points[c]]
-    for a, b in combinations(all_points, 2):
-        add(_primitive([b[0] - a[0], b[1] - a[1]]))
-        add(_primitive([a[1] - b[1], b[0] - a[0]]))  # perpendicular
-    return ordered
+    points = [q for c in sorted(class_points) for q in class_points[c]]
+    directions = chain(
+        ((b[0] - a[0], b[1] - a[1]) for a, b in zip(hull, hull[1:] + hull[:1]) if a != b),
+        _FIXED_DIRECTIONS,
+        (v for a, b in combinations(points, 2)
+         for v in ((b[0] - a[0], b[1] - a[1]), (a[1] - b[1], b[0] - a[0]))),
+    )
+    seen: set[tuple[int, ...]] = set()
+    for direction in directions:
+        dx, dy = primitive = _primitive(direction)
+        if primitive in seen:
+            continue
+        seen.add(primitive)
+        values = [dx * p[1] - dy * p[0] for p in own]
+        for sign, extreme in ((1, max(values)), (-1, min(values))):
+            a, b = -sign * dy, sign * dx
+            offset = sign * extreme
+            if any(a * q[0] + b * q[1] == offset for q in extras):
+                continue
+            yield (a, b), offset, values.count(extreme) >= 2
 
 
 def _assign_extras_2d(class_points: dict[str, list[Point]],
@@ -252,31 +228,23 @@ def _assign_extras_2d(class_points: dict[str, list[Point]],
         return {i: colors[1] for i in range(len(extras))}
 
     for color in colors:
-        own = class_points[color]
-        foreign = [q for c in colors if c != color for q in class_points[c]] + extras
-        pool = _direction_pool(own, class_points)
-        for line in _support_lines(own, foreign, pool):
-            admissible = True
+        for (a, b), offset, chord in _support_lines(class_points[color], class_points, extras):
             for other in colors:
                 if other == color:
                     continue
-                values = [line.value(q) for q in class_points[other]]
-                inside = all(v < 0 for v in values)
-                outside = all(v > 0 for v in values)
+                values = [a * q[0] + b * q[1] for q in class_points[other]]
+                inside = all(v < offset for v in values)
                 if inside and not original.is_face((color, other)):
-                    admissible = False  # disjoint class trapped on our side
-                    break
-                if not inside and not outside and not line.chord:
-                    admissible = False  # straddling is only safe across a chord
-                    break
-            if not admissible:
-                continue
-            rest = {c: pts for c, pts in class_points.items() if c != color}
-            sub = _assign_extras_2d(rest, original, extras)
-            for i, q in enumerate(extras):
-                if line.value(q) < 0:
-                    sub[i] = color
-            return sub
+                    break  # disjoint class trapped on our side
+                if not inside and not chord and not all(v > offset for v in values):
+                    break  # straddling is only safe across a chord
+            else:
+                rest = {c: pts for c, pts in class_points.items() if c != color}
+                sub = _assign_extras_2d(rest, original, extras)
+                for i, q in enumerate(extras):
+                    if a * q[0] + b * q[1] < offset:
+                        sub[i] = color
+                return sub
     raise ExtensionError("extension step failed: no admissible color/line pair")
 
 
@@ -289,10 +257,7 @@ def extend_coloring_2d(config: ColoredConfig, extras: list[Point]) -> ColoredCon
     if config.dimension != 2:
         raise DegenerateInputError("planar extension needs a 2D configuration")
     extras = _coerce_extras(extras, 2)
-    try:
-        _check_general_position_2d(list(config.points) + extras)
-    except GeometryError as exc:
-        raise DegenerateInputError(str(exc)) from exc
+    _check_general_position_2d(list(config.points) + extras)
     if len(config.points) >= 3 and len(_hull_2d(list(config.points))) != len(config.points):
         raise DegenerateInputError("colored points are not in convex position")
 

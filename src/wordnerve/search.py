@@ -76,29 +76,60 @@ def _problem_arrays(g: Graph):
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """All adjacency-preserving vertex permutations, as index tuples over
-    the sorted vertex order.  Backtracking with degree pruning."""
+    the sorted vertex order, in no fixed order.  Backtracking on an
+    explicit stack: vertices are placed in breadth-first order from the
+    smallest label, so each vertex but the first of its component has a
+    placed BFS parent, and its image is drawn from the neighbours of the
+    parent's image.  An image must keep the degree and the adjacency to
+    every placed vertex, checked from the most recently placed one back."""
     _, adj = _problem_arrays(g)
     n = len(adj)
-    deg = [sum(row) for row in adj]
+    if n == 0:
+        return [()]
+    nbrs = [[u for u in range(n) if row[u]] for row in adj]
+    deg = [len(row) for row in nbrs]
+    order = [0]  # also the BFS queue: the loop reads what it appends
+    parent = [-1] + [-2] * (n - 1)  # -2: not reached yet, -1: first of its component
+    for v in order:
+        for u in nbrs[v]:
+            if parent[u] == -2:
+                parent[u] = v
+                order.append(u)
+        if v == order[-1] and len(order) < n:  # component done: next root
+            root = parent.index(-2)
+            parent[root] = -1
+            order.append(root)
+
+    def place(k: int):
+        """Yield once per fitting image of order[k], with order[k] placed on it."""
+        v = order[k]
+        pool = range(n) if parent[v] < 0 else nbrs[mapping[parent[v]]]
+        adj_v = adj[v]
+        placed = order[k - 1 :: -1] if k else ()
+        for img in pool:
+            if used[img] or deg[img] != deg[v]:
+                continue
+            adj_img = adj[img]
+            for u in placed:
+                if adj_v[u] != adj_img[mapping[u]]:
+                    break
+            else:
+                mapping[v] = img
+                used[img] = True
+                yield
+                used[img] = False
+
     perms: list[tuple[int, ...]] = []
     mapping = [-1] * n
     used = [False] * n
-
-    def extend(i: int):
-        if i == n:
+    frames = [place(0)]
+    while frames:
+        if next(frames[-1], True):  # True: no image left for the top frame's vertex
+            frames.pop()
+        elif len(frames) == n:
             perms.append(tuple(mapping))
-            return
-        for img in range(n):
-            if used[img] or deg[img] != deg[i]:
-                continue
-            if all(adj[i][j] == adj[img][mapping[j]] for j in range(i)):
-                mapping[i] = img
-                used[img] = True
-                extend(i + 1)
-                used[img] = False
-        mapping[i] = -1
-
-    extend(0)
+        else:
+            frames.append(place(len(frames)))
     return perms
 
 

@@ -8,10 +8,13 @@ so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
-from wordnerve.geometry import hulls_intersect
+from wordnerve.geometry import Point, _hull_2d, _primitive, hulls_intersect
+from wordnerve.graphs import SimplicialComplex
+from wordnerve.nerve import _FIXED_DIRECTIONS, ExtensionError
 
 
 def dp_max_alternation(letters, x, y) -> int:
@@ -68,6 +71,18 @@ def gale_facets_scan(r: int, d: int) -> list[tuple[int, ...]]:
         ):
             facets.append(sub)
     return facets
+
+
+def automorphisms_bruteforce(g) -> set[tuple[int, ...]]:
+    """Every permutation of the sorted vertex indices that maps each edge
+    to an edge (and so the edge set onto itself), found by trying all n!."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    pairs = [(idx[a], idx[b]) for a, b in g.edges]
+    edges = {frozenset(pair) for pair in pairs}
+    return {
+        p for p in permutations(range(len(g.vertices)))
+        if all(frozenset((p[a], p[b])) in edges for a, b in pairs)
+    }
 
 
 ZERO = Fraction(0)
@@ -136,3 +151,120 @@ def feasible_eq_nonneg_fraction(rows: list[list[Fraction]], rhs: list[Fraction])
         basis[leave] = enter
 
     return -obj[-1] == 0  # objective value = -obj[rhs]; feasible iff 0
+
+
+# The planar extension's line search as it was before `wordnerve.nerve`
+# folded it into one generator: a `_Line` class, an eagerly built direction
+# pool, and a test of every line against every point of the other classes.
+
+
+@dataclass(frozen=True)
+class _Line:
+    """Oriented support line n.q = c with the class on the side n.q <= c;
+    chord lines (two class points on the line) tolerate straddling
+    neighbors, tangent lines do not."""
+
+    normal: tuple[Fraction, Fraction]
+    offset: Fraction
+    chord: bool
+
+    def value(self, q: Point) -> Fraction:
+        return self.normal[0] * q[0] + self.normal[1] * q[1] - self.offset
+
+
+def _support_lines(own: list[Point], foreign: list[Point],
+                   pool: list[tuple[int, int]]):
+    """Yield candidate support lines of conv(own) in deterministic order.
+
+    For every pool direction the two extreme tangents are offered; a line
+    through two own points is a chord, and any candidate containing a
+    foreign point is dropped so side classifications stay strict.
+    """
+    seen = set()
+    for dx, dy in pool:
+        n = (Fraction(-dy), Fraction(dx))
+        values = [n[0] * p[0] + n[1] * p[1] for p in own]
+        for extreme, sign in ((max(values), 1), (min(values), -1)):
+            normal = (sign * n[0], sign * n[1])
+            offset = sign * extreme
+            key = (normal, offset)
+            if key in seen:
+                continue
+            seen.add(key)
+            on_own = sum(1 for v in values if v == extreme)
+            if any(normal[0] * q[0] + normal[1] * q[1] == offset for q in foreign):
+                continue
+            yield _Line(normal, offset, chord=on_own >= 2)
+
+
+def _direction_pool(own: list[Point],
+                    class_points: dict[str, list[Point]]) -> list[tuple[int, int]]:
+    """Line directions to try for one class: its own hull edges first (the
+    cheap, usually admissible chords), then a fixed fan, then all pairwise
+    point directions and their perpendiculars (these realize separating
+    tangents whose direction is forced by other classes)."""
+    ordered: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+
+    def add(dir2: tuple[int, int]):
+        if dir2 not in seen:
+            seen.add(dir2)
+            ordered.append(dir2)
+
+    hull = _hull_2d(own)
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        if a != b:
+            add(_primitive([b[0] - a[0], b[1] - a[1]]))
+    for dir2 in _FIXED_DIRECTIONS:
+        add(_primitive([Fraction(dir2[0]), Fraction(dir2[1])]))
+    all_points = [q for c in sorted(class_points) for q in class_points[c]]
+    for a, b in combinations(all_points, 2):
+        add(_primitive([b[0] - a[0], b[1] - a[1]]))
+        add(_primitive([a[1] - b[1], b[0] - a[0]]))  # perpendicular
+    return ordered
+
+
+def assign_extras_2d_reference(class_points: dict[str, list[Point]],
+                               original: SimplicialComplex,
+                               extras: list[Point]) -> dict[int, str]:
+    """Recursive planar extension on the remaining colors.
+
+    Returns extra-index -> color.  Mirrors the two-color base split and
+    the peel-one-color recursion: find a color and a support line whose
+    class side contains no class disjoint from it, give that side's extras
+    to the color, and recurse on the rest.  Pair verdicts are read from
+    the original nerve.
+    """
+    colors = sorted(class_points)
+    if len(colors) == 1:
+        return {i: colors[0] for i in range(len(extras))}
+    if len(colors) == 2 and original.is_face(colors):
+        return {i: colors[1] for i in range(len(extras))}
+
+    for color in colors:
+        own = class_points[color]
+        foreign = [q for c in colors if c != color for q in class_points[c]] + extras
+        pool = _direction_pool(own, class_points)
+        for line in _support_lines(own, foreign, pool):
+            admissible = True
+            for other in colors:
+                if other == color:
+                    continue
+                values = [line.value(q) for q in class_points[other]]
+                inside = all(v < 0 for v in values)
+                outside = all(v > 0 for v in values)
+                if inside and not original.is_face((color, other)):
+                    admissible = False  # disjoint class trapped on our side
+                    break
+                if not inside and not outside and not line.chord:
+                    admissible = False  # straddling is only safe across a chord
+                    break
+            if not admissible:
+                continue
+            rest = {c: pts for c, pts in class_points.items() if c != color}
+            sub = assign_extras_2d_reference(rest, original, extras)
+            for i, q in enumerate(extras):
+                if line.value(q) < 0:
+                    sub[i] = color
+            return sub
+    raise ExtensionError("extension step failed: no admissible color/line pair")

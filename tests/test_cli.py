@@ -163,6 +163,18 @@ def test_search_jobs_byte_identical(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_search_on_a_long_path_needs_no_recursion(tmp_path, capsys):
+    # 1,101 vertices: the automorphism search places them all, far past
+    # the interpreter's recursion limit, before the node limit stops it.
+    labels = [f"v{i}" for i in range(1101)]
+    gf = write(tmp_path, "g.txt", "".join(f"{a} {b}\n" for a, b in zip(labels, labels[1:])))
+    code, out, _ = run(
+        capsys, "search", gf, "--dim", "1", "--max-len", "1200", "--node-limit", "10",
+    )
+    assert code == 3
+    assert json.loads(out)["outcome"] == "node_limit_exceeded"
+
+
 def test_facets(tmp_path, capsys):
     code, out, _ = run(capsys, "facets", "6", "2")
     assert code == 0
@@ -254,6 +266,19 @@ def test_extend_rejects_bool_coordinate_and_float_dimension(tmp_path, capsys, ex
     # the same document read as a configuration
     good = write(tmp_path, "good.json", '{"dimension": 2, "points": [["-2", "3"]]}')
     code, out, err = run(capsys, "extend", ef, good, "--mode", "planar")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["extend", "encode"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, command):
+    if command == "extend":
+        deep = write(tmp_path, "deep.json", "[" * 200_000)
+        argv = ["extend", deep, deep, "--mode", "planar"]
+    else:
+        deep = write(tmp_path, "deepg.json", '{"vertices": ' + "[" * 200_000)
+        argv = ["encode", deep]
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error: ")
 

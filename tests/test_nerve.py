@@ -19,6 +19,8 @@ from wordnerve.nerve import (
 )
 from wordnerve.words import Word, induced_graph_general, word
 
+from .oracles import assign_extras_2d_reference
+
 F = Fraction
 
 
@@ -250,6 +252,29 @@ def test_extend_2d_random_triangle_free_colorings():
         ext = extend_coloring_2d(cfg, extras)
         assert ext.colors[: len(cfg.colors)] == cfg.colors
         assert nerve(ext, 2).complex == nerve(cfg, 2).complex
+        done += 1
+
+
+def test_extend_2d_matches_reference_line_search():
+    """The support-line generator colors every extra as the earlier line
+    search (direction pool built up front, every line tested against
+    every point of the other classes) did."""
+    rng = random.Random(35)
+    done = 0
+    while done < 300:
+        k = rng.randint(2, 5)
+        letters = [f"c{i}" for i in range(k)]
+        seq = [rng.choice(letters) for _ in range(rng.randint(k, 10))]
+        if len(set(seq)) < k:
+            continue
+        w = Word(tuple(seq))
+        if not is_triangle_free(induced_graph_general(w, 2)):
+            continue
+        cfg = realize_on_moment_curve(w, 2)
+        extras = random_general_position_extras(rng, cfg, rng.randint(1, 20))
+        expected = assign_extras_2d_reference(cfg.classes(), nerve(cfg, 2).complex, extras)
+        ext = extend_coloring_2d(cfg, extras)
+        assert ext.colors[len(cfg.colors):] == tuple(expected[i] for i in range(len(extras)))
         done += 1
 
 

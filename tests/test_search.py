@@ -21,6 +21,8 @@ from wordnerve.search import (
 )
 from wordnerve.words import Word, induced_graph_general, max_alternation
 
+from .oracles import automorphisms_bruteforce
+
 
 def cycle(n):
     labels = [str(i + 1) for i in range(n)]
@@ -47,6 +49,27 @@ def test_automorphism_groups():
     assert len(automorphisms(from_edge_list([], ["a", "b", "c"]))) == 6
     k2 = from_edge_list([("a", "b")])
     assert sorted(automorphisms(k2)) == [(0, 1), (1, 0)]
+
+
+def test_automorphisms_match_brute_force():
+    graphs = []
+    for n in range(6):  # every graph on at most 5 vertices
+        labels = [str(i) for i in range(n)]
+        pairs = list(combinations(labels, 2))
+        for mask in range(1 << len(pairs)):
+            graphs.append(from_edge_list(
+                [pair for i, pair in enumerate(pairs) if mask >> i & 1], labels
+            ))
+    rng = random.Random(7)
+    labels = [str(i) for i in range(7)]
+    for _ in range(60):  # large enough that adjacency to an early placed vertex matters
+        graphs.append(from_edge_list(
+            [pair for pair in combinations(labels, 2) if rng.random() < 0.5], labels
+        ))
+    for g in graphs:
+        perms = automorphisms(g)
+        assert len(perms) == len(set(perms))
+        assert set(perms) == automorphisms_bruteforce(g)
 
 
 def test_find_k2():
