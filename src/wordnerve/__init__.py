@@ -9,8 +9,8 @@ Library layout:
 * lp        -- exact rational LP feasibility (fraction-free integer
                Phase-I simplex)
 * geometry  -- exact rational geometry (moment curve, Gale, Breen,
-               orientation) and the planar primitives (cross product,
-               hull, general-position check)
+               hyperplanes) and the planar primitives (cross product,
+               hull, general-position check, convex-position subset)
 * nerve     -- colored configurations, nerve complexes, extensions
 * formats   -- stable text/JSON formats
 * svgplot   -- deterministic SVG rendering (2D)
@@ -24,9 +24,7 @@ from .graphs import (
     SimplicialComplex,
     ComplexError,
     bipartition,
-    complex_from_faces,
     from_edge_list,
-    graph_as_complex,
     is_triangle_free,
     one_skeleton,
 )
@@ -36,7 +34,6 @@ from .words import (
     induced_graph_classic,
     induced_graph_general,
     is_d_intersecting,
-    is_k_uniform,
     max_alternation,
     rotate,
     word,
@@ -58,7 +55,6 @@ from .geometry import (
     hulls_intersect,
     hyperplane_through_moment_points,
     moment_point,
-    orientation,
     point,
     rational,
 )
@@ -79,7 +75,6 @@ from .nerve import (
     extend_coloring_bipartite,
     nerve,
     realize_on_moment_curve,
-    verify_partition_induced,
 )
 
 __version__ = "0.1.0"

@@ -57,36 +57,16 @@ def word_any_graph(g: Graph) -> tuple[Word, int]:
 
 
 @dataclass(frozen=True)
-class BipartiteFactor:
-    """One alternating block F_i(u_j) of the bipartite encoding, with its
-    1-based position span inside the final word (empty factors span zero)."""
-
-    v_index: int  # 1-based index into the v-part
-    u_index: int  # 1-based index into the u-part
-    start: int  # 1-based position of the first letter, inclusive
-    end: int  # 1-based position of the last letter, inclusive; start-1 if empty
-
-    @property
-    def empty(self) -> bool:
-        return self.end < self.start
-
-
-@dataclass(frozen=True)
 class BipartiteLayout:
     """Full position bookkeeping for the bipartite word construction."""
 
     word: Word
     d: int
-    v_labels: tuple[str, ...]  # v_1..v_d (the smaller part)
     u_labels: tuple[str, ...]  # u_1..u_m
-    factors: tuple[BipartiteFactor, ...]  # in word order
+    # (i, j) -> 0-based word positions of the factor F_i(u_j), 1-based i
+    # and j; a non-edge's factor is an empty range at its place in W_i
+    spans: dict[tuple[int, int], range]
     trailing: tuple[str, ...]  # isolated vertices appended at the end
-
-    def factor(self, i: int, j: int) -> BipartiteFactor:
-        for f in self.factors:
-            if f.v_index == i and f.u_index == j:
-                return f
-        raise KeyError((i, j))
 
 
 def bipartite_layout(g: Graph) -> BipartiteLayout:
@@ -104,7 +84,7 @@ def bipartite_layout(g: Graph) -> BipartiteLayout:
     d = max(len(v_part), 1)
 
     letters: list[str] = []
-    factors: list[BipartiteFactor] = []
+    spans: dict[tuple[int, int], range] = {}
     for i, v in enumerate(v_part, start=1):
         u_order = (
             list(enumerate(u_part, start=1))
@@ -112,10 +92,10 @@ def bipartite_layout(g: Graph) -> BipartiteLayout:
             else list(reversed(list(enumerate(u_part, start=1))))
         )
         for j, u in u_order:
-            start = len(letters) + 1
+            start = len(letters)
             if g.has_edge(v, u):
                 letters.extend(_alternating_factor(v, u, d + 2))
-            factors.append(BipartiteFactor(i, j, start, len(letters)))
+            spans[i, j] = range(start, len(letters))
 
     used = set(letters)
     trailing = tuple(v for v in g.vertices if v not in used)
@@ -123,9 +103,8 @@ def bipartite_layout(g: Graph) -> BipartiteLayout:
     return BipartiteLayout(
         word=Word(tuple(letters)),
         d=d,
-        v_labels=v_part,
         u_labels=u_part,
-        factors=tuple(factors),
+        spans=spans,
         trailing=trailing,
     )
 

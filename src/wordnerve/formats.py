@@ -69,6 +69,8 @@ def graph_from_doc(doc: dict) -> Graph:
         edges = [(str(a), str(b)) for a, b in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad graph document: {exc}") from exc
+    if not edges and not vertices:
+        raise FormatError("graph document declares no vertices")
     try:
         return from_edge_list(edges, vertices)
     except GraphError as exc:
@@ -159,10 +161,6 @@ def config_from_doc(doc: dict) -> ColoredConfig:
 
 # -- circle structures ------------------------------------------------------
 
-def chord_diagram_to_doc(d: ChordDiagram) -> dict:
-    return {"kind": "chord-diagram", "slots": list(d.slots)}
-
-
 def circle_structure_from_doc(doc: dict) -> ChordDiagram:
     try:
         kind = doc["kind"]
@@ -171,6 +169,8 @@ def circle_structure_from_doc(doc: dict) -> ChordDiagram:
         raise FormatError(f"bad circle document: {exc}") from exc
     if kind != "chord-diagram":
         raise FormatError(f"unknown circle structure kind {kind!r}")
+    if not slots:
+        raise FormatError("chord diagram has no slots")
     try:
         return ChordDiagram(slots)
     except ValueError as exc:

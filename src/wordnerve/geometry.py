@@ -85,18 +85,6 @@ def det(matrix: list[list[Fraction]]) -> Fraction:
     return sign * result
 
 
-def orientation(points: list[Point]) -> int:
-    """Sign of the (d+1)x(d+1) lifted determinant of d+1 points in R^d."""
-    d = len(points[0])
-    if len(points) != d + 1:
-        raise GeometryError(f"orientation in R^{d} needs {d + 1} points")
-    for p in points:
-        if len(p) != d:
-            raise GeometryError("mixed dimensions")
-    value = det([[ONE] + list(p) for p in points])
-    return (value > 0) - (value < 0)
-
-
 def hulls_intersect(classes: list[list[Point]]) -> bool:
     """Do the convex hulls of all classes share a common point?
 

@@ -42,9 +42,6 @@ class Graph:
     def neighbors(self, v: str) -> frozenset[str]:
         return self._adj[v]
 
-    def degree(self, v: str) -> int:
-        return len(self._adj[v])
-
     @property
     def edge_list(self) -> list[tuple[str, str]]:
         return sorted(self.edges)
@@ -155,29 +152,8 @@ class SimplicialComplex:
     def faces_of_size(self, k: int) -> list[tuple[str, ...]]:
         return sorted(tuple(sorted(f)) for f in self.faces if len(f) == k)
 
-    @property
-    def dimension(self) -> int:
-        return max(len(f) for f in self.faces) - 1 if self.faces else -1
-
-
-def complex_from_faces(vertices, faces) -> SimplicialComplex:
-    """Close the given faces downward and add all singletons."""
-    verts = tuple(sorted(set(str(v) for v in vertices)))
-    closed: set[frozenset[str]] = {frozenset([v]) for v in verts}
-    for f in faces:
-        f = frozenset(str(x) for x in f)
-        for k in range(1, len(f) + 1):
-            for sub in combinations(sorted(f), k):
-                closed.add(frozenset(sub))
-    return SimplicialComplex(verts, frozenset(closed))
-
 
 def one_skeleton(k: SimplicialComplex) -> Graph:
     """Graph of all 1-faces of the complex."""
     edges = {tuple(sorted(f)) for f in k.faces if len(f) == 2}
     return Graph(k.vertices, frozenset(edges))
-
-
-def graph_as_complex(g: Graph) -> SimplicialComplex:
-    """Embed a graph as the complex whose faces are its vertices and edges."""
-    return complex_from_faces(g.vertices, g.edges)

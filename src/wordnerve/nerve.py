@@ -33,7 +33,7 @@ from .geometry import (
     point,
     rational,
 )
-from .graphs import Graph, SimplicialComplex, complex_from_faces, one_skeleton, is_triangle_free
+from .graphs import Graph, SimplicialComplex
 from .words import Word
 
 
@@ -105,7 +105,12 @@ def realize_on_moment_curve(w: Word, d: int, params=None) -> ColoredConfig:
 
 def nerve(config: ColoredConfig, max_dim: int) -> NerveResult:
     """Faces of size <= max_dim+1, found layer by layer: a candidate set is
-    only tested when all its subsets one smaller are already faces."""
+    only tested when all its subsets one smaller are already faces.
+
+    For a realized word only the 1-skeleton is a function of the word
+    (Breen's criterion).  Higher faces depend on the chosen curve
+    parameters: the same word can gain or lose a 2-face when they change.
+    """
     if max_dim < 1:
         raise DegenerateInputError("max_dim must be >= 1")
     classes = config.classes()
@@ -124,19 +129,7 @@ def nerve(config: ColoredConfig, max_dim: int) -> NerveResult:
         if not layer_hits:
             break
         faces.update(layer_hits)
-    return NerveResult(complex_from_faces(labels, faces))
-
-
-def verify_partition_induced(g: Graph, w: Word, d: int) -> bool:
-    """Realize w in R^d and check the nerve's 1-skeleton equals g; when g
-    is triangle-free additionally require that no 2-faces appear."""
-    config = realize_on_moment_curve(w, d)
-    result = nerve(config, 2)
-    if one_skeleton(result.complex) != g:
-        return False
-    if is_triangle_free(g) and result.complex.faces_of_size(3):
-        return False
-    return True
+    return NerveResult(SimplicialComplex(labels, frozenset(faces)))
 
 
 def _coerce_extras(extras, d: int) -> list[Point]:
@@ -280,8 +273,8 @@ def _separator_params(layout: BipartiteLayout, j: int) -> list[Fraction]:
     separators spread across their shared gap."""
     gaps: list[int] = []
     for i in range(1, layout.d + 1):
-        f = layout.factor(i, j)
-        gaps.append(f.end if i % 2 == 1 else f.start - 1)
+        span = layout.spans[i, j]
+        gaps.append(span.stop if i % 2 == 1 else span.start)
     params: list[Fraction] = []
     for gap in sorted(set(gaps)):
         count = gaps.count(gap)
@@ -323,9 +316,8 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
         h = hyperplane_through_moment_points(_separator_params(layout, j), d)
         block_sign = None
         for i in range(1, d + 1):
-            f = layout.factor(i, j)
-            for pos in range(f.start, f.end + 1):
-                s = h.side(config.points[pos - 1])
+            for pos in layout.spans[i, j]:
+                s = h.side(config.points[pos])
                 if s == 0:
                     raise ExtensionError("internal error: block point on separator hyperplane")
                 if block_sign is None:
@@ -337,9 +329,8 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
         # everything not yet claimed by colors u_1..u_j must sit opposite
         for jj in range(j + 1, m + 1):
             for i in range(1, d + 1):
-                f = layout.factor(i, jj)
-                for pos in range(f.start, f.end + 1):
-                    if h.side(config.points[pos - 1]) != -block_sign:
+                for pos in layout.spans[i, jj]:
+                    if h.side(config.points[pos]) != -block_sign:
                         raise ExtensionError(
                             "internal error: remainder block on the claimed side"
                         )

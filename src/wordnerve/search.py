@@ -371,8 +371,7 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
         return verdict_from(enum.found, enum.nodes, enum.limit_hit)
 
     ranked = list(enumerate(prefixes))
-    batches = [ranked[w::jobs] for w in range(jobs)]
-    batches = [b for b in batches if b]
+    batches = [ranked[w::jobs] for w in range(min(jobs, len(ranked)))]
     results = []
     if len(batches) <= 1:
         for b in batches:

@@ -10,8 +10,6 @@ A word induces two graphs on its alphabet:
 
 * the general graph at level d: edge iff the pair is d-intersecting;
 * the classic graph: edge iff the pair's restriction strictly alternates.
-
-Positions are 1-based (`Word.letter(i)` for 1 <= i <= len).
 """
 
 from __future__ import annotations
@@ -41,12 +39,6 @@ class Word:
 
     def __len__(self):
         return len(self.letters)
-
-    def letter(self, i: int) -> str:
-        """1-based position access."""
-        if not 1 <= i <= len(self.letters):
-            raise WordError(f"position {i} out of range 1..{len(self.letters)}")
-        return self.letters[i - 1]
 
     def count(self, x: str) -> int:
         return self.letters.count(x)
@@ -119,13 +111,6 @@ def induced_graph_classic(w: Word) -> Graph:
             if max_alternation(w, x, y) == counts[x] + counts[y]:
                 edges.add((x, y))
     return Graph(tuple(letters), frozenset(edges))
-
-
-def is_k_uniform(w: Word, k: int) -> bool:
-    """True iff every alphabet letter occurs exactly k times."""
-    if k < 1:
-        raise WordError("k must be a positive integer")
-    return all(w.count(x) == k for x in w.alphabet)
 
 
 def rotate(w: Word, s: int) -> Word:

@@ -91,6 +91,20 @@ def test_encode_chords(tmp_path, capsys):
     assert out == "a b a b\n"
 
 
+@pytest.mark.parametrize("mode, doc", [
+    ("any", {"vertices": [], "edges": []}),
+    ("bipartite", {"vertices": [], "edges": []}),
+    ("chords", {"kind": "chord-diagram", "slots": []}),
+])
+def test_encode_rejects_empty_documents(tmp_path, capsys, mode, doc):
+    # an empty word would only be rejected later, by induce or realize
+    f = write(tmp_path, "in.json", json.dumps(doc))
+    code, out, err = run(capsys, "encode", f, "--mode", mode)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 def test_realize_with_svg(tmp_path, capsys):
     wf = write(tmp_path, "w.txt", "a b a b\n")
     svg_path = tmp_path / "out.svg"

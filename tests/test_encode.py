@@ -122,17 +122,20 @@ def test_word_bipartite_exhaustive_up_to_six_vertices():
 def test_bipartite_layout_positions_match_word():
     g = from_edge_list([("v1", "u1"), ("v2", "u1"), ("v2", "u2")], ["w"])
     layout = bipartite_layout(g)
-    for f in layout.factors:
-        segment = layout.word.letters[f.start - 1 : f.end]
-        if f.empty:
+    _, v_part = bipartition(g)
+    covered = []
+    for (i, j), span in layout.spans.items():  # in word order
+        v, u = v_part[i - 1], layout.u_labels[j - 1]
+        segment = layout.word.letters[span.start : span.stop]
+        if not g.has_edge(v, u):
             assert segment == ()
-        else:
-            v = layout.v_labels[f.v_index - 1]
-            u = layout.u_labels[f.u_index - 1]
-            assert set(segment) == {v, u}
-            assert segment[0] == v
-            assert all(a != b for a, b in zip(segment, segment[1:]))
+            continue
+        assert set(segment) == {v, u}
+        assert segment[0] == v
+        assert all(a != b for a, b in zip(segment, segment[1:]))
+        covered.extend(span)
     assert layout.trailing == ("w",)
+    assert covered == list(range(len(layout.word) - len(layout.trailing)))
 
 
 def test_polygon_arrangement_roundtrip_examples():

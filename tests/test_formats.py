@@ -81,7 +81,7 @@ def test_config_doc_roundtrip():
 
 def test_circle_structure_docs():
     dgm = ChordDiagram(("a", "b", "a", "b"))
-    doc = formats.chord_diagram_to_doc(dgm)
+    doc = {"kind": "chord-diagram", "slots": ["a", "b", "a", "b"]}
     assert formats.circle_structure_from_doc(doc) == dgm
     for kind in ("nope", "polygon-arrangement"):
         with pytest.raises(formats.FormatError):

@@ -6,6 +6,7 @@ import pytest
 
 from wordnerve.geometry import (
     GeometryError,
+    _cross,
     breen_intersect,
     convex_position_subset_2d,
     det,
@@ -14,7 +15,6 @@ from wordnerve.geometry import (
     hyperplane_through_moment_points,
     hyperplane_through_points,
     moment_point,
-    orientation,
     point,
     rational,
 )
@@ -46,21 +46,13 @@ def test_moment_point_examples():
     assert moment_point(F(1, 2), 2) == (F(1, 2), F(1, 4))
 
 
-def test_orientation_examples():
-    assert orientation([point((0, 0)), point((1, 0)), point((0, 1))]) == 1
-    assert orientation([point((0, 0)), point((1, 1)), point((2, 2))]) == 0
-    with pytest.raises(GeometryError):
-        orientation([point((0, 0)), point((1, 1))])
-
-
 def test_orientation_moment_points_positive():
     rng = random.Random(10)
     for d in range(1, 6):
         for _ in range(10):
             params = sorted(rng.sample(range(-20, 40), d + 1))
             pts = [moment_point(t, d) for t in params]
-            assert orientation(pts) == 1  # Vandermonde positivity
-            assert det([[1] + list(p) for p in pts]) > 0
+            assert det([[1] + list(p) for p in pts]) > 0  # Vandermonde positivity
 
 
 def test_hulls_intersect_examples():
@@ -265,10 +257,8 @@ def test_convex_position_subset_random_twenty_points():
         assert convex_position_lp(got)
         # cyclic order: consistent orientation around the polygon
         n = len(got)
-        turns = {
-            orientation([got[i], got[(i + 1) % n], got[(i + 2) % n]])
-            for i in range(n)
-        }
+        crosses = [_cross(got[i], got[(i + 1) % n], got[(i + 2) % n]) for i in range(n)]
+        turns = {(c > 0) - (c < 0) for c in crosses}
         assert turns == {1} or turns == {-1}
         found += 1
     assert found >= 5  # 20 random points nearly always contain a convex hexagon

@@ -9,9 +9,7 @@ from wordnerve.graphs import (
     GraphError,
     SimplicialComplex,
     bipartition,
-    complex_from_faces,
     from_edge_list,
-    graph_as_complex,
     is_triangle_free,
     one_skeleton,
 )
@@ -26,6 +24,11 @@ def cycle(n, offset=1):
 
 def complete(labels):
     return from_edge_list(list(combinations(labels, 2)))
+
+
+def full_simplex(labels):
+    faces = (frozenset(f) for k in range(1, len(labels) + 1) for f in combinations(labels, k))
+    return SimplicialComplex(tuple(labels), frozenset(faces))
 
 
 def wheel5():
@@ -54,7 +57,7 @@ def test_graph_accessors():
     g = from_edge_list([("a", "b"), ("b", "c")], ["z"])
     assert g.has_edge("b", "a") and not g.has_edge("a", "c")
     assert g.neighbors("b") == {"a", "c"}
-    assert g.degree("z") == 0
+    assert g.neighbors("z") == frozenset()
 
 
 def test_is_triangle_free():
@@ -110,27 +113,16 @@ def test_complex_validation():
         SimplicialComplex(("a", "b"), frozenset({frozenset(["a", "b"])}))
     with pytest.raises(ComplexError):
         SimplicialComplex(("a",), frozenset({frozenset(["a"]), frozenset(["a", "b"])}))
-    k = complex_from_faces("abc", [("a", "b", "c")])
-    assert k.dimension == 2
+    k = full_simplex("abc")
     assert k.is_face(["a", "b"]) and k.is_face(["c"])
+    assert not k.is_face(["a", "d"])
 
 
 def test_one_skeleton_examples():
-    full = complex_from_faces("abc", [("a", "b", "c")])
-    assert one_skeleton(full) == complete("abc")
-    points_only = complex_from_faces("ab", [])
+    assert one_skeleton(full_simplex("abc")) == complete("abc")
+    points_only = SimplicialComplex(("a", "b"), frozenset({frozenset("a"), frozenset("b")}))
     g = one_skeleton(points_only)
     assert g.vertices == ("a", "b") and not g.edges
-
-
-def test_one_skeleton_of_graph_complex_roundtrip():
-    rng = random.Random(5)
-    for _ in range(60):
-        n = rng.randint(1, 7)
-        labels = [f"v{i}" for i in range(n)]
-        edges = [e for e in combinations(labels, 2) if rng.random() < 0.5]
-        g = from_edge_list(edges, labels)
-        assert one_skeleton(graph_as_complex(g)) == g
 
 
 def test_graph_equality_is_labeled():

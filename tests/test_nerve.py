@@ -15,7 +15,6 @@ from wordnerve.nerve import (
     extend_coloring_bipartite,
     nerve,
     realize_on_moment_curve,
-    verify_partition_induced,
 )
 from wordnerve.words import Word, induced_graph_general, word
 
@@ -120,22 +119,42 @@ def test_figure_fixture_nine_points_three_colors():
         assert nerve(permuted, 2).complex == result.complex
 
 
-def test_verify_partition_induced_examples():
+def test_realized_nerve_skeleton_examples():
     c5 = from_edge_list([("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("1", "5")])
     w_c5 = word_from_chord_diagram(
         ChordDiagram(("1", "5", "2", "1", "3", "2", "4", "3", "5", "4"))
     )
-    assert verify_partition_induced(c5, w_c5, 2)
-
     k22 = from_edge_list([(v, u) for v in ("v1", "v2") for u in ("u1", "u2")])
-    w_k22, d = word_bipartite(k22)
-    assert d == 2
-    assert verify_partition_induced(k22, w_k22, d)
-
+    w_k22, d_k22 = word_bipartite(k22)
+    assert d_k22 == 2
     p3 = from_edge_list([("a", "b"), ("b", "c")])
-    assert verify_partition_induced(p3, word("ababcb"), 1)
 
-    assert verify_partition_induced(wheel5(), word("156216326436546"), 2)
+    cases = [
+        (c5, w_c5, 2),
+        (k22, w_k22, d_k22),
+        (p3, word("ababcb"), 1),
+        (wheel5(), word("156216326436546"), 2),
+    ]
+    for g, w, d in cases:
+        complex_ = nerve(realize_on_moment_curve(w, d), 2).complex
+        assert one_skeleton(complex_) == g
+        if is_triangle_free(g):
+            assert not complex_.faces_of_size(3)
+
+
+def test_two_faces_depend_on_curve_parameters():
+    # Only the 1-skeleton is a function of the word; {a, b, c} becomes a
+    # 2-face when the same word sits at other increasing parameters.
+    w = word("a b c a b b c c e b c d e b c c")
+    params = [F(t) for t in (
+        "-777/20 -809/47 -353/40 11/3 454/43 148/13 92/5 311/14 "
+        "455/16 729/25 695/22 982/31 847/10 782/5 280 875"
+    ).split()]
+    default = nerve(realize_on_moment_curve(w, 2), 2).complex
+    moved = nerve(realize_on_moment_curve(w, 2, params), 2).complex
+    assert default.faces_of_size(3) == [("b", "c", "e")]
+    assert moved.faces_of_size(3) == [("a", "b", "c"), ("b", "c", "e")]
+    assert one_skeleton(moved) == one_skeleton(default)
 
 
 def test_pipeline_identity_random_words():

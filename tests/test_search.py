@@ -213,8 +213,10 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
     at_two = find_general_word(w5, 2, budget, jobs=64)
     monkeypatch.setattr(os, "cpu_count", lambda: 1000)
     uncapped = find_general_word(w5, 2, budget, jobs=64)
-    assert sizes == [min(4, cpus), 2, 4]
-    assert verdict == at_two == uncapped
+    # one batch per prefix, never one list per requested job
+    huge = find_general_word(w5, 2, budget, jobs=10**9)
+    assert sizes == [min(4, cpus), 2, 4, 4]
+    assert verdict == at_two == uncapped == huge
     sequential = find_general_word(w5, 2, budget, jobs=1)
     assert (verdict.outcome, verdict.witness) == (sequential.outcome, sequential.witness)
 

@@ -11,7 +11,6 @@ from wordnerve.words import (
     induced_graph_classic,
     induced_graph_general,
     is_d_intersecting,
-    is_k_uniform,
     max_alternation,
     rotate,
     word,
@@ -24,12 +23,7 @@ from .oracles import dp_max_alternation, strictly_alternates
 def test_word_basics():
     w = word("abab")
     assert len(w) == 4
-    assert w.letter(1) == "a" and w.letter(4) == "b"
     assert w.alphabet == {"a", "b"}
-    with pytest.raises(WordError):
-        w.letter(0)
-    with pytest.raises(WordError):
-        w.letter(5)
 
 
 def test_word_tokenized_forms():
@@ -124,14 +118,6 @@ def test_induced_graph_classic_matches_definition_fuzz():
                 assert g.has_edge(x, y) == strictly_alternates(letters, x, y)
 
 
-def test_is_k_uniform():
-    assert is_k_uniform(word("abab"), 2)
-    assert not is_k_uniform(word("aab"), 2)
-    assert is_k_uniform(word("abc"), 1)
-    with pytest.raises(WordError):
-        is_k_uniform(word("ab"), 0)
-
-
 def test_rotate():
     assert rotate(word("12121"), 1) == word("21211")
     w = word("abcab")
@@ -163,7 +149,7 @@ def test_uniform_classic_edges_survive_as_general_edges():
         letters = [x for x in alpha for _ in range(k)]
         rng.shuffle(letters)
         w = Word(tuple(letters))
-        if not is_k_uniform(w, k):
+        if not all(w.count(x) == k for x in w.alphabet):
             continue
         classic = induced_graph_classic(w)
         for x, y in classic.edge_list:
