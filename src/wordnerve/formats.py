@@ -30,6 +30,13 @@ def _strip_comments(text: str):
             yield lineno, line
 
 
+def _label(x) -> str:
+    """A JSON label, color or slot: a string, or an integer but not a bool."""
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+        return str(x)
+    raise FormatError(f"bad label {x!r}: expected a string or an integer")
+
+
 # -- graphs -----------------------------------------------------------------
 
 def parse_graph_text(text: str) -> Graph:
@@ -65,8 +72,8 @@ def graph_to_doc(g: Graph) -> dict:
 
 def graph_from_doc(doc: dict) -> Graph:
     try:
-        vertices = [str(v) for v in doc["vertices"]]
-        edges = [(str(a), str(b)) for a, b in doc["edges"]]
+        vertices = [_label(v) for v in doc["vertices"]]
+        edges = [(_label(a), _label(b)) for a, b in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad graph document: {exc}") from exc
     if not edges and not vertices:
@@ -153,7 +160,7 @@ def config_to_doc(config: ColoredConfig) -> dict:
 def config_from_doc(doc: dict) -> ColoredConfig:
     points, _ = points_from_doc(doc)
     try:
-        colors = [str(c) for c in doc["colors"]]
+        colors = [_label(c) for c in doc["colors"]]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad configuration document: {exc}") from exc
     return ColoredConfig(tuple(points), tuple(colors))
@@ -164,7 +171,7 @@ def config_from_doc(doc: dict) -> ColoredConfig:
 def circle_structure_from_doc(doc: dict) -> ChordDiagram:
     try:
         kind = doc["kind"]
-        slots = tuple(str(s) for s in doc["slots"])
+        slots = tuple(_label(s) for s in doc["slots"])
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad circle document: {exc}") from exc
     if kind != "chord-diagram":

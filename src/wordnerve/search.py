@@ -21,8 +21,8 @@ Completeness-preserving cuts:
   which can serve at most one run per deficient pair of its letter.
 
 The enumeration tree can be split at a fixed prefix depth across worker
-processes; the merged verdict is the one from the canonically earliest
-prefix, so results are independent of the worker count.
+processes; the parent adds up the prefixes' node counts in sequential order,
+so every worker count returns the sequential verdict, node count included.
 """
 
 from __future__ import annotations
@@ -154,7 +154,8 @@ class _Enumeration:
             self.target for i in range(n) for j in range(i + 1, n) if adj[i][j]
         )
         self.deficient_deg = [sum(1 for j in range(n) if adj[i][j]) for i in range(n)]
-        self.stab_stack = [[p for p in auts if any(p[i] != i for i in range(n))]]
+        identity = tuple(range(n))
+        self.stab_stack = [[p for p in auts if p != identity]]
 
         self.nodes = 0
         self.found: list[int] | None = None
@@ -260,12 +261,12 @@ class _Enumeration:
         if len(self.word) >= self.max_len:
             return iter(())
         if depth_cap is not None and len(self.word) >= depth_cap:
-            prefix_sink.append(tuple(self.word))
+            prefix_sink.append((tuple(self.word), self.nodes))
             return iter(())
         return iter(list(self._candidates()))
 
     def dfs(self, depth_cap: int | None = None,
-            prefix_sink: list[tuple[int, ...]] | None = None):
+            prefix_sink: list[tuple[tuple[int, ...], int]] | None = None):
         """Exhaust the subtree below the current word.  The stack holds one
         candidate iterator per open word, and undos[k] removes the letter
         that opened frames[k + 1], so depth is bounded by max_len only."""
@@ -302,29 +303,33 @@ class _Enumeration:
         self.nodes -= len(prefix)  # replays are bookkeeping, not exploration
 
 
-def _run_prefix_batch_impl(n, adj, d, budget, auts, ranked_prefixes):
-    """Worker: DFS-complete each assigned prefix in canonical order; stop
-    at the first witness.  Returns (found_rank, witness, nodes, limit_hit)."""
-    total_nodes = 0
-    limit_hit = False
-    for rank, prefix in ranked_prefixes:
+def _run_prefix_batch_impl(n, adj, d, budget, auts, batch):
+    """Worker: DFS-complete each (rank, (prefix, shallow nodes)) in rank
+    order, under what the node limit leaves after the shallow nodes and this
+    worker's earlier prefixes (never less than the sequential DFS leaves), up
+    to the first witness or spent limit.  Returns {rank: (witness, nodes, limit_hit)}."""
+    results = {}
+    spent = 0
+    for rank, (prefix, shallow) in batch:
         enum = _Enumeration(n, adj, d, budget, auts)
         enum.replay(prefix)
+        enum.node_limit = budget.node_limit - shallow - spent
         enum.dfs()
-        total_nodes += enum.nodes
-        if enum.limit_hit:
-            limit_hit = True
-        if enum.found is not None:
-            return rank, tuple(enum.found), total_nodes, limit_hit
-    return None, None, total_nodes, limit_hit
+        spent += enum.nodes
+        results[rank] = (enum.found, enum.nodes, enum.limit_hit)
+        if enum.found is not None or enum.limit_hit:
+            break
+    return results
 
 
 def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> SearchVerdict:
     """Search for a word whose level-d induced graph equals g exactly.
 
     A found witness is re-verified through the independent induced-graph
-    path before being returned.  With jobs > 1 the prefix tree is split
-    across processes; the verdict matches the single-process one.
+    path before being returned.  The prefix tree is split over at most
+    min(jobs, CPUs) processes; for every jobs value the verdict, witness
+    and node count are the single-process DFS's, so the node count never
+    exceeds the node limit.
     """
     if d < 1:
         raise SearchError("d must be a positive integer")
@@ -336,71 +341,58 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
         raise SearchError("jobs must be >= 1")
 
     letters, adj = _problem_arrays(g)
-    n = len(letters)
     auts = automorphisms(g)
+    limit = budget.node_limit
 
-    def verdict_from(found: list[int] | tuple[int, ...] | None, nodes: int,
-                     limit_hit: bool) -> SearchVerdict:
-        if found is not None:
-            w = Word(tuple(letters[i] for i in found))
-            check = induced_graph_general(w, d)
-            if check != g:
-                raise RuntimeError(
-                    f"internal error: witness {w} fails post-hoc verification"
-                )
-            return SearchVerdict(FOUND, w, nodes)
-        return SearchVerdict(NODE_LIMIT if limit_hit else NOT_FOUND, None, nodes)
+    def verdict_from(found, nodes: int, limit_hit: bool) -> SearchVerdict:
+        # The sequential DFS stops at its first try with `limit` nodes
+        # explored, and so reports exactly `limit` nodes.
+        if limit_hit or nodes > limit:
+            return SearchVerdict(NODE_LIMIT, None, limit)
+        if found is None:
+            return SearchVerdict(NOT_FOUND, None, nodes)
+        w = Word(tuple(letters[i] for i in found))
+        if induced_graph_general(w, d) != g:
+            raise RuntimeError(f"internal error: witness {w} fails post-hoc verification")
+        return SearchVerdict(FOUND, w, nodes)
 
-    if jobs == 1:
-        enum = _Enumeration(n, adj, d, budget, auts)
-        enum.dfs()
-        return verdict_from(enum.found, enum.nodes, enum.limit_hit)
-
-    # Parallel split: enumerate canonical prefixes at a fixed depth, then
-    # round-robin them over workers.  A witness no deeper than the split
-    # is caught during enumeration itself, but it sits canonically after
-    # every prefix emitted before it, so those subtrees still get searched
-    # and an earlier hit in them wins (keeping jobs > 1 verdicts identical
-    # to the sequential ones).
-    depth = min(2, budget.max_total_length)
-    enum = _Enumeration(n, adj, d, budget, auts)
-    prefixes: list[tuple[int, ...]] = []
-    enum.dfs(depth_cap=depth, prefix_sink=prefixes)
-    base_nodes = enum.nodes
-    if enum.limit_hit:
-        return verdict_from(enum.found, enum.nodes, enum.limit_hit)
-
+    # Enumerate the canonical prefixes at the cut, each with the sequential
+    # node count up to and including it.  With one worker the cut is at
+    # depth 0: the one prefix is the empty word and its DFS is the whole
+    # search.  A witness no deeper than the cut ends the enumeration, after
+    # every prefix emitted before it.
+    workers = min(jobs, os.cpu_count() or 1)
+    args = (len(letters), adj, d, budget, auts)
+    enum = _Enumeration(*args)
+    prefixes: list[tuple[tuple[int, ...], int]] = []
+    enum.dfs(depth_cap=0 if workers == 1 else 2, prefix_sink=prefixes)
     ranked = list(enumerate(prefixes))
-    batches = [ranked[w::jobs] for w in range(min(jobs, len(ranked)))]
-    results = []
-    if len(batches) <= 1:
-        for b in batches:
-            results.append(_run_prefix_batch_impl(n, adj, d, budget, auts, b))
+    k = min(workers, len(ranked))
+    batches = [ranked[w::k] for w in range(k)]
+    if k <= 1:
+        parts = [_run_prefix_batch_impl(*args, b) for b in batches]
     else:
         # Imported on first use: multiprocessing and its dependencies add
         # about 2 MB of resident memory (CPython 3.11, Linux) to every
         # process that imports wordnerve.
         from concurrent.futures import ProcessPoolExecutor
 
-        # The split into `jobs` batches fixes the verdict and the node
-        # count; the pool size only decides how many run at once.
-        workers = min(len(batches), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_prefix_batch_impl, n, adj, d, budget, auts, b)
-                for b in batches
-            ]
-            results = [f.result() for f in futures]
+        with ProcessPoolExecutor(max_workers=k) as pool:
+            futures = [pool.submit(_run_prefix_batch_impl, *args, b) for b in batches]
+            parts = [f.result() for f in futures]
+    results = {rank: r for part in parts for rank, r in part.items()}
 
-    total_nodes = base_nodes + sum(r[2] for r in results)
-    limit_hit = any(r[3] for r in results)
-    hits = [(r[0], r[1]) for r in results if r[0] is not None]
-    if enum.found is not None:
-        hits.append((len(prefixes), tuple(enum.found)))
-    if hits:
-        _, best_word = min(hits, key=lambda t: t[0])
-        return verdict_from(best_word, total_nodes, limit_hit)
-    return verdict_from(None, total_nodes, limit_hit)
+    # Add up the nodes in sequential order.  A worker stops after a witness
+    # or a spent limit, so only a rank after such a stop can be missing.
+    spent = 0
+    for rank, (_, shallow) in ranked:
+        if rank not in results:
+            raise RuntimeError(f"internal error: no result for search prefix {rank}")
+        found, nodes, limit_hit = results[rank]
+        spent += nodes
+        if found is not None or limit_hit or shallow + spent > limit:
+            return verdict_from(found, shallow + spent, limit_hit)
+    return verdict_from(enum.found, enum.nodes + spent, enum.limit_hit)
 
 
 def general_rep_number_bounded(g: Graph, max_d: int, budget: SearchBudget,

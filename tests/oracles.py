@@ -15,6 +15,16 @@ from itertools import combinations, permutations
 from wordnerve.geometry import Point, _hull_2d, _primitive, hulls_intersect
 from wordnerve.graphs import SimplicialComplex
 from wordnerve.nerve import _FIXED_DIRECTIONS, ExtensionError
+from wordnerve.search import (
+    FOUND,
+    NODE_LIMIT,
+    NOT_FOUND,
+    SearchVerdict,
+    _Enumeration,
+    _problem_arrays,
+    automorphisms,
+)
+from wordnerve.words import Word
 
 
 def dp_max_alternation(letters, x, y) -> int:
@@ -83,6 +93,18 @@ def automorphisms_bruteforce(g) -> set[tuple[int, ...]]:
         p for p in permutations(range(len(g.vertices)))
         if all(frozenset((p[a], p[b])) in edges for a, b in pairs)
     }
+
+
+def sequential_search(g, d: int, budget) -> SearchVerdict:
+    """The search as one plain DFS over the whole tree, with no prefix
+    split: the verdict every `jobs` value of `find_general_word` must
+    return, node count included."""
+    letters, adj = _problem_arrays(g)
+    enum = _Enumeration(len(letters), adj, d, budget, automorphisms(g))
+    enum.dfs()
+    if enum.found is not None:
+        return SearchVerdict(FOUND, Word(tuple(letters[i] for i in enum.found)), enum.nodes)
+    return SearchVerdict(NODE_LIMIT if enum.limit_hit else NOT_FOUND, None, enum.nodes)
 
 
 ZERO = Fraction(0)

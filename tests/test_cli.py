@@ -105,6 +105,33 @@ def test_encode_rejects_empty_documents(tmp_path, capsys, mode, doc):
     assert "error" in err
 
 
+@pytest.mark.parametrize("label, expected", [(True, 2), (1.5, 2), (None, 2), (7, 0)])
+def test_json_labels_are_strings_or_integers(tmp_path, capsys, label, expected):
+    # str() would turn true, 1.5 and null into the labels "True", "1.5", "None"
+    for mode, doc in [
+        ("any", {"vertices": [label, "c"], "edges": [[label, "c"]]}),
+        ("any", {"vertices": ["c"], "edges": [["c", label]]}),
+        ("chords", {"kind": "chord-diagram", "slots": [label, "b", label, "b"]}),
+    ]:
+        f = write(tmp_path, "in.json", json.dumps(doc))
+        code, out, err = run(capsys, "encode", f, "--mode", mode)
+        assert code == expected, doc
+        if expected:
+            assert out == "" and err.startswith("error: ")
+    wf = write(tmp_path, "w.txt", "1 4 2 1 3 2 4 3\n")
+    cfg_path = tmp_path / "cfg.json"
+    assert run(capsys, "realize", wf, "--dim", "2", "--output", str(cfg_path))[0] == 0
+    cfg = json.loads(cfg_path.read_text())
+    cfg["colors"] = [label if c == "1" else c for c in cfg["colors"]]
+    cf = write(tmp_path, "cfg.json", json.dumps(cfg))
+    extras = formats.dump_json({"dimension": 2, "points": [["-2", "3"]]})
+    ef = write(tmp_path, "extras.json", extras)
+    code, out, err = run(capsys, "extend", cf, ef, "--mode", "planar")
+    assert code == expected
+    if expected:
+        assert out == "" and err.startswith("error: ")
+
+
 def test_realize_with_svg(tmp_path, capsys):
     wf = write(tmp_path, "w.txt", "a b a b\n")
     svg_path = tmp_path / "out.svg"
@@ -164,17 +191,19 @@ def test_search_node_limit(tmp_path, capsys):
 
 
 def test_search_jobs_byte_identical(tmp_path, capsys):
-    gf = write(tmp_path, "g.txt", "\n".join(f"{u} {v}" for u, v in W5_EDGES) + "\n")
-    paths = []
-    for tag in ("a", "b"):
-        out_path = tmp_path / f"{tag}.json"
-        code, _, _ = run(
-            capsys, "search", gf, "--dim", "2", "--max-copies", "5",
-            "--max-len", "15", "--jobs", "4", "--output", str(out_path),
-        )
-        assert code == 0
-        paths.append(out_path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    for edges, budget, expected in [
+        (W5_EDGES, ["--max-copies", "5", "--max-len", "15"], 0),
+        # --jobs 4 once returned a witness found after 907 nodes here
+        ([("a", "b"), ("a", "c"), ("a", "d"), ("a", "e"), ("b", "c"), ("c", "e")],
+         ["--node-limit", "100"], 3),
+    ]:
+        gf = write(tmp_path, "g.txt", "\n".join(f"{u} {v}" for u, v in edges) + "\n")
+        outs = []
+        for jobs in ("1", "4"):
+            code, out, _ = run(capsys, "search", gf, "--dim", "2", *budget, "--jobs", jobs)
+            assert code == expected
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 def test_search_on_a_long_path_needs_no_recursion(tmp_path, capsys):

@@ -21,7 +21,7 @@ from wordnerve.search import (
 )
 from wordnerve.words import Word, induced_graph_general, max_alternation
 
-from .oracles import automorphisms_bruteforce
+from .oracles import automorphisms_bruteforce, sequential_search
 
 
 def cycle(n):
@@ -203,22 +203,23 @@ def _inline_pool(sizes):
 
 
 def test_pool_is_capped_at_cpu_count(monkeypatch):
-    w5 = wheel5()  # 4 depth-2 prefixes, so jobs=64 makes 4 nonempty batches
+    w5 = wheel5()  # 4 depth-2 prefixes
     budget = SearchBudget(5, 15, 10_000_000)
     cpus = os.cpu_count() or 1
     sizes = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(sizes))
-    verdict = find_general_word(w5, 2, budget, jobs=64)
+    verdicts = [find_general_word(w5, 2, budget, jobs=64)]
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    at_two = find_general_word(w5, 2, budget, jobs=64)
+    verdicts.append(find_general_word(w5, 2, budget, jobs=64))
     monkeypatch.setattr(os, "cpu_count", lambda: 1000)
-    uncapped = find_general_word(w5, 2, budget, jobs=64)
-    # one batch per prefix, never one list per requested job
-    huge = find_general_word(w5, 2, budget, jobs=10**9)
-    assert sizes == [min(4, cpus), 2, 4, 4]
-    assert verdict == at_two == uncapped == huge
-    sequential = find_general_word(w5, 2, budget, jobs=1)
-    assert (verdict.outcome, verdict.witness) == (sequential.outcome, sequential.witness)
+    verdicts.append(find_general_word(w5, 2, budget, jobs=64))
+    verdicts.append(find_general_word(w5, 2, budget, jobs=3))
+    # one batch per prefix at most, never one list per requested job
+    verdicts.append(find_general_word(w5, 2, budget, jobs=10**9))
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    verdicts.append(find_general_word(w5, 2, budget, jobs=64))  # in-process: no pool
+    assert sizes == ([min(4, cpus)] if cpus > 1 else []) + [2, 4, 3, 4]
+    assert all(v == sequential_search(w5, 2, budget) for v in verdicts)
 
 
 def test_jobs_match_sequential_on_random_graphs():
@@ -231,9 +232,31 @@ def test_jobs_match_sequential_on_random_graphs():
         d = rng.randint(1, 2)
         budget = SearchBudget(3, max(n, rng.randint(2, 9)), 200_000)
         v1 = find_general_word(g, d, budget, jobs=1)
-        v3 = find_general_word(g, d, budget, jobs=3)
-        assert v1.outcome == v3.outcome, (g, d)
-        assert v1.witness == v3.witness, (g, d)
+        assert find_general_word(g, d, budget, jobs=3) == v1, (g, d)
+
+
+def test_every_jobs_value_returns_the_sequential_verdict(monkeypatch):
+    """Outcome, witness and node count equal the plain DFS's for every
+    jobs value, also when the node limit cuts the search short."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    rng = random.Random(24)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        labels = [f"v{i}" for i in range(n)]
+        edges = [e for e in combinations(labels, 2) if rng.random() < 0.5]
+        g = from_edge_list(edges, labels)
+        d = rng.randint(1, 3)
+        budget = SearchBudget(rng.randint(1, 3), rng.randint(n, 14),
+                              rng.choice((1, 3, 10, 50, 200, 1000, 5000, 100_000)))
+        expected = sequential_search(g, d, budget)
+        outcomes.add(expected.outcome)
+        for jobs in (1, 3, 64):
+            verdict = find_general_word(g, d, budget, jobs=jobs)
+            assert verdict == expected, (g, d, budget, jobs)
+            assert verdict.nodes_explored <= budget.node_limit
+    assert outcomes == {FOUND, NOT_FOUND, NODE_LIMIT}
 
 
 def test_budget_relative_completeness_vs_naive_enumeration():
