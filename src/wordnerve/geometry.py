@@ -5,7 +5,8 @@ The moment curve sends a parameter t to (t, t^2, ..., t^d); configurations
 of distinct parameters are vertices of a cyclic polytope.  Facet structure
 (Gale's evenness condition), Radon-type hull intersections (Breen's
 alternation criterion vs. exact LP feasibility), hyperplanes spanned by d
-curve points, and a 2D convex-position subset finder all live here.
+curve points, a quadratic 2D general-position check and a 2D
+convex-position subset finder all live here.
 
 Inputs are never perturbed: degenerate data (duplicate points, shared
 parameters, collinear triples where forbidden) is rejected, because the
@@ -274,10 +275,22 @@ def _hull_2d(points: list[Point]) -> list[Point]:
 
 
 def _check_general_position_2d(points: list[Point]):
+    """Reject duplicates and name the lexicographically first collinear
+    triple (i, j, k).  O(N^2): for each i, the later points on one line
+    through points[i] share a slope, and the first two indices of a slope
+    form its smallest pair."""
     if len(set(points)) != len(points):
         raise GeometryError("duplicate points")
-    for i, j, k in combinations(range(len(points)), 3):
-        if _cross(points[i], points[j], points[k]) == 0:
+    for i, p in enumerate(points):
+        first: dict[Fraction | None, int] = {}
+        pairs = []
+        for k in range(i + 1, len(points)):
+            dx, dy = points[k][0] - p[0], points[k][1] - p[1]
+            j = first.setdefault(None if dx == 0 else Fraction(dy, dx), k)
+            if j != k:
+                pairs.append((j, k))
+        if pairs:
+            j, k = min(pairs)
             raise GeometryError(
                 f"collinear triple at indices ({i}, {j}, {k}): "
                 f"{points[i]}, {points[j]}, {points[k]}"

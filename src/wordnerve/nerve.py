@@ -5,7 +5,10 @@ A word of length N is realized as N moment-curve points (integer
 parameters 1..N by default), point i colored by letter i.  The nerve of
 the coloring has the color labels as vertices and a face for every set of
 classes whose convex hulls share a common point; faces are only evaluated
-up to a requested dimension and never extrapolated beyond it.
+up to a requested dimension and never extrapolated beyond it.  When every
+point is on the moment curve, its parameter is its first coordinate and
+Breen's run count settles the pairs; faces of size 3 and up, and every
+face of a configuration off the curve, are exact LP verdicts.
 
 Both extension algorithms recolor extra points so that the nerve of the
 enlarged configuration is label-identical to the original.  Neither is
@@ -34,7 +37,7 @@ from .geometry import (
     rational,
 )
 from .graphs import Graph, SimplicialComplex
-from .words import Word
+from .words import Word, pair_runs
 
 
 class ExtensionError(RuntimeError):
@@ -103,20 +106,46 @@ def realize_on_moment_curve(w: Word, d: int, params=None) -> ColoredConfig:
     return ColoredConfig(points, w.letters)
 
 
+def _curve_order(config: ColoredConfig) -> list[int] | None:
+    """The point indices sorted by curve parameter when every point is
+    (t, t^2, ..., t^d) for its first coordinate t, else None."""
+    for p in config.points:
+        t = acc = p[0]
+        for x in p[1:]:
+            acc *= t
+            if x != acc:
+                return None
+    return sorted(range(len(config.points)), key=lambda i: config.points[i][0])
+
+
 def nerve(config: ColoredConfig, max_dim: int) -> NerveResult:
     """Faces of size <= max_dim+1, found layer by layer: a candidate set is
     only tested when all its subsets one smaller are already faces.
 
-    For a realized word only the 1-skeleton is a function of the word
-    (Breen's criterion).  Higher faces depend on the chosen curve
-    parameters: the same word can gain or lose a 2-face when they change.
+    On the moment curve the pairs come from Breen's criterion: two classes
+    meet iff their colors, read in parameter order, make at least d+2 runs.
+    Faces of size 3 and up, and every face of a configuration off the
+    curve, are exact LP verdicts (`hulls_intersect`).
+
+    For a realized word only the 1-skeleton is a function of the word.
+    Higher faces depend on the chosen curve parameters: the same word can
+    gain or lose a 2-face when they change.
     """
     if max_dim < 1:
         raise DegenerateInputError("max_dim must be >= 1")
     classes = config.classes()
     labels = config.color_labels
     faces: set[frozenset[str]] = {frozenset([c]) for c in labels}
-    for size in range(2, max_dim + 2):
+    first = 2
+    order = _curve_order(config)
+    if order is not None:
+        seq = [config.colors[i] for i in order]
+        faces.update(
+            frozenset(pair) for pair in combinations(labels, 2)
+            if pair_runs(seq, *pair) >= config.dimension + 2
+        )
+        first = 3
+    for size in range(first, max_dim + 2):
         layer_hits = []
         for combo in combinations(labels, size):
             if any(

@@ -62,19 +62,25 @@ def word(seq) -> Word:
     return Word(tuple(str(a) for a in seq))
 
 
-def max_alternation(w: Word, x: str, y: str) -> int:
-    """Longest alternating x/y subsequence length = run count of the
-    restriction of w to {x, y}.  Zero when neither letter occurs."""
+def pair_runs(letters, x: str, y: str) -> int:
+    """Run count of the restriction of a plain letter sequence to {x, y}.
+    Zero when neither letter occurs."""
     if x == y:
         raise WordError("alternation needs two distinct letters")
     runs = 0
     prev = None
-    for a in w.letters:
+    for a in letters:
         if a == x or a == y:
             if a != prev:
                 runs += 1
                 prev = a
     return runs
+
+
+def max_alternation(w: Word, x: str, y: str) -> int:
+    """Longest alternating x/y subsequence length = run count of the
+    restriction of w to {x, y}.  Zero when neither letter occurs."""
+    return pair_runs(w.letters, x, y)
 
 
 def is_d_intersecting(w: Word, x: str, y: str, d: int) -> bool:

@@ -12,9 +12,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from wordnerve.geometry import Point, _hull_2d, _primitive, hulls_intersect
+from wordnerve.geometry import (
+    GeometryError,
+    Point,
+    _cross,
+    _hull_2d,
+    _primitive,
+    hulls_intersect,
+)
 from wordnerve.graphs import SimplicialComplex
-from wordnerve.nerve import _FIXED_DIRECTIONS, ExtensionError
+from wordnerve.nerve import (
+    _FIXED_DIRECTIONS,
+    ColoredConfig,
+    DegenerateInputError,
+    ExtensionError,
+    NerveResult,
+)
 from wordnerve.search import (
     FOUND,
     NODE_LIMIT,
@@ -67,6 +80,43 @@ def convex_position_lp(points) -> bool:
         if hulls_intersect([[p], others]):
             return False
     return True
+
+
+def check_general_position_2d_cubic(points: list[Point]):
+    """The general-position check by testing every triple in
+    lexicographic order (the cubic loop the library replaced)."""
+    if len(set(points)) != len(points):
+        raise GeometryError("duplicate points")
+    for i, j, k in combinations(range(len(points)), 3):
+        if _cross(points[i], points[j], points[k]) == 0:
+            raise GeometryError(
+                f"collinear triple at indices ({i}, {j}, {k}): "
+                f"{points[i]}, {points[j]}, {points[k]}"
+            )
+
+
+def nerve_lp(config: ColoredConfig, max_dim: int) -> NerveResult:
+    """The nerve with every face, pairs included, an exact LP verdict
+    (the route the library keeps for configurations off the curve)."""
+    if max_dim < 1:
+        raise DegenerateInputError("max_dim must be >= 1")
+    classes = config.classes()
+    labels = config.color_labels
+    faces: set[frozenset[str]] = {frozenset([c]) for c in labels}
+    for size in range(2, max_dim + 2):
+        layer_hits = []
+        for combo in combinations(labels, size):
+            if any(
+                frozenset(combo[:i] + combo[i + 1 :]) not in faces
+                for i in range(size)
+            ):
+                continue
+            if hulls_intersect([classes[c] for c in combo]):
+                layer_hits.append(frozenset(combo))
+        if not layer_hits:
+            break
+        faces.update(layer_hits)
+    return NerveResult(SimplicialComplex(labels, frozenset(faces)))
 
 
 def gale_facets_scan(r: int, d: int) -> list[tuple[int, ...]]:

@@ -6,6 +6,7 @@ import pytest
 
 from wordnerve.geometry import (
     GeometryError,
+    _check_general_position_2d,
     _cross,
     breen_intersect,
     convex_position_subset_2d,
@@ -20,7 +21,7 @@ from wordnerve.geometry import (
 )
 from wordnerve.oracles import facet_oracle
 
-from .oracles import convex_position_lp, gale_facets_scan
+from .oracles import check_general_position_2d_cubic, convex_position_lp, gale_facets_scan
 
 F = Fraction
 
@@ -224,6 +225,40 @@ def test_convex_position_subset_rejects_collinear():
         convex_position_subset_2d(
             [point((0, 0)), point((1, 1)), point((2, 2)), point((0, 3))], 3
         )
+
+
+def general_position_error(check, points) -> str | None:
+    try:
+        check(points)
+    except GeometryError as exc:
+        return str(exc)
+    return None
+
+
+def test_general_position_names_the_first_collinear_triple():
+    # from point 0, slope 1 repeats at (2, 3) before slope 0 repeats at
+    # (1, 4); the lexicographically first triple is still (0, 1, 4)
+    pts = [point(p) for p in ((0, 0), (1, 0), (1, 1), (2, 2), (5, 0))]
+    message = general_position_error(_check_general_position_2d, pts)
+    assert message.startswith("collinear triple at indices (0, 1, 4): ")
+    assert message == general_position_error(check_general_position_2d_cubic, pts)
+
+
+def test_general_position_matches_triple_scan():
+    """The quadratic slope check raises what the cubic triple scan does,
+    message included, on small grids where collinear triples are common."""
+    rng = random.Random(16)
+    errors = 0
+    for _ in range(2000):
+        span = rng.randint(2, 9)
+        pts = [
+            point((F(rng.randint(-span, span), rng.randint(1, 2)), rng.randint(-span, span)))
+            for _ in range(rng.randint(0, 9))
+        ]
+        expected = general_position_error(check_general_position_2d_cubic, pts)
+        assert general_position_error(_check_general_position_2d, pts) == expected
+        errors += expected is not None
+    assert 400 < errors < 1600
 
 
 def _general_position_sample(rng, count, span=60):

@@ -1,4 +1,6 @@
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +13,7 @@ from wordnerve.nerve import (
     ColoredConfig,
     DegenerateInputError,
     ExtensionError,
+    _curve_order,
     extend_coloring_2d,
     extend_coloring_bipartite,
     nerve,
@@ -18,7 +21,8 @@ from wordnerve.nerve import (
 )
 from wordnerve.words import Word, induced_graph_general, word
 
-from .oracles import assign_extras_2d_reference
+from . import oracles
+from .oracles import assign_extras_2d_reference, nerve_lp
 
 F = Fraction
 
@@ -142,19 +146,97 @@ def test_realized_nerve_skeleton_examples():
             assert not complex_.faces_of_size(3)
 
 
+ROADMAP_WORD = word("a b c a b b c c e b c d e b c c")
+ROADMAP_PARAMS = [F(t) for t in (
+    "-777/20 -809/47 -353/40 11/3 454/43 148/13 92/5 311/14 "
+    "455/16 729/25 695/22 982/31 847/10 782/5 280 875"
+).split()]
+
+
 def test_two_faces_depend_on_curve_parameters():
     # Only the 1-skeleton is a function of the word; {a, b, c} becomes a
     # 2-face when the same word sits at other increasing parameters.
-    w = word("a b c a b b c c e b c d e b c c")
-    params = [F(t) for t in (
-        "-777/20 -809/47 -353/40 11/3 454/43 148/13 92/5 311/14 "
-        "455/16 729/25 695/22 982/31 847/10 782/5 280 875"
-    ).split()]
-    default = nerve(realize_on_moment_curve(w, 2), 2).complex
-    moved = nerve(realize_on_moment_curve(w, 2, params), 2).complex
+    default = nerve(realize_on_moment_curve(ROADMAP_WORD, 2), 2).complex
+    moved = nerve(realize_on_moment_curve(ROADMAP_WORD, 2, ROADMAP_PARAMS), 2).complex
     assert default.faces_of_size(3) == [("b", "c", "e")]
     assert moved.faces_of_size(3) == [("a", "b", "c"), ("b", "c", "e")]
     assert one_skeleton(moved) == one_skeleton(default)
+
+
+def shuffled(cfg, rng):
+    order = list(range(len(cfg.points)))
+    rng.shuffle(order)
+    return ColoredConfig(tuple(cfg.points[i] for i in order), tuple(cfg.colors[i] for i in order))
+
+
+def test_breen_pair_layer_matches_lp():
+    """On the curve the pairs come from Breen's run count; the nerve must
+    equal the all-LP nerve at parameters 1..N, at random increasing
+    rationals with negatives, and with the points shuffled."""
+    rng = random.Random(38)
+    cases = [(ROADMAP_WORD, 2, None), (ROADMAP_WORD, 2, ROADMAP_PARAMS)]
+    while len(cases) < 400:
+        k = rng.randint(2, 5)
+        letters = [f"c{i}" for i in range(k)]
+        seq = [rng.choice(letters) for _ in range(rng.randint(k, 14))]
+        if len(set(seq)) < k:
+            continue
+        params = None
+        if len(cases) % 2:
+            pool = set()
+            while len(pool) < len(seq):
+                pool.add(F(rng.randint(-60, 60), rng.randint(1, 9)))
+            params = sorted(pool)
+        cases.append((Word(tuple(seq)), len(cases) % 5 + 1, params))
+    for w, d, params in cases:
+        cfg = realize_on_moment_curve(w, d, params)
+        expected = nerve_lp(cfg, 2).complex
+        assert nerve(cfg, 2).complex == expected
+        assert nerve(shuffled(cfg, rng), 2).complex == expected
+
+
+def count_hull_tests(monkeypatch, module) -> Counter:
+    """Count the module's `hulls_intersect` calls by number of classes."""
+    calls: Counter = Counter()
+    real = module.hulls_intersect
+
+    def counted(classes):
+        calls[len(classes)] += 1
+        return real(classes)
+
+    monkeypatch.setattr(module, "hulls_intersect", counted)
+    return calls
+
+
+def test_curve_configurations_skip_the_pair_lp(monkeypatch):
+    lib = count_hull_tests(monkeypatch, importlib.import_module("wordnerve.nerve"))
+    ref = count_hull_tests(monkeypatch, oracles)
+    cfg = realize_on_moment_curve(ROADMAP_WORD, 2, ROADMAP_PARAMS)
+    assert nerve(cfg, 2).complex == nerve_lp(cfg, 2).complex
+    assert lib[2] == 0 and ref[2] > 0
+    assert lib[3] == ref[3] > 0
+
+    # one coordinate off the curve: the LP settles every pair again
+    p = cfg.points[5]
+    off = ColoredConfig(
+        cfg.points[:5] + ((p[0], p[1] + F(1, 1000)),) + cfg.points[6:], cfg.colors
+    )
+    assert _curve_order(off) is None
+    lib.clear()
+    ref.clear()
+    assert nerve(off, 2).complex == nerve_lp(off, 2).complex
+    assert lib == ref and lib[2] > 0
+
+
+def test_curve_nerve_takes_any_color_label():
+    # configuration colors need not be word tokens
+    cfg = ColoredConfig(
+        tuple(moment_point(t, 2) for t in (1, 2, 3, 4)), ("a b", "c#", "a b", "c#")
+    )
+    assert _curve_order(cfg) == [0, 1, 2, 3]
+    result = nerve(cfg, 2).complex
+    assert result.faces_of_size(2) == [("a b", "c#")]
+    assert result == nerve_lp(cfg, 2).complex
 
 
 def test_pipeline_identity_random_words():
