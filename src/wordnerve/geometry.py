@@ -202,17 +202,27 @@ class Hyperplane:
         return (value > 0) - (value < 0)
 
 
-def _primitive(values: list[Fraction]) -> tuple[int, ...]:
-    """The primitive integer vector on the ray of `values`: rationals
-    scaled to integers, divided by their gcd, first nonzero entry positive."""
-    scale = math.lcm(*(v.denominator for v in values))
-    ints = [int(v * scale) for v in values]
+def _common_denominator(values) -> int:
+    """The least positive integer whose product with every value is an
+    integer (the lcm of the denominators; 1 for no values)."""
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _scaled(points, scale: int) -> list[tuple[int, ...]]:
+    """Each point times `scale`, which must clear all its denominators."""
+    return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+
+
+def _primitive(ints) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a nonzero integer vector:
+    divided by the gcd of its entries, first nonzero entry positive."""
     g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    if next((v for v in ints if v), 0) < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    for v in ints:
+        if v:
+            if v < 0:
+                g = -g
+            break
+    return tuple([v // g for v in ints])
 
 
 def hyperplane_through_points(points: list[Point]) -> Hyperplane:
@@ -234,7 +244,9 @@ def hyperplane_through_points(points: list[Point]) -> Hyperplane:
     normal = cof[1:]
     if all(a == 0 for a in normal):
         raise GeometryError("points do not span a hyperplane")
-    *ints, offset = _primitive(normal + [-cof[0]])
+    coefficients = normal + [-cof[0]]
+    scale = _common_denominator(coefficients)
+    *ints, offset = _primitive([int(v * scale) for v in coefficients])
     return Hyperplane(tuple(Fraction(v) for v in ints), Fraction(offset))
 
 
@@ -277,16 +289,17 @@ def _hull_2d(points: list[Point]) -> list[Point]:
 def _check_general_position_2d(points: list[Point]):
     """Reject duplicates and name the lexicographically first collinear
     triple (i, j, k).  O(N^2): for each i, the later points on one line
-    through points[i] share a slope, and the first two indices of a slope
-    form its smallest pair."""
+    through points[i] share a primitive direction from it, and the first
+    two indices of a direction form its smallest pair.  The directions are
+    taken on one integer-scaled copy; the message shows the given points."""
     if len(set(points)) != len(points):
         raise GeometryError("duplicate points")
-    for i, p in enumerate(points):
-        first: dict[Fraction | None, int] = {}
+    ints = _scaled(points, _common_denominator(x for p in points for x in p))
+    for i, (x, y) in enumerate(ints):
+        first: dict[tuple[int, ...], int] = {}
         pairs = []
-        for k in range(i + 1, len(points)):
-            dx, dy = points[k][0] - p[0], points[k][1] - p[1]
-            j = first.setdefault(None if dx == 0 else Fraction(dy, dx), k)
+        for k in range(i + 1, len(ints)):
+            j = first.setdefault(_primitive((ints[k][0] - x, ints[k][1] - y)), k)
             if j != k:
                 pairs.append((j, k))
         if pairs:

@@ -13,7 +13,10 @@ face of a configuration off the curve, are exact LP verdicts.
 Both extension algorithms recolor extra points so that the nerve of the
 enlarged configuration is label-identical to the original.  Neither is
 trusted: every run recomputes the nerve geometrically afterwards and
-fails loudly on any difference.
+fails loudly on any difference.  The planar one searches its support
+lines on one integer-scaled copy of the points (its predicates are signs
+of homogeneous polynomials in the coordinates, which a positive scale
+keeps); the re-check of its result runs on the given `Fraction` points.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ from .geometry import (
     Hyperplane,
     Point,
     _check_general_position_2d,
+    _common_denominator,
     _hull_2d,
     _primitive,
+    _scaled,
     hulls_intersect,
     hyperplane_through_moment_points,
     moment_point,
@@ -172,10 +177,24 @@ def _coerce_extras(extras, d: int) -> list[Point]:
 def _verified_extension(config: ColoredConfig, before: NerveResult,
                         extras: list[Point], new_colors) -> ColoredConfig:
     """The configuration grown by the colored extras, after recomputing
-    its nerve from scratch and checking it against the original one."""
+    its nerve from scratch and checking it against the original one.
+
+    The extensions only guarantee the pair verdicts.  A hollow triangle
+    (three classes that meet pairwise but share no point) can fill in as
+    its classes grow; when that is the only change, the input is rejected
+    with the triangle named.  Any other change is an internal error."""
     extended = ColoredConfig(config.points + tuple(extras), config.colors + tuple(new_colors))
-    if nerve(extended, 2).complex != before.complex:
-        raise ExtensionError("internal error: extension changed the nerve")
+    after = nerve(extended, 2).complex
+    if after != before.complex:
+        added = after.faces - before.complex.faces
+        if before.complex.faces <= after.faces and all(len(f) == 3 for f in added):
+            filled = min(sorted(f) for f in added)
+            raise DegenerateInputError(
+                f"the extension fills the hollow triangle {' '.join(filled)}: its "
+                "classes meet pairwise but share no point, and only pair "
+                "verdicts are kept"
+            )
+        raise ExtensionError("extension changed the nerve")
     return extended
 
 
@@ -183,17 +202,20 @@ def _verified_extension(config: ColoredConfig, before: NerveResult,
 # Planar extension: convex-position colorings in R^2
 # ---------------------------------------------------------------------------
 
+IntPoint = tuple[int, int]
+
 _FIXED_DIRECTIONS = [
     (1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2),
     (3, 1), (1, 3), (3, -1), (1, -3), (3, 2), (2, 3), (3, -2), (2, -3),
 ]
 
 
-def _support_lines(own: list[Point], class_points: dict[str, list[Point]],
-                   extras: list[Point]):
+def _support_lines(own: list[IntPoint], class_points: dict[str, list[IntPoint]],
+                   extras: list[IntPoint]):
     """Yield candidate support lines of conv(own), lazily and in a fixed
     order, as (normal, offset, chord): the line normal.q = offset with the
-    class on the side normal.q <= offset, and normal an integer vector.
+    class on the side normal.q <= offset.  Points are integer pairs, so the
+    normal and the offset are integers too.
 
     Directions come from the class's own hull edges first (the cheap,
     usually admissible chords), then a fixed fan, then every pairwise point
@@ -232,9 +254,9 @@ def _support_lines(own: list[Point], class_points: dict[str, list[Point]],
             yield (a, b), offset, values.count(extreme) >= 2
 
 
-def _assign_extras_2d(class_points: dict[str, list[Point]],
+def _assign_extras_2d(class_points: dict[str, list[IntPoint]],
                       original: SimplicialComplex,
-                      extras: list[Point]) -> dict[int, str]:
+                      extras: list[IntPoint]) -> dict[int, str]:
     """Recursive planar extension on the remaining colors.
 
     Returns extra-index -> color.  Mirrors the two-color base split and
@@ -275,6 +297,12 @@ def extend_coloring_2d(config: ColoredConfig, extras: list[Point]) -> ColoredCon
     changing its nerve.  Degenerate inputs (points off general position,
     colored points not in convex position) are rejected, and the returned
     coloring is re-verified geometrically at max_dim=2.
+
+    Every predicate of the line search is the sign of a homogeneous
+    polynomial in the coordinates, so it runs on one copy of all points
+    scaled by the lcm of their denominators: integers only, the same
+    verdicts.  The nerve and its re-verification use the given points.
+    A hollow triangle that fills in is rejected (see `_verified_extension`).
     """
     if config.dimension != 2:
         raise DegenerateInputError("planar extension needs a 2D configuration")
@@ -284,7 +312,9 @@ def extend_coloring_2d(config: ColoredConfig, extras: list[Point]) -> ColoredCon
         raise DegenerateInputError("colored points are not in convex position")
 
     before = nerve(config, 2)
-    assignment = _assign_extras_2d(config.classes(), before.complex, extras)
+    scale = _common_denominator(x for p in chain(config.points, extras) for x in p)
+    classes = {c: _scaled(pts, scale) for c, pts in config.classes().items()}
+    assignment = _assign_extras_2d(classes, before.complex, _scaled(extras, scale))
     return _verified_extension(
         config, before, extras, (assignment[i] for i in range(len(extras)))
     )
@@ -348,21 +378,19 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
             for pos in layout.spans[i, j]:
                 s = h.side(config.points[pos])
                 if s == 0:
-                    raise ExtensionError("internal error: block point on separator hyperplane")
+                    raise ExtensionError("block point on separator hyperplane")
                 if block_sign is None:
                     block_sign = s
                 elif s != block_sign:
-                    raise ExtensionError("internal error: block split by its own hyperplane")
+                    raise ExtensionError("block split by its own hyperplane")
         if block_sign is None:
-            raise ExtensionError(f"internal error: color {layout.u_labels[j - 1]} has no block")
+            raise ExtensionError(f"color {layout.u_labels[j - 1]} has no block")
         # everything not yet claimed by colors u_1..u_j must sit opposite
         for jj in range(j + 1, m + 1):
             for i in range(1, d + 1):
                 for pos in layout.spans[i, jj]:
                     if h.side(config.points[pos]) != -block_sign:
-                        raise ExtensionError(
-                            "internal error: remainder block on the claimed side"
-                        )
+                        raise ExtensionError("remainder block on the claimed side")
         hyperplanes.append((layout.u_labels[j - 1], h, block_sign))
 
     labels = config.color_labels

@@ -353,7 +353,7 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
             return SearchVerdict(NOT_FOUND, None, nodes)
         w = Word(tuple(letters[i] for i in found))
         if induced_graph_general(w, d) != g:
-            raise RuntimeError(f"internal error: witness {w} fails post-hoc verification")
+            raise RuntimeError(f"witness {w} fails post-hoc verification")
         return SearchVerdict(FOUND, w, nodes)
 
     # Enumerate the canonical prefixes at the cut, each with the sequential
@@ -387,7 +387,7 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
     spent = 0
     for rank, (_, shallow) in ranked:
         if rank not in results:
-            raise RuntimeError(f"internal error: no result for search prefix {rank}")
+            raise RuntimeError(f"no result for search prefix {rank}")
         found, nodes, limit_hit = results[rank]
         spent += nodes
         if found is not None or limit_hit or shallow + spent > limit:

@@ -8,6 +8,7 @@ so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -17,7 +18,6 @@ from wordnerve.geometry import (
     Point,
     _cross,
     _hull_2d,
-    _primitive,
     hulls_intersect,
 )
 from wordnerve.graphs import SimplicialComplex
@@ -267,6 +267,20 @@ def _support_lines(own: list[Point], foreign: list[Point],
             if any(normal[0] * q[0] + normal[1] * q[1] == offset for q in foreign):
                 continue
             yield _Line(normal, offset, chord=on_own >= 2)
+
+
+def _primitive(values: list[Fraction]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of `values`: rationals
+    scaled to integers, divided by their gcd, first nonzero entry positive
+    (the library's `_primitive` takes integer vectors only)."""
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [int(v * scale) for v in values]
+    g = math.gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    if next((v for v in ints if v), 0) < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
 
 
 def _direction_pool(own: list[Point],

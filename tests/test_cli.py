@@ -1,10 +1,14 @@
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
 from wordnerve import formats
 from wordnerve.cli import main
-from wordnerve.graphs import from_edge_list
+from wordnerve.graphs import SimplicialComplex, from_edge_list
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -278,6 +282,56 @@ def test_extend_bipartite_on_hyperplane_extra(tmp_path, capsys):
     )
     assert code == 2
     assert "separator" in err
+
+
+def golden_argv(mode):
+    argv = ["extend", str(DATA / f"{mode}_config.json"), str(DATA / f"{mode}_extras.json"),
+            "--mode", mode]
+    if mode == "bipartite":
+        argv += ["--graph", str(DATA / "bipartite_graph.txt")]
+    return argv
+
+
+@pytest.mark.parametrize("mode", ["planar", "bipartite"])
+def test_extend_golden_stdout(capsys, mode):
+    # rational coordinates (planar) and K2,3 minus an edge (bipartite)
+    code, out, err = run(capsys, *golden_argv(mode))
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"{mode}_stdout.txt").read_text()
+
+
+def test_extend_planar_hollow_triangle_is_an_input_error(tmp_path, capsys):
+    wf = write(tmp_path, "w.txt", "c0 c3 c1 c0 c1 c0 c2 c3 c1\n")
+    cfg_path = tmp_path / "cfg.json"
+    assert run(capsys, "realize", wf, "--dim", "2", "--output", str(cfg_path))[0] == 0
+    ef = write(tmp_path, "extras.json", formats.dump_json(
+        {"dimension": 2, "points": [["-4", "6"], ["-3/2", "11"], ["8", "269"]]}
+    ))
+    code, out, err = run(capsys, "extend", str(cfg_path), ef, "--mode", "planar")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the extension fills the hollow triangle c0 c1 c3: ")
+
+
+def test_internal_error_has_one_prefix(capsys, monkeypatch):
+    # the re-check of the extended configuration drops every edge
+    lib = importlib.import_module("wordnerve.nerve")
+    real = lib.nerve
+
+    def edgeless_when_extended(config, max_dim):
+        result = real(config, max_dim)
+        if len(config.points) == 9:  # the fixture before its extras
+            return result
+        k = result.complex
+        return lib.NerveResult(
+            SimplicialComplex(k.vertices, frozenset(f for f in k.faces if len(f) == 1))
+        )
+
+    monkeypatch.setattr(lib, "nerve", edgeless_when_extended)
+    code, out, err = run(capsys, *golden_argv("planar"))
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: extension changed the nerve\n"
 
 
 def test_extend_dimension_mismatch(tmp_path, capsys):

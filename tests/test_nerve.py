@@ -356,27 +356,72 @@ def test_extend_2d_random_triangle_free_colorings():
         done += 1
 
 
+def random_triangle_free_word(rng) -> Word:
+    """2 to 5 colors, all used, with a triangle-free level-2 graph."""
+    while True:
+        k = rng.randint(2, 5)
+        letters = [f"c{i}" for i in range(k)]
+        seq = [rng.choice(letters) for _ in range(rng.randint(k, 10))]
+        w = Word(tuple(seq))
+        if len(set(seq)) == k and is_triangle_free(induced_graph_general(w, 2)):
+            return w
+
+
+def assert_extend_2d_matches_reference(cfg, extras):
+    expected = assign_extras_2d_reference(cfg.classes(), nerve(cfg, 2).complex, extras)
+    ext = extend_coloring_2d(cfg, extras)
+    assert ext.colors[len(cfg.colors):] == tuple(expected[i] for i in range(len(extras)))
+
+
 def test_extend_2d_matches_reference_line_search():
     """The support-line generator colors every extra as the earlier line
     search (direction pool built up front, every line tested against
     every point of the other classes) did."""
     rng = random.Random(35)
-    done = 0
-    while done < 300:
-        k = rng.randint(2, 5)
-        letters = [f"c{i}" for i in range(k)]
-        seq = [rng.choice(letters) for _ in range(rng.randint(k, 10))]
-        if len(set(seq)) < k:
-            continue
-        w = Word(tuple(seq))
-        if not is_triangle_free(induced_graph_general(w, 2)):
-            continue
-        cfg = realize_on_moment_curve(w, 2)
+    for _ in range(300):
+        cfg = realize_on_moment_curve(random_triangle_free_word(rng), 2)
         extras = random_general_position_extras(rng, cfg, rng.randint(1, 20))
-        expected = assign_extras_2d_reference(cfg.classes(), nerve(cfg, 2).complex, extras)
-        ext = extend_coloring_2d(cfg, extras)
-        assert ext.colors[len(cfg.colors):] == tuple(expected[i] for i in range(len(extras)))
-        done += 1
+        assert_extend_2d_matches_reference(cfg, extras)
+
+
+def test_extend_2d_matches_reference_on_rational_inputs():
+    """The line search runs on one integer-scaled copy of the points.  At
+    random increasing rational parameters (negatives included) and with
+    extras of denominators up to 100, the scale is far from 1, and the
+    colors must still be the `Fraction` reference search's."""
+    rng = random.Random(39)
+    for _ in range(150):
+        w = random_triangle_free_word(rng)
+        pool = set()
+        while len(pool) < len(w):
+            pool.add(F(rng.randint(-90, 90), rng.randint(1, 12)))
+        cfg = realize_on_moment_curve(w, 2, sorted(pool))
+        pts = list(cfg.points)
+        extras = []
+        count = rng.randint(1, 12)
+        while len(extras) < count:
+            den = rng.randint(1, 100)
+            cand = (F(rng.randint(-8 * den, 8 * den), den),
+                    F(rng.randint(-den, 60 * den), den))
+            if cand in pts or any(
+                (b[0] - a[0]) * (cand[1] - a[1]) == (b[1] - a[1]) * (cand[0] - a[0])
+                for a, b in combinations(pts, 2)
+            ):
+                continue
+            pts.append(cand)
+            extras.append(cand)
+        assert_extend_2d_matches_reference(cfg, extras)
+
+
+def test_extend_2d_rejects_a_filled_hollow_triangle():
+    # c0, c1 and c3 meet pairwise but share no point; the extension keeps
+    # every pair verdict, and the grown classes do share a point
+    cfg = realize_on_moment_curve(word("c0 c3 c1 c0 c1 c0 c2 c3 c1"), 2)
+    before = nerve(cfg, 2).complex
+    assert {("c0", "c1"), ("c0", "c3"), ("c1", "c3")} <= set(before.faces_of_size(2))
+    assert not before.faces_of_size(3)
+    with pytest.raises(DegenerateInputError, match="hollow triangle c0 c1 c3: "):
+        extend_coloring_2d(cfg, [point(p) for p in (("-4", "6"), ("-3/2", "11"), ("8", "269"))])
 
 
 # -- bipartite extension ------------------------------------------------------
