@@ -97,9 +97,9 @@ def cmd_realize(args) -> int:
         raise ValueError("--svg requires --dim 2")
     config = realize_on_moment_curve(w, args.dim)
     skeleton = one_skeleton(nerve(config, 1).complex)
-    _emit(formats.dump_json(formats.config_to_doc(config)), args.output)
-    if args.svg:
+    if args.svg:  # first, so that an unwritable path leaves stdout empty
         Path(args.svg).write_text(svg_for_config(config))
+    _emit(formats.dump_json(formats.config_to_doc(config)), args.output)
     summary = f"nerve 1-skeleton ({len(skeleton.edges)} edges):\n" + _graph_summary(skeleton)
     (sys.stdout if args.output else sys.stderr).write(summary)
     return EXIT_OK

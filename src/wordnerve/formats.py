@@ -37,6 +37,19 @@ def _label(x) -> str:
     raise FormatError(f"bad label {x!r}: expected a string or an integer")
 
 
+def _list_field(doc: dict, key: str, what: str) -> list:
+    """doc[key], which must be a JSON list: iterating a string instead
+    would read it as a list of one-character labels."""
+    try:
+        value = doc[key]
+    except KeyError as exc:
+        raise FormatError(f"bad {what} document: missing {key!r}") from exc
+    if not isinstance(value, list):
+        kind = type(value).__name__
+        raise FormatError(f"bad {what} document: {key} must be a list, not {kind}")
+    return value
+
+
 # -- graphs -----------------------------------------------------------------
 
 def parse_graph_text(text: str) -> Graph:
@@ -71,11 +84,12 @@ def graph_to_doc(g: Graph) -> dict:
 
 
 def graph_from_doc(doc: dict) -> Graph:
-    try:
-        vertices = [_label(v) for v in doc["vertices"]]
-        edges = [(_label(a), _label(b)) for a, b in doc["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad graph document: {exc}") from exc
+    vertices = [_label(v) for v in _list_field(doc, "vertices", "graph")]
+    edges = []
+    for e in _list_field(doc, "edges", "graph"):
+        if not isinstance(e, list) or len(e) != 2:
+            raise FormatError(f"bad graph document: edge {e!r} is not a list of two labels")
+        edges.append((_label(e[0]), _label(e[1])))
     if not edges and not vertices:
         raise FormatError("graph document declares no vertices")
     try:
@@ -133,15 +147,14 @@ def points_to_doc(points: list[Point], dimension: int) -> dict:
 def points_from_doc(doc: dict) -> tuple[list[Point], int]:
     try:
         d = doc["dimension"]
-        raw = doc["points"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad point document: {exc}") from exc
+    except KeyError as exc:
+        raise FormatError("bad point document: missing 'dimension'") from exc
     if isinstance(d, bool) or not isinstance(d, int):
         raise FormatError(f"bad point document: dimension {d!r} is not an integer")
-    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
-        raise FormatError("bad point document: points must be a list of coordinate lists")
     points = []
-    for row in raw:
+    for row in _list_field(doc, "points", "point"):
+        if not isinstance(row, list):
+            raise FormatError("bad point document: points must be a list of coordinate lists")
         p = tuple(_parse_coord(c) for c in row)
         if len(p) != d:
             raise FormatError(f"point {row} does not have dimension {d}")
@@ -159,23 +172,17 @@ def config_to_doc(config: ColoredConfig) -> dict:
 
 def config_from_doc(doc: dict) -> ColoredConfig:
     points, _ = points_from_doc(doc)
-    try:
-        colors = [_label(c) for c in doc["colors"]]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad configuration document: {exc}") from exc
+    colors = [_label(c) for c in _list_field(doc, "colors", "configuration")]
     return ColoredConfig(tuple(points), tuple(colors))
 
 
 # -- circle structures ------------------------------------------------------
 
 def circle_structure_from_doc(doc: dict) -> ChordDiagram:
-    try:
-        kind = doc["kind"]
-        slots = tuple(_label(s) for s in doc["slots"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad circle document: {exc}") from exc
+    kind = doc.get("kind")
     if kind != "chord-diagram":
         raise FormatError(f"unknown circle structure kind {kind!r}")
+    slots = tuple(_label(s) for s in _list_field(doc, "slots", "circle"))
     if not slots:
         raise FormatError("chord diagram has no slots")
     try:

@@ -2,8 +2,16 @@
 
 Phase-I simplex with Bland's smallest-index anti-cycling rule: minimize
 the sum of one artificial variable per row; feasible iff the optimum is
-zero.  The tableau is integer and fraction-free.  Each row's denominators
-are cleared once, with the row's lcm, and every pivot is the
+zero.  The tableau is [A | b] plus the objective row, with no artificial
+columns; `basis[i] = n + i` marks a row whose artificial is basic.
+Bland's scan would enter an artificial only when no original column can
+enter.  The solver stops there: with the artificials that left the basis
+dropped (Bertsimas and Tsitsiklis 1997, section 3.5) that basis is
+optimal, so the objective is zero iff some x >= 0 solves A x = b.  The
+full tableau pivots alike until then, so the verdicts agree.
+
+The tableau is integer and fraction-free.  Each row's denominators are
+cleared once, with the row's lcm, and every pivot is the
 integer-preserving update of Bareiss (1968, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination"):
 
@@ -14,8 +22,7 @@ The rational tableau is T / D, and every entry of T is a minor of the
 starting integer matrix, so the division is exact.  Pivots are positive,
 so D > 0, T and T / D share their signs, and the ratio test compares
 cross products with no division.  The pivot loop takes no gcd and does
-no Fraction arithmetic.  The verdict is exact and independent of row and
-column order, and termination is guaranteed.
+no Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from fractions import Fraction
 
 
 def feasible_eq_nonneg(rows: list[list[Fraction | int]], rhs: list[Fraction | int]) -> bool:
-    """Is there x >= 0 with rows . x = rhs?  Exact Phase-I simplex.
+    """Is there x >= 0 with rows . x = rhs?  Exact Phase-I simplex on [A | b].
 
     Entries are rationals (`Fraction` or `int`).  A rhs whose length is
     not the row count, or rows of unequal length, raise ValueError.
@@ -39,9 +46,8 @@ def feasible_eq_nonneg(rows: list[list[Fraction | int]], rhs: list[Fraction | in
     if any(len(row) != n for row in rows):
         raise ValueError("rows must all have the same length")
 
-    # Tableau: [A | I | b] in integers, artificial j has column n+j.  Each
-    # row of A and b is scaled by the lcm of its denominators, negated when
-    # b < 0 so that b >= 0; the artificial identity is not scaled.
+    # Tableau: [A | b] in integers.  Each row is scaled by the lcm of its
+    # denominators, negated when b < 0 so that b >= 0.
     tab: list[list[int]] = []
     for i in range(m):
         entries = [*rows[i], rhs[i]]
@@ -50,23 +56,17 @@ def feasible_eq_nonneg(rows: list[list[Fraction | int]], rhs: list[Fraction | in
         scale = math.lcm(*[a.denominator for a in entries])
         if rhs[i] < 0:
             scale = -scale
-        row = [a.numerator * (scale // a.denominator) for a in entries]
-        row[n:n] = [1 if j == i else 0 for j in range(m)]
-        tab.append(row)
+        tab.append([a.numerator * (scale // a.denominator) for a in entries])
     basis = [n + i for i in range(m)]
 
-    # Row m is the Phase-I objective: z = sum of artificials, expressed in
-    # terms of the nonbasic columns by subtracting every tableau row.
-    obj = [0] * n + [1] * m + [0]
-    for row in tab:
-        obj = [a - b for a, b in zip(obj, row)]
-    tab.append(obj)
+    # Row m is the Phase-I objective, the sum of artificials: minus each column sum.
+    tab.append([-sum(column) for column in zip(*tab)])
 
     denom = 1
     while True:
         obj = tab[m]
         enter = -1
-        for j in range(n + m):  # Bland: smallest eligible index enters
+        for j in range(n):  # Bland: smallest eligible index enters
             if obj[j] < 0:
                 enter = j
                 break
@@ -84,8 +84,7 @@ def feasible_eq_nonneg(rows: list[list[Fraction | int]], rhs: list[Fraction | in
                 if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
-            # Unbounded Phase-I objective cannot happen (bounded below by 0);
-            # guard anyway.
+            # Cannot happen: the Phase-I objective is bounded below by 0.
             raise ArithmeticError("phase-I simplex unbounded")
         p = tab[leave][enter]
         prow = tab[leave]

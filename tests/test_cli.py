@@ -164,6 +164,14 @@ def test_realize_svg_requires_2d(tmp_path, capsys):
     assert "nerve 1-skeleton" in err
 
 
+def test_realize_unwritable_svg_writes_nothing(tmp_path, capsys):
+    wf = write(tmp_path, "w.txt", "a b a b\n")
+    svg_path = tmp_path / "missing" / "x.svg"
+    code, out, err = run(capsys, "realize", wf, "--dim", "2", "--svg", str(svg_path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_realize_svg_deterministic(tmp_path, capsys):
     wf = write(tmp_path, "w.txt", W5_WORD + "\n")
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -1,5 +1,5 @@
 """Fuzz of every CLI input format: whatever a document holds, the command
-exits 0 or 2 and never raises.
+exits 0 or 2, never raises, and writes nothing to stdout when it exits 2.
 
 Examples are derandomized, so the suite stays deterministic.
 """
@@ -10,6 +10,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +85,14 @@ chord_docs = st.fixed_dictionaries(
 
 # Shapes of "points" that once escaped as a TypeError traceback.
 BAD_POINTS = ['{"dimension": 2, "points": 5}', '{"dimension": 2, "points": [5]}']
+# A JSON string where a list belongs, once read as a list of one-character
+# labels with exit 0: edges "ab" and "bc" encoded the path a-b-c.
+STRING_LISTS = {
+    "edges": '{"vertices": [], "edges": ["ab", "bc"]}',
+    "vertices": '{"vertices": "ab", "edges": []}',
+    "slots": '{"kind": "chord-diagram", "slots": "abab"}',
+    "colors": '{"dimension": 2, "points": [[1, 1], [2, 4]], "colors": "ab"}',
+}
 
 
 def documents(docs):
@@ -96,20 +105,34 @@ def documents(docs):
 
 def exit_code(argv, files):
     """main(argv) where each argv entry naming a file in VALID or files is
-    replaced by the path of that file, written to a temporary directory."""
+    replaced by the path of that file, written to a temporary directory.
+    An input error (exit 2) must leave stdout empty."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, text in {**VALID, **files}.items():
             paths[name] = str(Path(tmp) / name)
             Path(paths[name]).write_text(text, encoding="utf-8")
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            return main([paths.get(a, a) for a in argv])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([paths.get(a, a) for a in argv])
+    if code == 2:
+        assert out.getvalue() == "", (argv, err.getvalue())
+    return code
+
+
+@pytest.mark.parametrize("field", list(STRING_LISTS))
+def test_a_string_is_not_a_list(field):
+    if field == "colors":
+        argv = ["extend", "fuzz.json", "extras.json", "--mode", "planar"]
+    else:
+        argv = ["encode", "fuzz.json", "--mode", "chords" if field == "slots" else "any"]
+    assert exit_code(argv, {"fuzz.json": STRING_LISTS[field]}) == 2
 
 
 @given(documents(config_docs))
 @example(BAD_POINTS[0])
 @example(BAD_POINTS[1])
+@example(STRING_LISTS["colors"])
 @FUZZ
 def test_fuzz_config(text):
     files = {"fuzz.json": text}
@@ -134,6 +157,8 @@ def test_fuzz_extras(text):
 
 
 @given(documents(graph_docs) | st.text(alphabet="abc #\n\t", max_size=24))
+@example(STRING_LISTS["edges"])
+@example(STRING_LISTS["vertices"])
 @FUZZ
 def test_fuzz_graph(text):
     files = {"fuzz.txt": text}
@@ -146,6 +171,7 @@ def test_fuzz_graph(text):
 
 
 @given(documents(chord_docs))
+@example(STRING_LISTS["slots"])
 @FUZZ
 def test_fuzz_chords(text):
     assert exit_code(["encode", "fuzz.json", "--mode", "chords"], {"fuzz.json": text}) in (0, 2)

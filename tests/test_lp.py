@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from .oracles import feasible_eq_nonneg_fraction
 from wordnerve import geometry
-from wordnerve.geometry import hulls_intersect
+from wordnerve.geometry import hulls_intersect, moment_point
 from wordnerve.lp import feasible_eq_nonneg
 
 F = Fraction
@@ -45,6 +45,28 @@ def test_exactness_no_rounding():
     rows = [[F(1), F(1)]]
     assert feasible_eq_nonneg(rows, [eps])
     assert not feasible_eq_nonneg(rows, [-eps])
+
+
+# The smallest infeasible and the smallest feasible system of the seed-1
+# benchmark inputs where, with one artificial column per row, Bland's scan
+# would enter an artificial.  The solver has no such column: it stops there
+# and must read the verdict off the objective.
+@pytest.mark.parametrize(
+    "params, meet",
+    [([[5], [3]], False), ([[5, 10], [7, 11, 13, 14], [2, 6, 9]], True)],
+)
+def test_verdict_where_only_an_artificial_could_enter(params, meet):
+    classes = [[moment_point(t, 2) for t in cls] for cls in params]
+    systems = []
+
+    def spy(rows, rhs):
+        systems.append((rows, rhs))
+        return feasible_eq_nonneg(rows, rhs)
+
+    with mock.patch.object(geometry, "feasible_eq_nonneg", spy):
+        assert hulls_intersect(classes) == meet
+    [(rows, rhs)] = systems
+    assert feasible_eq_nonneg(rows, rhs) == _oracle(rows, rhs) == meet
 
 
 def test_ragged_rows_and_wrong_rhs_length_raise_value_error():
