@@ -9,6 +9,7 @@ plain integers when the denominator is one).
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .encode import ChordDiagram
@@ -128,12 +129,18 @@ def fraction_str(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+_COORD = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _parse_coord(x) -> Fraction:
-    try:
-        if isinstance(x, (int, str)):
+    """A JSON integer or a string matching `_COORD`, what `fraction_str`
+    writes.  Decimals and exponents are refused before `Fraction` sees
+    them: "1e-100000" would make it build 10^100000."""
+    if isinstance(x, int) or (isinstance(x, str) and _COORD.fullmatch(x)):
+        try:
             return rational(x)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational {x!r}: {exc}") from exc
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"bad rational {x!r}: {exc}") from exc
     raise FormatError(f"bad rational {x!r}: expected integer or 'p/q' string")
 
 

@@ -8,6 +8,11 @@ alternation criterion vs. exact LP feasibility), hyperplanes spanned by d
 curve points, a quadratic 2D general-position check and a 2D
 convex-position subset finder all live here.
 
+x(t) lies on the hyperplane n . x = c exactly when t is a root of
+n_d t^d + ... + n_1 t - c, so the hyperplane through x(t_1), ..., x(t_d)
+is read off the integer coefficients of prod (q_i t - p_i) over
+t_i = p_i / q_i: no determinant and no Fraction arithmetic.
+
 Inputs are never perturbed: degenerate data (duplicate points, shared
 parameters, collinear triples where forbidden) is rejected, because the
 oracle cross-checks in the test-suite rely on bit-true answers.
@@ -22,10 +27,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lp import feasible_eq_nonneg
+from .words import pair_runs
 
 Point = tuple[Fraction, ...]
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -62,28 +67,6 @@ def moment_point(t, d: int) -> Point:
         acc = acc * t
         out.append(acc)
     return tuple(out)
-
-
-def det(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    sign = 1
-    result = ONE
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        result *= pivot
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / pivot
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return sign * result
 
 
 def hulls_intersect(classes: list[list[Point]]) -> bool:
@@ -136,18 +119,12 @@ def breen_intersect(positions_a, positions_b, d: int) -> bool:
     the two parameter sets interleave with at least d+2 blocks."""
     if d < 1:
         raise GeometryError("dimension must be >= 1")
-    a = sorted(rational(t) for t in positions_a)
-    b = sorted(rational(t) for t in positions_b)
+    a = [rational(t) for t in positions_a]
+    b = [rational(t) for t in positions_b]
     if set(a) & set(b):
         raise GeometryError("parameter sets must be disjoint")
     merged = sorted([(t, "a") for t in a] + [(t, "b") for t in b])
-    blocks = 0
-    prev = None
-    for _, label in merged:
-        if label != prev:
-            blocks += 1
-            prev = label
-    return blocks >= d + 2
+    return pair_runs([label for _, label in merged], "a", "b") >= d + 2
 
 
 def gale_facets(r: int, d: int) -> list[tuple[int, ...]]:
@@ -187,11 +164,11 @@ def gale_facets(r: int, d: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """normal . q = offset, with the normal a primitive integer-like vector
+    """normal . q = offset, with the normal a primitive integer vector
     whose first nonzero entry is positive (deterministic serialization)."""
 
-    normal: tuple[Fraction, ...]
-    offset: Fraction
+    normal: tuple[int, ...]
+    offset: int
 
     def __post_init__(self):
         if all(a == 0 for a in self.normal):
@@ -200,17 +177,6 @@ class Hyperplane:
     def side(self, q: Point) -> int:
         value = sum(a * x for a, x in zip(self.normal, q)) - self.offset
         return (value > 0) - (value < 0)
-
-
-def _common_denominator(values) -> int:
-    """The least positive integer whose product with every value is an
-    integer (the lcm of the denominators; 1 for no values)."""
-    return math.lcm(*(v.denominator for v in values))
-
-
-def _scaled(points, scale: int) -> list[tuple[int, ...]]:
-    """Each point times `scale`, which must clear all its denominators."""
-    return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
 
 
 def _primitive(ints) -> tuple[int, ...]:
@@ -225,43 +191,24 @@ def _primitive(ints) -> tuple[int, ...]:
     return tuple([v // g for v in ints])
 
 
-def hyperplane_through_points(points: list[Point]) -> Hyperplane:
-    """The hyperplane spanned by d affinely independent points in R^d,
-    with normal from cofactor expansion of the lifted determinant."""
-    d = len(points[0])
-    if len(points) != d:
-        raise GeometryError(f"a hyperplane in R^{d} needs exactly {d} points")
-    # Row j of M is (1, p_j); solve for (c0, n) with n . p_j + c0 = 0 via
-    # cofactors of the (d+1)-column system [1 | coords].
-    cof = []
-    for col in range(d + 1):
-        minor = []
-        for p in points:
-            row = [ONE] + list(p)
-            minor.append(row[:col] + row[col + 1 :])
-        sign = -1 if col % 2 else 1
-        cof.append(sign * det(minor))
-    normal = cof[1:]
-    if all(a == 0 for a in normal):
-        raise GeometryError("points do not span a hyperplane")
-    coefficients = normal + [-cof[0]]
-    scale = _common_denominator(coefficients)
-    *ints, offset = _primitive([int(v * scale) for v in coefficients])
-    return Hyperplane(tuple(Fraction(v) for v in ints), Fraction(offset))
-
-
 def hyperplane_through_moment_points(params, d: int) -> Hyperplane:
-    """Hyperplane through x(t_1)..x(t_d) on the moment curve in R^d.
+    """Hyperplane through x(t_1)..x(t_d) on the moment curve in R^d, from
+    the coefficients c_k of prod (q_i t - p_i): c_1..c_d . x = -c_0.
 
-    Consecutive parameter regions fall on alternating sides (the sign of
-    the lifted determinant is a Vandermonde in the parameters).
+    Consecutive parameter regions fall on alternating sides (the
+    polynomial changes sign at each of its simple roots).
     """
     ts = [rational(t) for t in params]
     if len(set(ts)) != len(ts):
         raise GeometryError("duplicate hyperplane parameters")
     if len(ts) != d:
         raise GeometryError(f"need exactly {d} parameters in R^{d}")
-    return hyperplane_through_points([moment_point(t, d) for t in sorted(ts)])
+    c = [1]  # c[k] is the coefficient of t^k
+    for t in ts:
+        p, q = t.numerator, t.denominator
+        c = [q * a - p * b for a, b in zip([0] + c, c + [0])]
+    *normal, offset = _primitive(c[1:] + [-c[0]])
+    return Hyperplane(tuple(normal), offset)
 
 
 def _cross(o: Point, a: Point, b: Point) -> Fraction:
@@ -286,15 +233,17 @@ def _hull_2d(points: list[Point]) -> list[Point]:
     return lower[:-1] + upper[:-1]
 
 
-def _check_general_position_2d(points: list[Point]):
+def _check_general_position_2d(points: list[Point]) -> list[tuple[int, int]]:
     """Reject duplicates and name the lexicographically first collinear
     triple (i, j, k).  O(N^2): for each i, the later points on one line
     through points[i] share a primitive direction from it, and the first
     two indices of a direction form its smallest pair.  The directions are
-    taken on one integer-scaled copy; the message shows the given points."""
+    taken on one copy of the points times the lcm of their denominators,
+    which is returned; the message shows the given points."""
     if len(set(points)) != len(points):
         raise GeometryError("duplicate points")
-    ints = _scaled(points, _common_denominator(x for p in points for x in p))
+    scale = math.lcm(*(x.denominator for p in points for x in p))
+    ints = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
     for i, (x, y) in enumerate(ints):
         first: dict[tuple[int, ...], int] = {}
         pairs = []
@@ -308,6 +257,7 @@ def _check_general_position_2d(points: list[Point]):
                 f"collinear triple at indices ({i}, {j}, {k}): "
                 f"{points[i]}, {points[j]}, {points[k]}"
             )
+    return ints
 
 
 def convex_position_subset_2d(points: list[Point], n: int) -> list[Point] | None:

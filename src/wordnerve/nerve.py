@@ -31,10 +31,8 @@ from .geometry import (
     Hyperplane,
     Point,
     _check_general_position_2d,
-    _common_denominator,
     _hull_2d,
     _primitive,
-    _scaled,
     hulls_intersect,
     hyperplane_through_moment_points,
     moment_point,
@@ -299,22 +297,23 @@ def extend_coloring_2d(config: ColoredConfig, extras: list[Point]) -> ColoredCon
     coloring is re-verified geometrically at max_dim=2.
 
     Every predicate of the line search is the sign of a homogeneous
-    polynomial in the coordinates, so it runs on one copy of all points
-    scaled by the lcm of their denominators: integers only, the same
-    verdicts.  The nerve and its re-verification use the given points.
-    A hollow triangle that fills in is rejected (see `_verified_extension`).
+    polynomial in the coordinates, so it runs on the copy of all points
+    scaled by the lcm of their denominators that the general-position
+    check returns: integers only, the same verdicts.  The nerve and its
+    re-verification use the given points.  A hollow triangle that fills in
+    is rejected (see `_verified_extension`).
     """
     if config.dimension != 2:
         raise DegenerateInputError("planar extension needs a 2D configuration")
     extras = _coerce_extras(extras, 2)
-    _check_general_position_2d(list(config.points) + extras)
-    if len(config.points) >= 3 and len(_hull_2d(list(config.points))) != len(config.points):
+    n = len(config.points)
+    ints = _check_general_position_2d(list(config.points) + extras)
+    if n >= 3 and len(_hull_2d(ints[:n])) != n:
         raise DegenerateInputError("colored points are not in convex position")
 
     before = nerve(config, 2)
-    scale = _common_denominator(x for p in chain(config.points, extras) for x in p)
-    classes = {c: _scaled(pts, scale) for c, pts in config.classes().items()}
-    assignment = _assign_extras_2d(classes, before.complex, _scaled(extras, scale))
+    classes = ColoredConfig(tuple(ints[:n]), config.colors).classes()
+    assignment = _assign_extras_2d(classes, before.complex, ints[n:])
     return _verified_extension(
         config, before, extras, (assignment[i] for i in range(len(extras)))
     )

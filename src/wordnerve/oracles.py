@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .geometry import hyperplane_through_points, moment_point
+from .geometry import hyperplane_through_moment_points, moment_point
 
 
 def brute_max_alternation(letters, x, y) -> int:
@@ -33,7 +33,7 @@ def facet_oracle(r: int, d: int) -> list[tuple[int, ...]]:
     pts = [moment_point(t, d) for t in range(1, r + 1)]
     out = []
     for sub in combinations(range(r), d):
-        h = hyperplane_through_points([pts[i] for i in sub])
+        h = hyperplane_through_moment_points([i + 1 for i in sub], d)
         sides = {h.side(pts[i]) for i in range(r) if i not in sub}
         if len(sides) == 1 and 0 not in sides:
             out.append(tuple(i + 1 for i in sub))

@@ -15,6 +15,7 @@ from itertools import combinations, permutations
 
 from wordnerve.geometry import (
     GeometryError,
+    Hyperplane,
     Point,
     _cross,
     _hull_2d,
@@ -159,6 +160,53 @@ def sequential_search(g, d: int, budget) -> SearchVerdict:
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def det(matrix: list[list[Fraction]]) -> Fraction:
+    """Exact determinant by fraction Gaussian elimination."""
+    n = len(matrix)
+    m = [row[:] for row in matrix]
+    sign = 1
+    result = ONE
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return ZERO
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        pivot = m[col][col]
+        result *= pivot
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                f = m[r][col] / pivot
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return sign * result
+
+
+def hyperplane_through_points(points: list[Point]) -> Hyperplane:
+    """The hyperplane spanned by d affinely independent points in R^d,
+    with normal from cofactor expansion of the lifted determinant (the
+    route `wordnerve.geometry` replaced by the polynomial prod (q t - p)
+    for curve points)."""
+    d = len(points[0])
+    if len(points) != d:
+        raise GeometryError(f"a hyperplane in R^{d} needs exactly {d} points")
+    # Row j of M is (1, p_j); solve for (c0, n) with n . p_j + c0 = 0 via
+    # cofactors of the (d+1)-column system [1 | coords].
+    cof = []
+    for col in range(d + 1):
+        minor = []
+        for p in points:
+            row = [ONE] + list(p)
+            minor.append(row[:col] + row[col + 1 :])
+        sign = -1 if col % 2 else 1
+        cof.append(sign * det(minor))
+    normal = cof[1:]
+    if all(a == 0 for a in normal):
+        raise GeometryError("points do not span a hyperplane")
+    *ints, offset = _primitive(normal + [-cof[0]])
+    return Hyperplane(tuple(ints), offset)
 
 
 def feasible_eq_nonneg_fraction(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:

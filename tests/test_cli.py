@@ -1,5 +1,6 @@
 import importlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -292,20 +293,33 @@ def test_extend_bipartite_on_hyperplane_extra(tmp_path, capsys):
     assert "separator" in err
 
 
-def golden_argv(mode):
-    argv = ["extend", str(DATA / f"{mode}_config.json"), str(DATA / f"{mode}_extras.json"),
-            "--mode", mode]
-    if mode == "bipartite":
-        argv += ["--graph", str(DATA / "bipartite_graph.txt")]
-    return argv
+def golden_argv(name):
+    argv = ["extend", str(DATA / f"{name}_config.json"), str(DATA / f"{name}_extras.json")]
+    if name == "planar":
+        return argv + ["--mode", "planar"]
+    return argv + ["--mode", "bipartite", "--graph", str(DATA / f"{name}_graph.txt")]
 
 
-@pytest.mark.parametrize("mode", ["planar", "bipartite"])
-def test_extend_golden_stdout(capsys, mode):
-    # rational coordinates (planar) and K2,3 minus an edge (bipartite)
-    code, out, err = run(capsys, *golden_argv(mode))
+@pytest.mark.parametrize("name", ["planar", "bipartite", "bipartite3"])
+def test_extend_golden_stdout(capsys, name):
+    # rational coordinates (planar), K2,3 minus an edge (bipartite, d = 2)
+    # and a 6-cycle with a pendant edge (bipartite3, d = 3: separators from cubics)
+    code, out, err = run(capsys, *golden_argv(name))
     assert (code, err) == (0, "")
-    assert out == (DATA / f"{mode}_stdout.txt").read_text()
+    assert out == (DATA / f"{name}_stdout.txt").read_text()
+
+
+def test_extend_rejects_exponent_coordinate_quickly(tmp_path, capsys):
+    # Fraction("1e-100000") builds 10^100000: once 71 s and a wrong message
+    wf = write(tmp_path, "w.txt", "a b c a b c\n")
+    cfg_path = tmp_path / "cfg.json"
+    assert run(capsys, "realize", wf, "--dim", "2", "--output", str(cfg_path))[0] == 0
+    ef = write(tmp_path, "extras.json", '{"dimension": 2, "points": [["1e-100000", "5"]]}')
+    start = time.monotonic()
+    code, out, err = run(capsys, "extend", str(cfg_path), ef, "--mode", "planar")
+    assert time.monotonic() - start < 2
+    assert (code, out) == (2, "")
+    assert err == "error: bad rational '1e-100000': expected integer or 'p/q' string\n"
 
 
 def test_extend_planar_hollow_triangle_is_an_input_error(tmp_path, capsys):

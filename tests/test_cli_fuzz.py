@@ -85,6 +85,8 @@ chord_docs = st.fixed_dictionaries(
 
 # Shapes of "points" that once escaped as a TypeError traceback.
 BAD_POINTS = ['{"dimension": 2, "points": 5}', '{"dimension": 2, "points": [5]}']
+# A coordinate with an exponent, once handed to Fraction: 10^100000 took 71 s.
+EXPONENT_POINT = '{"dimension": 2, "points": [["1e-100000", "5"]]}'
 # A JSON string where a list belongs, once read as a list of one-character
 # labels with exit 0: edges "ab" and "bc" encoded the path a-b-c.
 STRING_LISTS = {
@@ -146,6 +148,7 @@ def test_fuzz_config(text):
 @given(documents(point_docs))
 @example(BAD_POINTS[0])
 @example(BAD_POINTS[1])
+@example(EXPONENT_POINT)
 @FUZZ
 def test_fuzz_extras(text):
     files = {"fuzz.json": text}

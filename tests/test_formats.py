@@ -60,6 +60,16 @@ def test_fraction_strings():
         formats.points_from_doc({"dimension": 3, "points": [["1", "2"]]})
 
 
+def test_coordinate_grammar():
+    # a JSON integer or -?[0-9]+(/[0-9]+)?, what fraction_str writes
+    pts, _ = formats.points_from_doc({"dimension": 3, "points": [["-7/3", "007", -4]]})
+    assert pts == [(F(-7, 3), F(7), F(-4))]
+    for bad in ("0.5", "1e3", "1e-100000", "+3", " 2", "2 ", "2\n", "1_000", "\uff11",
+                "3/-4", "1/0", "", "-", "/2"):
+        with pytest.raises(formats.FormatError):
+            formats.points_from_doc({"dimension": 1, "points": [[bad]]})
+
+
 def test_points_from_doc_rejects_bool_and_non_integer_dimension():
     with pytest.raises(formats.FormatError):
         formats.points_from_doc({"dimension": 2, "points": [[True, 9]]})

@@ -10,18 +10,22 @@ from wordnerve.geometry import (
     _cross,
     breen_intersect,
     convex_position_subset_2d,
-    det,
     gale_facets,
     hulls_intersect,
     hyperplane_through_moment_points,
-    hyperplane_through_points,
     moment_point,
     point,
     rational,
 )
 from wordnerve.oracles import facet_oracle
 
-from .oracles import check_general_position_2d_cubic, convex_position_lp, gale_facets_scan
+from .oracles import (
+    check_general_position_2d_cubic,
+    convex_position_lp,
+    det,
+    gale_facets_scan,
+    hyperplane_through_points,
+)
 
 F = Fraction
 
@@ -202,9 +206,23 @@ def test_hyperplane_parity_random():
 
 
 def test_hyperplane_normal_is_canonical():
-    h = hyperplane_through_points([point((0, 2)), point((2, 0))])
-    assert h.normal == (1, 1) and h.offset == 2
-    assert all(c.denominator == 1 for c in h.normal)
+    h = hyperplane_through_moment_points([0, 1], 2)  # the line y = x
+    assert h.normal == (1, -1) and h.offset == 0
+    assert all(type(c) is int for c in (*h.normal, h.offset))
+
+
+def test_moment_hyperplane_matches_cofactor_route():
+    rng = random.Random(11)
+    for _ in range(400):
+        d = rng.randint(1, 6)
+        pool = set()
+        while len(pool) < d:
+            pool.add(F(rng.randint(-30, 30), rng.randint(1, 9)))
+        params = list(pool)
+        rng.shuffle(params)
+        h = hyperplane_through_moment_points(params, d)
+        assert all(type(c) is int for c in (*h.normal, h.offset))
+        assert h == hyperplane_through_points([moment_point(t, d) for t in sorted(params)])
 
 
 def test_convex_position_subset_square():
