@@ -14,6 +14,7 @@ occurrence can never create a d-intersection.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, bipartition
@@ -27,8 +28,9 @@ class ChordDiagram:
     slots: tuple[str, ...]
 
     def __post_init__(self):
-        for label in set(self.slots):
-            if self.slots.count(label) != 2:
+        counts = Counter(self.slots)
+        for label in self.slots:
+            if counts[label] != 2:
                 raise ValueError(f"chord {label!r} must occupy exactly 2 slots")
 
     @property

@@ -9,11 +9,10 @@ plain integers when the denominator is one).
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 
 from .encode import ChordDiagram
-from .geometry import Point, rational
+from .geometry import GeometryError, Point, rational
 from .graphs import Graph, GraphError, from_edge_list
 from .nerve import ColoredConfig
 from .search import SearchBudget, SearchVerdict
@@ -129,19 +128,13 @@ def fraction_str(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-_COORD = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
 def _parse_coord(x) -> Fraction:
-    """A JSON integer or a string matching `_COORD`, what `fraction_str`
-    writes.  Decimals and exponents are refused before `Fraction` sees
-    them: "1e-100000" would make it build 10^100000."""
-    if isinstance(x, int) or (isinstance(x, str) and _COORD.fullmatch(x)):
-        try:
-            return rational(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad rational {x!r}: {exc}") from exc
-    raise FormatError(f"bad rational {x!r}: expected integer or 'p/q' string")
+    """`geometry.rational` with a FormatError: a JSON integer or a string
+    of its grammar, what `fraction_str` writes."""
+    try:
+        return rational(x)
+    except GeometryError as exc:
+        raise FormatError(f"bad rational {x!r}: expected integer or 'p/q' string") from exc
 
 
 def points_to_doc(points: list[Point], dimension: int) -> dict:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -38,16 +39,20 @@ class GeometryError(ValueError):
     """Degenerate or inconsistent geometric input (nerve.DegenerateInputError)."""
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def rational(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction.
-    Booleans are rejected: JSON `true` is not the coordinate 1."""
+    """Coerce ints, Fractions and `_RATIONAL` strings (ASCII p or p/q, q > 0)
+    to an exact Fraction.  Booleans are refused (JSON `true` is not 1), and so
+    are decimals and exponents: "1e-100000" would make `Fraction` build 10^100000."""
     if isinstance(x, bool):
         raise GeometryError(f"not an exact rational: {x!r}")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
         return Fraction(x)
     raise GeometryError(f"not an exact rational: {x!r}")
 

@@ -1,9 +1,9 @@
 """Bounded exhaustive search for general d-word-representants.
 
-Depth-first over word positions, letters tried in label order, with
-incremental per-pair run state so one extension costs O(alphabet).  All
-verdicts are budget-relative: a miss means no word within the copy and
-length bounds represents the graph, never an absolute refutation.
+Depth-first over word positions, letters tried in label order, with each
+letter's last position and each pair's run count as state, so one extension
+costs O(alphabet).  Verdicts are budget-relative: a miss means no word within
+the copy and length bounds represents the graph, never an absolute refutation.
 
 Completeness-preserving cuts:
 
@@ -134,7 +134,9 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
 
 
 class _Enumeration:
-    """Mutable DFS state over letter indices 0..n-1."""
+    """Mutable DFS state over letter indices 0..n-1: last[x] is the word
+    position of x's last copy or -1, alt[x][y] the run count of the pair.
+    Appending x opens a run of {x, y} iff last[x] <= last[y]."""
 
     def __init__(self, n: int, adj: list[list[bool]], d: int, budget: SearchBudget,
                  auts: list[tuple[int, ...]]):
@@ -147,7 +149,7 @@ class _Enumeration:
 
         self.word: list[int] = []
         self.alt = [[0] * n for _ in range(n)]
-        self.endl = [[-1] * n for _ in range(n)]
+        self.last = [-1] * n
         self.counts = [0] * n
         self.introduced = 0
         self.total_deficit = sum(
@@ -162,26 +164,22 @@ class _Enumeration:
         self.limit_hit = False
 
     def _useful(self, x: int) -> bool:
-        adj_x, alt_x, end_x = self.adj[x], self.alt[x], self.endl[x]
+        adj_x, alt_x, last, lx = self.adj[x], self.alt[x], self.last, self.last[x]
         for y in range(self.n):
-            if adj_x[y] and alt_x[y] < self.target and end_x[y] != x:
+            if adj_x[y] and alt_x[y] < self.target and lx < last[y]:
                 return True
         return False
 
     def _append(self, x: int):
-        """Apply letter x; return (ok, undo) where undo restores state."""
-        changed: list[tuple[int, int, int]] = []  # (y, old_alt, old_end)
+        """Apply letter x; return (ok, lx), lx being x's previous last position."""
         ok = True
         target = self.target
+        adj_x, alt_x, last, lx = self.adj[x], self.alt[x], self.last, self.last[x]
         for y in range(self.n):
-            if y == x:
-                continue
-            if self.endl[x][y] != x:
-                changed.append((y, self.alt[x][y], self.endl[x][y]))
-                new_alt = self.alt[x][y] + 1
-                self.alt[x][y] = self.alt[y][x] = new_alt
-                self.endl[x][y] = self.endl[y][x] = x
-                if self.adj[x][y]:
+            if y != x and lx <= last[y]:
+                new_alt = alt_x[y] + 1
+                alt_x[y] = self.alt[y][x] = new_alt
+                if adj_x[y]:
                     if new_alt <= target:
                         self.total_deficit -= 1
                         if new_alt == target:
@@ -189,39 +187,40 @@ class _Enumeration:
                             self.deficient_deg[y] -= 1
                 elif new_alt >= target:
                     ok = False  # non-edge became d-intersecting; hopeless
-        new_letter = self.counts[x] == 0
-        self.counts[x] += 1
-        if new_letter:
+        if lx < 0:
             self.introduced += 1
             self.stab_stack.append([p for p in self.stab_stack[-1] if p[x] == x])
+        self.counts[x] += 1
+        last[x] = len(self.word)
         self.word.append(x)
         self.nodes += 1
-        return ok, (x, changed, new_letter)
+        return ok, lx
 
-    def _undo(self, undo):
-        x, changed, new_letter = undo
-        self.word.pop()
-        if new_letter:
+    def _undo(self, lx: int):
+        """Pop x; undo is LIFO, so its previous last position lx finds its pairs."""
+        x = self.word.pop()
+        if lx < 0:
             self.stab_stack.pop()
             self.introduced -= 1
         self.counts[x] -= 1
-        target = self.target
-        for y, old_alt, old_end in changed:
-            if self.adj[x][y]:
-                if self.alt[x][y] <= target:
+        adj_x, alt_x, last, target = self.adj[x], self.alt[x], self.last, self.target
+        last[x] = lx
+        for y in range(self.n):
+            if y != x and lx <= last[y]:
+                runs = alt_x[y]
+                if adj_x[y] and runs <= target:
                     self.total_deficit += 1
-                    if self.alt[x][y] == target:
+                    if runs == target:
                         self.deficient_deg[x] += 1
                         self.deficient_deg[y] += 1
-            self.alt[x][y] = self.alt[y][x] = old_alt
-            self.endl[x][y] = self.endl[y][x] = old_end
+                alt_x[y] = self.alt[y][x] = runs - 1
 
     def _candidates(self):
         n, counts, word = self.n, self.counts, self.word
-        last = word[-1] if word else -1
+        prev = word[-1] if word else -1
         stab = self.stab_stack[-1]
         for x in range(n):
-            if x == last or counts[x] >= self.max_copies:
+            if x == prev or counts[x] >= self.max_copies:
                 continue
             if counts[x] == 0:
                 if any(p[x] < x for p in stab):

@@ -76,8 +76,9 @@ def svg_for_config(config: ColoredConfig) -> str:
         parts.append(
             f'<rect x="16" y="{y - 12}" width="14" height="14" fill="{fill[c]}"/>'
         )
+        text = c.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
-            f'<text x="36" y="{y}" font-family="monospace" font-size="14">{c}</text>'
+            f'<text x="36" y="{y}" font-family="monospace" font-size="14">{text}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -146,16 +146,81 @@ def automorphisms_bruteforce(g) -> set[tuple[int, ...]]:
     }
 
 
-def sequential_search(g, d: int, budget) -> SearchVerdict:
+def sequential_search(g, d: int, budget, enumeration=_Enumeration) -> SearchVerdict:
     """The search as one plain DFS over the whole tree, with no prefix
     split: the verdict every `jobs` value of `find_general_word` must
-    return, node count included."""
+    return, node count included.  `enumeration` picks the DFS state class."""
     letters, adj = _problem_arrays(g)
-    enum = _Enumeration(len(letters), adj, d, budget, automorphisms(g))
+    enum = enumeration(len(letters), adj, d, budget, automorphisms(g))
     enum.dfs()
     if enum.found is not None:
         return SearchVerdict(FOUND, Word(tuple(letters[i] for i in enum.found)), enum.nodes)
     return SearchVerdict(NODE_LIMIT if enum.limit_hit else NOT_FOUND, None, enum.nodes)
+
+
+class EndMatrixEnumeration(_Enumeration):
+    """The DFS state `wordnerve.search` replaced by per-letter last
+    positions: endl[x][y] is whichever of x and y came last (-1 before
+    both), and each append returns an undo list of (y, old_alt, old_end)."""
+
+    def __init__(self, n, adj, d, budget, auts):
+        super().__init__(n, adj, d, budget, auts)
+        self.endl = [[-1] * n for _ in range(n)]
+
+    def _useful(self, x: int) -> bool:
+        adj_x, alt_x, end_x = self.adj[x], self.alt[x], self.endl[x]
+        for y in range(self.n):
+            if adj_x[y] and alt_x[y] < self.target and end_x[y] != x:
+                return True
+        return False
+
+    def _append(self, x: int):
+        """Apply letter x; return (ok, undo) where undo restores state."""
+        changed: list[tuple[int, int, int]] = []  # (y, old_alt, old_end)
+        ok = True
+        target = self.target
+        for y in range(self.n):
+            if y == x:
+                continue
+            if self.endl[x][y] != x:
+                changed.append((y, self.alt[x][y], self.endl[x][y]))
+                new_alt = self.alt[x][y] + 1
+                self.alt[x][y] = self.alt[y][x] = new_alt
+                self.endl[x][y] = self.endl[y][x] = x
+                if self.adj[x][y]:
+                    if new_alt <= target:
+                        self.total_deficit -= 1
+                        if new_alt == target:
+                            self.deficient_deg[x] -= 1
+                            self.deficient_deg[y] -= 1
+                elif new_alt >= target:
+                    ok = False  # non-edge became d-intersecting; hopeless
+        new_letter = self.counts[x] == 0
+        self.counts[x] += 1
+        if new_letter:
+            self.introduced += 1
+            self.stab_stack.append([p for p in self.stab_stack[-1] if p[x] == x])
+        self.word.append(x)
+        self.nodes += 1
+        return ok, (x, changed, new_letter)
+
+    def _undo(self, undo):
+        x, changed, new_letter = undo
+        self.word.pop()
+        if new_letter:
+            self.stab_stack.pop()
+            self.introduced -= 1
+        self.counts[x] -= 1
+        target = self.target
+        for y, old_alt, old_end in changed:
+            if self.adj[x][y]:
+                if self.alt[x][y] <= target:
+                    self.total_deficit += 1
+                    if self.alt[x][y] == target:
+                        self.deficient_deg[x] += 1
+                        self.deficient_deg[y] += 1
+            self.alt[x][y] = self.alt[y][x] = old_alt
+            self.endl[x][y] = self.endl[y][x] = old_end
 
 
 ZERO = Fraction(0)

@@ -2,6 +2,7 @@ import importlib
 import json
 import time
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -181,6 +182,15 @@ def test_realize_svg_deterministic(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_realize_svg_escapes_legend_labels(tmp_path, capsys):
+    wf = write(tmp_path, "w.txt", "a&b c<d a&b c<d a&b\n")
+    svg_path = tmp_path / "out.svg"
+    assert run(capsys, "realize", wf, "--dim", "2", "--svg", str(svg_path))[0] == 0
+    root = ElementTree.parse(svg_path).getroot()
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == ["a&b", "c<d"]
+
+
 def test_search_c4(tmp_path, capsys):
     gf = write(tmp_path, "g.txt", "1 2\n2 3\n3 4\n1 4\n")
     out_path = tmp_path / "v.json"
@@ -307,6 +317,16 @@ def test_extend_golden_stdout(capsys, name):
     code, out, err = run(capsys, *golden_argv(name))
     assert (code, err) == (0, "")
     assert out == (DATA / f"{name}_stdout.txt").read_text()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_search_golden_stdout(tmp_path, capsys, jobs):
+    # the wheel W5, searched in one process and over a process pool
+    gf = write(tmp_path, "w5.txt", "".join(f"{u} {v}\n" for u, v in W5_EDGES))
+    code, out, _ = run(capsys, "search", gf, "--dim", "2", "--max-copies", "5",
+                       "--max-len", "15", "--jobs", jobs)
+    assert code == 0
+    assert out == (DATA / "w5_search_stdout.json").read_text()
 
 
 def test_extend_rejects_exponent_coordinate_quickly(tmp_path, capsys):

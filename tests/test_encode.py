@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import wordnerve
 from wordnerve.encode import (
     ChordDiagram,
     bipartite_layout,
@@ -156,6 +162,25 @@ def test_polygon_arrangement_wheel_fixture():
 def test_chord_diagram_validation():
     with pytest.raises(ValueError):
         ChordDiagram(("a", "a", "a", "b"))
+
+
+def test_chord_diagram_error_names_the_first_bad_slot_under_any_hash_seed():
+    code = "from wordnerve.encode import ChordDiagram; ChordDiagram(tuple('pqqrsst'))"
+    src = str(Path(wordnerve.__file__).parents[1])
+    for seed in ("1", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.stderr.endswith("ValueError: chord 'p' must occupy exactly 2 slots\n")
+
+
+def test_chord_diagram_check_is_linear():
+    slots = [f"c{i}" for i in range(30_000)] * 2
+    random.Random(0).shuffle(slots)
+    start = time.perf_counter()
+    w = word_from_chord_diagram(ChordDiagram(tuple(slots)))
+    assert time.perf_counter() - start < 2
+    assert len(w) == 60_000
 
 
 def test_chord_diagram_crossing_and_nested():

@@ -33,8 +33,14 @@ F = Fraction
 def test_rational_parsing():
     assert rational("3/4") == F(3, 4)
     assert rational(5) == 5
+    assert rational("-7/03") == F(-7, 3) and rational("007") == 7
     with pytest.raises(GeometryError):
         rational(0.5)
+    # the grammar formats.points_from_doc reads: -?[0-9]+(/[0-9]+)? with q > 0
+    for bad in ("0.5", "1e3", "1e-100000", "+3", " 2", "2 ", "2\n", "1_000", "\uff11",
+                "3/-4", "1/0", "1/00", "", "-", "/2"):
+        with pytest.raises(GeometryError):
+            rational(bad)
 
 
 def test_rational_rejects_bool():

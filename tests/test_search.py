@@ -21,7 +21,7 @@ from wordnerve.search import (
 )
 from wordnerve.words import Word, induced_graph_general, max_alternation
 
-from .oracles import automorphisms_bruteforce, sequential_search
+from .oracles import EndMatrixEnumeration, automorphisms_bruteforce, sequential_search
 
 
 def cycle(n):
@@ -256,6 +256,26 @@ def test_every_jobs_value_returns_the_sequential_verdict(monkeypatch):
             verdict = find_general_word(g, d, budget, jobs=jobs)
             assert verdict == expected, (g, d, budget, jobs)
             assert verdict.nodes_explored <= budget.node_limit
+    assert outcomes == {FOUND, NOT_FOUND, NODE_LIMIT}
+
+
+def test_last_positions_match_end_matrix_reference():
+    """The per-letter state returns the run-end matrix's verdict, witness
+    and node count included, on every draw."""
+    rng = random.Random(25)
+    outcomes = set()
+    for draw in range(300):
+        n = rng.randint(1, 7)
+        labels = [f"v{i}" for i in range(n)]
+        edges = [e for e in combinations(labels, 2) if rng.random() < 0.5]
+        g = from_edge_list(edges, labels)
+        d = rng.randint(1, 3)
+        # a spent limit of 300,000 costs seconds, so only every 60th draw has it
+        limit = 300_000 if draw % 60 == 0 else rng.choice((1, 3, 10, 100, 1_000, 10_000, 30_000))
+        budget = SearchBudget(rng.randint(1, 4), rng.randint(n, 16), limit)
+        expected = sequential_search(g, d, budget, EndMatrixEnumeration)
+        outcomes.add(expected.outcome)
+        assert find_general_word(g, d, budget) == expected, (g, d, budget)
     assert outcomes == {FOUND, NOT_FOUND, NODE_LIMIT}
 
 
