@@ -12,11 +12,15 @@ face of a configuration off the curve, are exact LP verdicts.
 
 Both extension algorithms recolor extra points so that the nerve of the
 enlarged configuration is label-identical to the original.  Neither is
-trusted: every run recomputes the nerve geometrically afterwards and
-fails loudly on any difference.  The planar one searches its support
-lines on one integer-scaled copy of the points (its predicates are signs
-of homogeneous polynomials in the coordinates, which a positive scale
-keeps); the re-check of its result runs on the given `Fraction` points.
+trusted: every run re-checks the enlarged configuration by LP afterwards
+and fails loudly on any difference.  The classes only grow, so no face
+can be lost; the re-check tests the candidates that could be gained.
+The planar extension searches its support lines on one integer-scaled
+copy of the points (its predicates are signs of homogeneous polynomials
+in the coordinates, which a positive scale keeps).  The bipartite one
+keeps each non-face pair apart with a hyperplane through curve points in
+the gaps between the pair's runs, which Breen's criterion bounds by d + 1,
+and asks the LP only when an extra lands on the wrong side of it.
 """
 
 from __future__ import annotations
@@ -164,35 +168,63 @@ def nerve(config: ColoredConfig, max_dim: int) -> NerveResult:
     return NerveResult(SimplicialComplex(labels, frozenset(faces)))
 
 
-def _coerce_extras(extras, d: int) -> list[Point]:
-    """The extras as exact points, each of the configuration's dimension."""
-    extras = [point(p) for p in extras]
-    if any(len(p) != d for p in extras):
-        raise DegenerateInputError(f"extras must live in R^{d}")
-    return extras
+def _coerce_extras(extras, config: ColoredConfig) -> list[Point]:
+    """The extras as exact points of the configuration's dimension, each
+    new: an extra given twice or equal to a configuration point is refused
+    before any extension work."""
+    d = config.dimension
+    taken = set(config.points)
+    out: list[Point] = []
+    for p in map(point, extras):
+        if len(p) != d:
+            raise DegenerateInputError(f"extras must live in R^{d}")
+        if p in taken:
+            where = "a configuration point" if p in config.points else "given twice"
+            text = ", ".join(map(str, p))
+            raise DegenerateInputError(f"extra ({text}) is {where}")
+        taken.add(p)
+        out.append(p)
+    return out
 
 
 def _verified_extension(config: ColoredConfig, before: NerveResult,
                         extras: list[Point], new_colors) -> ColoredConfig:
-    """The configuration grown by the colored extras, after recomputing
-    its nerve from scratch and checking it against the original one.
+    """The configuration grown by the colored extras, after checking by LP
+    that its nerve (up to triangles) is the original one.
+
+    The original points are a prefix of the grown configuration and the
+    extras take original labels, so every face of `before` stays a face.
+    The LP therefore runs only on the candidates that could be gained:
+    non-faces of size 2 and 3 of `before` whose proper subsets are faces.
+    The candidates that meet are then exactly the faces gained.
 
     The extensions only guarantee the pair verdicts.  A hollow triangle
     (three classes that meet pairwise but share no point) can fill in as
-    its classes grow; when that is the only change, the input is rejected
-    with the triangle named.  Any other change is an internal error."""
+    its classes grow; when only triangles are gained, the input is
+    rejected with the least of them named.  A gained pair or an extra with
+    a new label is an internal error."""
     extended = ColoredConfig(config.points + tuple(extras), config.colors + tuple(new_colors))
-    after = nerve(extended, 2).complex
-    if after != before.complex:
-        added = after.faces - before.complex.faces
-        if before.complex.faces <= after.faces and all(len(f) == 3 for f in added):
-            filled = min(sorted(f) for f in added)
-            raise DegenerateInputError(
-                f"the extension fills the hollow triangle {' '.join(filled)}: its "
-                "classes meet pairwise but share no point, and only pair "
-                "verdicts are kept"
-            )
+    k = before.complex
+    classes = extended.classes()
+    if set(classes) != set(k.vertices):
         raise ExtensionError("extension changed the nerve")
+    met = [
+        combo
+        for size in (2, 3)
+        for combo in combinations(k.vertices, size)
+        if not k.is_face(combo)
+        and all(k.is_face(combo[:i] + combo[i + 1 :]) for i in range(size))
+        and hulls_intersect([classes[c] for c in combo])
+    ]
+    if any(len(combo) == 2 for combo in met):
+        raise ExtensionError("extension changed the nerve")
+    if met:
+        filled = min(sorted(combo) for combo in met)
+        raise DegenerateInputError(
+            f"the extension fills the hollow triangle {' '.join(filled)}: its "
+            "classes meet pairwise but share no point, and only pair "
+            "verdicts are kept"
+        )
     return extended
 
 
@@ -305,7 +337,7 @@ def extend_coloring_2d(config: ColoredConfig, extras: list[Point]) -> ColoredCon
     """
     if config.dimension != 2:
         raise DegenerateInputError("planar extension needs a 2D configuration")
-    extras = _coerce_extras(extras, 2)
+    extras = _coerce_extras(extras, config)
     n = len(config.points)
     ints = _check_general_position_2d(list(config.points) + extras)
     if n >= 3 and len(_hull_2d(ints[:n])) != n:
@@ -341,16 +373,104 @@ def _separator_params(layout: BipartiteLayout, j: int) -> list[Fraction]:
     return params
 
 
+def _dot(normal, p: Point):
+    return sum(a * x for a, x in zip(normal, p))
+
+
+def _curve_separator(config: ColoredConfig, order: list[int], a: str, b: str):
+    """A hyperplane strictly between classes a and b of a moment-curve
+    configuration, as (normal, hi, lo) with normal . p <= hi < lo <=
+    normal . q for every p in a and q in b; `order` is `_curve_order`.
+
+    The pair must be a non-face: by Breen's criterion its colors make at
+    most d + 1 runs in parameter order.  One root goes between the two
+    parameters of each color change and the rest past the pair's largest
+    parameter, so the degree-d polynomial with these roots, which is
+    normal . x(t) - offset, has one sign on class a and the other on b.
+    """
+    pair = [i for i in order if config.colors[i] in (a, b)]
+    roots = [
+        (config.points[i][0] + config.points[j][0]) / 2
+        for i, j in zip(pair, pair[1:])
+        if config.colors[i] != config.colors[j]
+    ]
+    last = config.points[pair[-1]][0]
+    roots += [last + k for k in range(1, config.dimension - len(roots) + 1)]
+    normal = hyperplane_through_moment_points(roots, config.dimension).normal
+    va = [_dot(normal, config.points[i]) for i in pair if config.colors[i] == a]
+    vb = [_dot(normal, config.points[i]) for i in pair if config.colors[i] == b]
+    if max(va) < min(vb):
+        return normal, max(va), min(vb)
+    if max(vb) < min(va):
+        return tuple(-x for x in normal), -min(va), -max(vb)
+    raise ExtensionError(f"the curve-gap hyperplane does not separate {a} and {b}")
+
+
+class _Separations:
+    """The classes of a moment-curve coloring as extras join them, with
+    each non-face pair of the original nerve kept apart.
+
+    Every non-face pair starts with a `_curve_separator` certificate
+    [normal, hi, lo], built without an LP.  An extra on the correct side
+    of it keeps the pair apart at the cost of one dot product.  Otherwise
+    the LP decides, and a certificate whose bounds a placement crosses is
+    dropped: from then on that pair is an LP verdict.
+    """
+
+    def __init__(self, config: ColoredConfig, before: NerveResult):
+        order = _curve_order(config)
+        self.classes = config.classes()
+        self.apart: dict[str, list[str]] = {c: [] for c in self.classes}
+        self.certs: dict[tuple[str, str], list] = {}
+        for a, b in combinations(config.color_labels, 2):
+            if not before.complex.is_face((a, b)):
+                self.apart[a].append(b)
+                self.apart[b].append(a)
+                self.certs[a, b] = list(_curve_separator(config, order, a, b))
+
+    def place(self, c: str, e: Point) -> bool:
+        """Color e with c if that keeps every non-face pair apart, and
+        say whether it did.  Growth cannot delete an intersection, so
+        this is the whole check."""
+        values = {}
+        unsure = []
+        for x in self.apart[c]:
+            key = (c, x) if c < x else (x, c)
+            cert = self.certs.get(key)
+            if cert is not None:
+                values[key] = v = _dot(cert[0], e)
+                if (v < cert[2]) if key[0] == c else (v > cert[1]):
+                    continue
+            unsure.append(x)
+        grown = self.classes[c] + [e]
+        if any(hulls_intersect([grown, self.classes[x]]) for x in unsure):
+            return False
+        self.classes[c] = grown
+        for key, v in values.items():
+            cert = self.certs[key]
+            if key[0] == c:
+                cert[1] = max(cert[1], v)
+            else:
+                cert[2] = min(cert[2], v)
+            if cert[1] >= cert[2]:
+                del self.certs[key]
+        return True
+
+
 def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
                               extras: list[Point]) -> ColoredConfig:
     """Extend the bipartite moment-curve coloring over arbitrary extras.
 
     For each u-color except the last, a hyperplane through d separator
     points splits off the curve stretch holding that color's blocks; an
-    extra is colored by the first hyperplane whose block side contains it,
-    the leftovers by the last u-color.  Extras lying exactly on a
-    separator hyperplane are rejected.  The resulting nerve is recomputed
-    and compared; any change is an internal error.
+    extra is offered first to the color of the first hyperplane whose
+    block side contains it, else to the last u-color, then to the other
+    colors.  A color is taken when it keeps every non-face pair apart
+    (`_Separations`: curve-gap certificates, the LP where they fail).
+    Extras lying exactly on a separator hyperplane, given twice or equal
+    to a configuration point are rejected.  The result is re-checked by
+    `_verified_extension`: a filled hollow triangle is an input error,
+    any other change of the nerve an internal error.
     """
     layout = bipartite_layout(g)
     if layout.word != w:
@@ -364,9 +484,7 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
     expected = realize_on_moment_curve(w, d)
     if config.points != expected.points or config.colors != expected.colors:
         raise DegenerateInputError("configuration is not the moment-curve realization of the word")
-    extras = _coerce_extras(extras, d)
-    if set(extras) & set(config.points):
-        raise DegenerateInputError("extras must be disjoint from the configuration")
+    extras = _coerce_extras(extras, config)
 
     m = len(layout.u_labels)
     hyperplanes: list[tuple[str, Hyperplane, int]] = []
@@ -393,18 +511,8 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
         hyperplanes.append((layout.u_labels[j - 1], h, block_sign))
 
     labels = config.color_labels
-    classes = config.classes()
     before = nerve(config, 2)
-
-    def safe(c: str, e: Point) -> bool:
-        """Would coloring e with c keep every non-intersecting pair apart?
-        Growth cannot delete an intersection, so this is the whole check."""
-        grown = classes[c] + [e]
-        return not any(
-            not before.complex.is_face((c, x)) and hulls_intersect([grown, classes[x]])
-            for x in labels
-            if x != c
-        )
+    separations = _Separations(config, before)
 
     assignment: list[str] = []
     for e in extras:
@@ -425,8 +533,7 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
             c for c in labels if c not in layout.u_labels
         ]
         for c in candidates:
-            if safe(c, e):
-                classes[c].append(e)
+            if separations.place(c, e):
                 assignment.append(c)
                 break
         else:

@@ -467,3 +467,24 @@ def assign_extras_2d_reference(class_points: dict[str, list[Point]],
                     sub[i] = color
             return sub
     raise ExtensionError("extension step failed: no admissible color/line pair")
+
+
+class LPSeparations:
+    """`nerve._Separations` without certificates: a placement is tested
+    by one LP per non-face pair of the grown class (the `safe` check the
+    curve-gap certificates replaced)."""
+
+    def __init__(self, config: ColoredConfig, before: NerveResult):
+        self.classes = config.classes()
+        self.before = before.complex
+
+    def place(self, c: str, e: Point) -> bool:
+        grown = self.classes[c] + [e]
+        if any(
+            not self.before.is_face((c, x)) and hulls_intersect([grown, self.classes[x]])
+            for x in self.classes
+            if x != c
+        ):
+            return False
+        self.classes[c] = grown
+        return True

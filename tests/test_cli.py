@@ -1,6 +1,7 @@
 import importlib
 import json
 import time
+from itertools import combinations
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -8,7 +9,7 @@ import pytest
 
 from wordnerve import formats
 from wordnerve.cli import main
-from wordnerve.graphs import SimplicialComplex, from_edge_list
+from wordnerve.graphs import from_edge_list
 
 DATA = Path(__file__).parent / "data"
 
@@ -356,24 +357,49 @@ def test_extend_planar_hollow_triangle_is_an_input_error(tmp_path, capsys):
 
 
 def test_internal_error_has_one_prefix(capsys, monkeypatch):
-    # the re-check of the extended configuration drops every edge
+    # the hull test reports one non-face pair as meeting once its classes
+    # hold extras, which only the re-check of the extended configuration sees
     lib = importlib.import_module("wordnerve.nerve")
-    real = lib.nerve
+    config = formats.config_from_doc(json.loads((DATA / "planar_config.json").read_text()))
+    color_of = dict(zip(config.points, config.colors))
+    apart = next(
+        {a, b} for a, b in combinations(config.color_labels, 2)
+        if not lib.nerve(config, 2).complex.is_face((a, b))
+    )
+    real = lib.hulls_intersect
 
-    def edgeless_when_extended(config, max_dim):
-        result = real(config, max_dim)
-        if len(config.points) == 9:  # the fixture before its extras
-            return result
-        k = result.complex
-        return lib.NerveResult(
-            SimplicialComplex(k.vertices, frozenset(f for f in k.faces if len(f) == 1))
-        )
+    def one_pair_meets(classes):
+        extended = any(p not in color_of for cls in classes for p in cls)
+        if extended and {color_of[cls[0]] for cls in classes} == apart:
+            return True
+        return real(classes)
 
-    monkeypatch.setattr(lib, "nerve", edgeless_when_extended)
+    monkeypatch.setattr(lib, "hulls_intersect", one_pair_meets)
     code, out, err = run(capsys, *golden_argv("planar"))
     assert code == 4
     assert out == ""
     assert err == "internal error: extension changed the nerve\n"
+
+
+@pytest.mark.parametrize("name, points, message", [
+    ("bipartite", [["7/3", "-5"], ["-3", "1"], ["7/3", "-5"]], "extra (7/3, -5) is given twice"),
+    ("bipartite", [["-3", "1"], ["3", "9"]], "extra (3, 9) is a configuration point"),
+    ("planar", [["1", "2"], ["-201/7", "40401/49"]],
+     "extra (-201/7, 40401/49) is a configuration point"),
+])
+def test_extend_rejects_repeated_extras_before_any_hull_test(
+        tmp_path, capsys, monkeypatch, name, points, message):
+    lib = importlib.import_module("wordnerve.nerve")
+    calls = []
+    real = lib.hulls_intersect
+    monkeypatch.setattr(lib, "hulls_intersect", lambda classes: calls.append(1) or real(classes))
+    ef = write(tmp_path, "extras.json", formats.dump_json({"dimension": 2, "points": points}))
+    argv = golden_argv(name)
+    argv[2] = ef
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert calls == []
 
 
 def test_extend_dimension_mismatch(tmp_path, capsys):

@@ -14,6 +14,9 @@ from wordnerve.nerve import (
     DegenerateInputError,
     ExtensionError,
     _curve_order,
+    _curve_separator,
+    _Separations,
+    _verified_extension,
     extend_coloring_2d,
     extend_coloring_bipartite,
     nerve,
@@ -531,3 +534,136 @@ def test_extend_bipartite_random_graphs():
         assert ext.colors[: len(cfg.colors)] == cfg.colors
         assert nerve(ext, 2).complex == nerve(cfg, 2).complex
         done += 1
+
+
+# -- curve-gap certificates and the re-check ----------------------------------
+
+
+def test_curve_separator_strictly_separates_every_non_face_pair():
+    rng = random.Random(39)
+    pairs = 0
+    for case in range(300):
+        k = rng.randint(2, 6)
+        letters = [f"c{i}" for i in range(k)]
+        seq = [rng.choice(letters) for _ in range(rng.randint(max(4, k), 20))]
+        if len(set(seq)) < 2:
+            continue
+        d = case % 5 + 1
+        params = None
+        if case % 2:
+            pool = set()
+            while len(pool) < len(seq):
+                pool.add(F(rng.randint(-60, 60), rng.randint(1, 9)))
+            params = sorted(pool)
+        cfg = realize_on_moment_curve(Word(tuple(seq)), d, params)
+        if case % 3 == 0:
+            cfg = shuffled(cfg, rng)
+        classes = cfg.classes()
+        for a, b in combinations(cfg.color_labels, 2):
+            if oracles.dp_max_alternation(seq, a, b) >= d + 2:
+                continue
+            normal, hi, lo = _curve_separator(cfg, _curve_order(cfg), a, b)
+            va = [sum(n * x for n, x in zip(normal, p)) for p in classes[a]]
+            vb = [sum(n * x for n, x in zip(normal, p)) for p in classes[b]]
+            assert max(va) == hi < lo == min(vb)
+            pairs += 1
+    assert pairs > 300
+
+
+def random_bipartite_instance(rng, d):
+    """A bipartite graph whose smaller part has d vertices, none isolated,
+    with its moment-curve coloring and 1-5 extras, some inside hulls."""
+    while True:
+        vs = [f"v{i}" for i in range(d)]
+        us = [f"u{j}" for j in range(rng.randint(d, d + 2))]
+        edges = [(v, u) for v in vs for u in us if rng.random() < 0.5]
+        if {v for v, _ in edges} == set(vs) and {u for _, u in edges} == set(us):
+            break
+    g, w, d, cfg = bipartite_fixture(edges)
+    extras = random_extras_rd(rng, d, len(w), rng.randint(0, 3), set(cfg.points))
+    classes = list(cfg.classes().values())
+    while len(extras) < 5 and rng.random() < 0.7:
+        pts = rng.sample(classes, 1)[0] if rng.random() < 0.5 else rng.sample(cfg.points, 3)
+        mean = tuple(sum(p[i] for p in pts) / len(pts) for i in range(d))
+        if mean not in cfg.points and mean not in extras:
+            extras.append(mean)
+    return g, w, cfg, extras
+
+
+def extend_colors(g, w, cfg, extras):
+    try:
+        return extend_coloring_bipartite(g, w, cfg, extras).colors
+    except DegenerateInputError as exc:
+        return str(exc)
+
+
+def test_separations_match_the_lp_only_reference(monkeypatch):
+    lib = importlib.import_module("wordnerve.nerve")
+    built = invalidated = 0
+
+    class Counted(_Separations):
+        def __init__(self, config, before):
+            super().__init__(config, before)
+            made.append(self)
+
+    rng = random.Random(40)
+    for case in range(200):
+        d = (1, 1, 2, 2, 2, 3, 3, 4)[case % 8]
+        g, w, cfg, extras = random_bipartite_instance(rng, d)
+        made = []
+        monkeypatch.setattr(lib, "_Separations", Counted)
+        colors = extend_colors(g, w, cfg, extras)
+        monkeypatch.setattr(lib, "_Separations", oracles.LPSeparations)
+        assert colors == extend_colors(g, w, cfg, extras)
+        for sep in made:
+            pairs = sum(map(len, sep.apart.values())) // 2
+            built += pairs
+            invalidated += pairs - len(sep.certs)
+            for (a, b), (normal, hi, lo) in sep.certs.items():
+                va = [sum(n * x for n, x in zip(normal, p)) for p in sep.classes[a]]
+                vb = [sum(n * x for n, x in zip(normal, p)) for p in sep.classes[b]]
+                assert max(va) == hi < lo == min(vb)
+    assert built > 0 and invalidated > 0
+
+
+def test_recheck_tests_only_candidates_that_could_be_gained(monkeypatch):
+    # classes only grow, so the LP runs on the non-faces of the original
+    # nerve whose proper subsets are faces, and never on one of its faces
+    lib = importlib.import_module("wordnerve.nerve")
+    rng = random.Random(41)
+    extended = []
+    for d in (1, 2, 2, 3):
+        g, w, cfg, extras = random_bipartite_instance(rng, d)
+        extended.append((cfg, extend_coloring_bipartite(g, w, cfg, extras)))
+    for seq in ("c0 c1 c2 c0 c1 c3 c2 c0 c3 c1", "c0 c2 c1 c0 c3 c1 c2 c4 c3 c4"):
+        cfg = realize_on_moment_curve(word(seq), 2)
+        extras = random_general_position_extras(rng, cfg, 6)
+        extended.append((cfg, extend_coloring_2d(cfg, extras)))
+    tested = []
+    real = lib.hulls_intersect
+    monkeypatch.setattr(
+        lib, "hulls_intersect", lambda classes: tested.append(classes) or real(classes)
+    )
+    total = 0
+    for cfg, ext in extended:
+        n = len(cfg.points)
+        k = nerve(cfg, 2).complex
+        tested.clear()
+        assert _verified_extension(cfg, lib.NerveResult(k), ext.points[n:], ext.colors[n:]) == ext
+        color_of = dict(zip(cfg.points, cfg.colors))
+        faces = sorted(sorted(color_of[cls[0]] for cls in classes) for classes in tested)
+        assert faces == sorted(
+            sorted(combo) for size in (2, 3) for combo in combinations(k.vertices, size)
+            if not k.is_face(combo)
+            and all(k.is_face(combo[:i] + combo[i + 1:]) for i in range(size))
+        )
+        assert not any(k.is_face(face) for face in faces)
+        total += len(faces)
+    assert total > 0
+
+
+def test_recheck_refuses_an_extra_with_a_new_label():
+    cfg = realize_on_moment_curve(word("abab"), 2)
+    before = nerve(cfg, 2)
+    with pytest.raises(ExtensionError, match="extension changed the nerve"):
+        _verified_extension(cfg, before, [(F(9), F(-1))], ["z"])
