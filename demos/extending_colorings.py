@@ -11,12 +11,12 @@ from wordnerve import (
     extend_coloring_2d,
     extend_coloring_bipartite,
     from_edge_list,
-    nerve,
     one_skeleton,
     realize_on_moment_curve,
     word_bipartite,
     word_from_chord_diagram,
 )
+from wordnerve.nerve import nerve
 from wordnerve.svgplot import svg_for_config
 
 F = Fraction

@@ -10,12 +10,11 @@ from wordnerve import (
     gale_facets,
     hulls_intersect,
     moment_point,
-    nerve,
     one_skeleton,
     realize_on_moment_curve,
     word,
 )
-from wordnerve.nerve import ColoredConfig
+from wordnerve.nerve import ColoredConfig, nerve
 
 # The moment curve t -> (t, t^2, ..., t^d).  Whether two convex hulls of
 # curve points meet is a purely combinatorial question: merge the two

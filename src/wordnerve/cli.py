@@ -12,26 +12,27 @@ identical inputs plus identical flags produce byte-identical outputs
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 import time
 from itertools import combinations
 from pathlib import Path
 
-from . import formats
-from .encode import word_any_graph, word_bipartite, word_from_chord_diagram
-from .geometry import breen_intersect, gale_facets, hulls_intersect, moment_point
+from . import _deferred, formats
 from .graphs import Graph, from_edge_list, one_skeleton
-from .nerve import (
-    extend_coloring_2d,
-    extend_coloring_bipartite,
-    nerve,
-    realize_on_moment_curve,
-)
-from .oracles import brute_max_alternation, facet_oracle
-from .search import NODE_LIMIT, NOT_FOUND, SearchBudget, find_general_word
-from .svgplot import svg_for_config
 from .words import Word, induced_graph_general, max_alternation
+
+# Each handler imports the modules it runs on first use, so a subcommand
+# loads only those.  The four functions below are bindings of this module
+# that `bench/probes.py` wraps.  They load on first access, and the
+# handlers call them through the module object `_cli`, so a wrapped
+# binding is the one that runs.
+__getattr__ = _deferred(globals(), {
+    "gale_facets": "geometry",
+    "nerve": "nerve",
+    "realize_on_moment_curve": "nerve",
+    "extend_coloring_2d": "nerve",
+})
+_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -79,6 +80,8 @@ def cmd_induce(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from .encode import word_any_graph, word_bipartite, word_from_chord_diagram
+
     text = _read(args.input_file)
     if args.mode == "chords":
         doc = formats.load_json(text)
@@ -95,9 +98,11 @@ def cmd_realize(args) -> int:
     w = _single_word(args.word_file)
     if args.svg and args.dim != 2:
         raise ValueError("--svg requires --dim 2")
-    config = realize_on_moment_curve(w, args.dim)
-    skeleton = one_skeleton(nerve(config, 1).complex)
+    config = _cli.realize_on_moment_curve(w, args.dim)
+    skeleton = one_skeleton(_cli.nerve(config, 1).complex)
     if args.svg:  # first, so that an unwritable path leaves stdout empty
+        from .svgplot import svg_for_config
+
         Path(args.svg).write_text(svg_for_config(config))
     _emit(formats.dump_json(formats.config_to_doc(config)), args.output)
     summary = f"nerve 1-skeleton ({len(skeleton.edges)} edges):\n" + _graph_summary(skeleton)
@@ -106,6 +111,8 @@ def cmd_realize(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import NODE_LIMIT, NOT_FOUND, SearchBudget, find_general_word
+
     g = formats.parse_graph_file(_read(args.graph_file))
     budget = SearchBudget(
         max_copies_per_letter=args.max_copies,
@@ -123,7 +130,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_facets(args) -> int:
-    facets = gale_facets(args.r, args.d)
+    facets = _cli.gale_facets(args.r, args.d)
     doc = {"r": args.r, "d": args.d, "facets": [list(f) for f in facets]}
     _emit(formats.dump_json(doc), args.output)
     return EXIT_OK
@@ -137,21 +144,29 @@ def cmd_extend(args) -> int:
             f"extras dimension {extras_dim} != configuration dimension {config.dimension}"
         )
     if args.mode == "planar":
-        extended = extend_coloring_2d(config, extras)
+        extended = _cli.extend_coloring_2d(config, extras)
     else:
+        from .nerve import extend_coloring_bipartite
+
         if not args.graph:
             raise ValueError("--mode bipartite requires --graph")
         g = formats.parse_graph_file(_read(args.graph))
         extended = extend_coloring_bipartite(g, Word(config.colors), config, extras)
     # Both extensions check that the extended nerve equals the original one,
     # so one edge count serves before and after.
-    edges = len(nerve(config, 1).complex.faces_of_size(2))
+    edges = len(_cli.nerve(config, 1).complex.faces_of_size(2))
     _emit(formats.dump_json(formats.config_to_doc(extended)), args.output)
     sys.stdout.write(f"nerve preserved: {edges} edges before, {edges} after\n")
     return EXIT_OK
 
 
 def _selftest(seed: int) -> list[tuple[str, bool]]:
+    import random
+
+    from .encode import word_any_graph
+    from .geometry import breen_intersect, hulls_intersect, moment_point
+    from .oracles import brute_max_alternation, facet_oracle
+
     rng = random.Random(seed)
     checks: list[tuple[str, bool]] = []
 
@@ -172,7 +187,7 @@ def _selftest(seed: int) -> list[tuple[str, bool]]:
     checks.append(("breen-vs-feasibility", ok))
 
     ok = all(
-        facet_oracle(r, d) == gale_facets(r, d) for r, d in [(5, 3), (6, 2), (6, 4), (7, 3)]
+        facet_oracle(r, d) == _cli.gale_facets(r, d) for r, d in [(5, 3), (6, 2), (6, 4), (7, 3)]
     )
     checks.append(("gale-vs-hyperplane-sides", ok))
 

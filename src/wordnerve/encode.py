@@ -15,14 +15,12 @@ occurrence can never create a d-intersection.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, bipartition
+from .graphs import Graph, GraphError, Record, bipartition
 from .words import Word
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
+class ChordDiagram(Record):
     """2n circle slots; each chord label occupies exactly two of them."""
 
     slots: tuple[str, ...]
@@ -58,8 +56,7 @@ def word_any_graph(g: Graph) -> tuple[Word, int]:
     return Word(tuple(letters)), d
 
 
-@dataclass(frozen=True)
-class BipartiteLayout:
+class BipartiteLayout(Record):
     """Full position bookkeeping for the bipartite word construction."""
 
     word: Word

@@ -9,14 +9,18 @@ plain integers when the denominator is one).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-from .encode import ChordDiagram
-from .geometry import GeometryError, Point, rational
 from .graphs import Graph, GraphError, from_edge_list
-from .nerve import ColoredConfig
-from .search import SearchBudget, SearchVerdict
 from .words import Word
+
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:  # annotations only: the builders import these on first use
+    from fractions import Fraction
+
+    from .encode import ChordDiagram
+    from .geometry import Point
+    from .nerve import ColoredConfig
+    from .search import SearchBudget, SearchVerdict
 
 
 class FormatError(ValueError):
@@ -128,15 +132,6 @@ def fraction_str(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _parse_coord(x) -> Fraction:
-    """`geometry.rational` with a FormatError: a JSON integer or a string
-    of its grammar, what `fraction_str` writes."""
-    try:
-        return rational(x)
-    except GeometryError as exc:
-        raise FormatError(f"bad rational {x!r}: expected integer or 'p/q' string") from exc
-
-
 def points_to_doc(points: list[Point], dimension: int) -> dict:
     return {
         "dimension": dimension,
@@ -145,6 +140,8 @@ def points_to_doc(points: list[Point], dimension: int) -> dict:
 
 
 def points_from_doc(doc: dict) -> tuple[list[Point], int]:
+    from .geometry import GeometryError, rational
+
     try:
         d = doc["dimension"]
     except KeyError as exc:
@@ -155,10 +152,15 @@ def points_from_doc(doc: dict) -> tuple[list[Point], int]:
     for row in _list_field(doc, "points", "point"):
         if not isinstance(row, list):
             raise FormatError("bad point document: points must be a list of coordinate lists")
-        p = tuple(_parse_coord(c) for c in row)
+        p = []
+        for x in row:  # a JSON integer or a string of what `fraction_str` writes
+            try:
+                p.append(rational(x))
+            except GeometryError as exc:
+                raise FormatError(f"bad rational {x!r}: expected integer or 'p/q' string") from exc
         if len(p) != d:
             raise FormatError(f"point {row} does not have dimension {d}")
-        points.append(p)
+        points.append(tuple(p))
     return points, d
 
 
@@ -171,6 +173,8 @@ def config_to_doc(config: ColoredConfig) -> dict:
 
 
 def config_from_doc(doc: dict) -> ColoredConfig:
+    from .nerve import ColoredConfig
+
     points, _ = points_from_doc(doc)
     colors = [_label(c) for c in _list_field(doc, "colors", "configuration")]
     return ColoredConfig(tuple(points), tuple(colors))
@@ -179,6 +183,8 @@ def config_from_doc(doc: dict) -> ColoredConfig:
 # -- circle structures ------------------------------------------------------
 
 def circle_structure_from_doc(doc: dict) -> ChordDiagram:
+    from .encode import ChordDiagram
+
     kind = doc.get("kind")
     if kind != "chord-diagram":
         raise FormatError(f"unknown circle structure kind {kind!r}")

@@ -23,10 +23,10 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .graphs import Record
 from .lp import feasible_eq_nonneg
 from .words import pair_runs
 
@@ -167,8 +167,7 @@ def gale_facets(r: int, d: int) -> list[tuple[int, ...]]:
     return facets
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(Record):
     """normal . q = offset, with the normal a primitive integer vector
     whose first nonzero entry is positive (deterministic serialization)."""
 

@@ -9,23 +9,69 @@ preserve labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
+
+
+class Record:
+    """Base of the package's frozen value classes, in place of a frozen
+    dataclass: importing `dataclasses` and building the classes took a
+    large share of every CLI start-up.
+
+    The annotated class attributes of a subclass are its fields, in order.
+    The constructor takes them positionally or by keyword, then calls
+    `__post_init__`.  Equality, hash and repr go over the fields, as for a
+    dataclass; other instance attributes stay outside all three.
+    Assignment raises AttributeError; unpickling restores the instance
+    dictionary without calling the constructor.
+    """
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) + len(kwargs) != len(fields) or (
+            kwargs and not kwargs.keys() <= set(fields[len(args):])
+        ):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        vars(self).update(zip(fields, args), **kwargs)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class GraphError(ValueError):
     """Bad graph input (self-loop, unknown vertex, ...)."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Immutable simple graph with sorted vertex tuple and canonical edge set."""
 
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
-    _adj: dict[str, frozenset[str]] = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
 
     def __post_init__(self):
         adj: dict[str, set[str]] = {v: set() for v in self.vertices}
@@ -120,8 +166,7 @@ class ComplexError(ValueError):
     """Face set that is not a valid simplicial complex."""
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Downward-closed face set over string vertex labels.
 
     Faces are stored as frozensets; every singleton of a declared vertex

@@ -25,7 +25,6 @@ and asks the LP only when an extra lands on the wrong side of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -43,7 +42,7 @@ from .geometry import (
     point,
     rational,
 )
-from .graphs import Graph, SimplicialComplex
+from .graphs import Graph, Record, SimplicialComplex
 from .words import Word, pair_runs
 
 
@@ -54,8 +53,7 @@ class ExtensionError(RuntimeError):
 DegenerateInputError = GeometryError  # the nerve code's name for the same class
 
 
-@dataclass(frozen=True)
-class ColoredConfig:
+class ColoredConfig(Record):
     """Distinct points in one dimension, each carrying a color label."""
 
     points: tuple[Point, ...]
@@ -91,8 +89,7 @@ class ColoredConfig:
         return out
 
 
-@dataclass(frozen=True)
-class NerveResult:
+class NerveResult(Record):
     complex: SimplicialComplex
 
 

@@ -28,9 +28,8 @@ so every worker count returns the sequential verdict, node count included.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, Record
 from .words import Word, induced_graph_general
 
 FOUND = "found"
@@ -42,8 +41,7 @@ class SearchError(ValueError):
     """Degenerate budget or unusable search input."""
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(Record):
     max_copies_per_letter: int
     max_total_length: int
     node_limit: int
@@ -53,8 +51,7 @@ class SearchBudget:
             raise SearchError("budget fields must all be positive")
 
 
-@dataclass(frozen=True)
-class SearchVerdict:
+class SearchVerdict(Record):
     outcome: str
     witness: Word | None
     nodes_explored: int
@@ -62,6 +59,14 @@ class SearchVerdict:
     @property
     def found(self) -> bool:
         return self.outcome == FOUND
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (`taskset` narrows it), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _problem_arrays(g: Graph):
@@ -360,7 +365,7 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
     # depth 0: the one prefix is the empty word and its DFS is the whole
     # search.  A witness no deeper than the cut ends the enumeration, after
     # every prefix emitted before it.
-    workers = min(jobs, os.cpu_count() or 1)
+    workers = min(jobs, usable_cpus())
     args = (len(letters), adj, d, budget, auts)
     enum = _Enumeration(*args)
     prefixes: list[tuple[tuple[int, ...], int]] = []

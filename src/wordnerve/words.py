@@ -14,17 +14,14 @@ A word induces two graphs on its alphabet:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import Graph, check_token
+from .graphs import Graph, Record, check_token
 
 
 class WordError(ValueError):
     """Bad word input."""
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """Immutable sequence of string letters."""
 
     letters: tuple[str, ...]

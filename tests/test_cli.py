@@ -1,4 +1,3 @@
-import importlib
 import json
 import time
 from itertools import combinations
@@ -7,6 +6,7 @@ from xml.etree import ElementTree
 
 import pytest
 
+import wordnerve.nerve as nerve_lib
 from wordnerve import formats
 from wordnerve.cli import main
 from wordnerve.graphs import from_edge_list
@@ -359,14 +359,13 @@ def test_extend_planar_hollow_triangle_is_an_input_error(tmp_path, capsys):
 def test_internal_error_has_one_prefix(capsys, monkeypatch):
     # the hull test reports one non-face pair as meeting once its classes
     # hold extras, which only the re-check of the extended configuration sees
-    lib = importlib.import_module("wordnerve.nerve")
     config = formats.config_from_doc(json.loads((DATA / "planar_config.json").read_text()))
     color_of = dict(zip(config.points, config.colors))
     apart = next(
         {a, b} for a, b in combinations(config.color_labels, 2)
-        if not lib.nerve(config, 2).complex.is_face((a, b))
+        if not nerve_lib.nerve(config, 2).complex.is_face((a, b))
     )
-    real = lib.hulls_intersect
+    real = nerve_lib.hulls_intersect
 
     def one_pair_meets(classes):
         extended = any(p not in color_of for cls in classes for p in cls)
@@ -374,7 +373,7 @@ def test_internal_error_has_one_prefix(capsys, monkeypatch):
             return True
         return real(classes)
 
-    monkeypatch.setattr(lib, "hulls_intersect", one_pair_meets)
+    monkeypatch.setattr(nerve_lib, "hulls_intersect", one_pair_meets)
     code, out, err = run(capsys, *golden_argv("planar"))
     assert code == 4
     assert out == ""
@@ -389,10 +388,10 @@ def test_internal_error_has_one_prefix(capsys, monkeypatch):
 ])
 def test_extend_rejects_repeated_extras_before_any_hull_test(
         tmp_path, capsys, monkeypatch, name, points, message):
-    lib = importlib.import_module("wordnerve.nerve")
     calls = []
-    real = lib.hulls_intersect
-    monkeypatch.setattr(lib, "hulls_intersect", lambda classes: calls.append(1) or real(classes))
+    real = nerve_lib.hulls_intersect
+    monkeypatch.setattr(nerve_lib, "hulls_intersect",
+                        lambda classes: calls.append(1) or real(classes))
     ef = write(tmp_path, "extras.json", formats.dump_json({"dimension": 2, "points": points}))
     argv = golden_argv(name)
     argv[2] = ef

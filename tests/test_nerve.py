@@ -1,4 +1,3 @@
-import importlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import wordnerve.nerve as nerve_lib
 from wordnerve.encode import ChordDiagram, word_bipartite, word_from_chord_diagram
 from wordnerve.geometry import hulls_intersect, moment_point, point
 from wordnerve.graphs import from_edge_list, is_triangle_free, one_skeleton
@@ -212,7 +212,7 @@ def count_hull_tests(monkeypatch, module) -> Counter:
 
 
 def test_curve_configurations_skip_the_pair_lp(monkeypatch):
-    lib = count_hull_tests(monkeypatch, importlib.import_module("wordnerve.nerve"))
+    lib = count_hull_tests(monkeypatch, nerve_lib)
     ref = count_hull_tests(monkeypatch, oracles)
     cfg = realize_on_moment_curve(ROADMAP_WORD, 2, ROADMAP_PARAMS)
     assert nerve(cfg, 2).complex == nerve_lp(cfg, 2).complex
@@ -598,7 +598,6 @@ def extend_colors(g, w, cfg, extras):
 
 
 def test_separations_match_the_lp_only_reference(monkeypatch):
-    lib = importlib.import_module("wordnerve.nerve")
     built = invalidated = 0
 
     class Counted(_Separations):
@@ -611,9 +610,9 @@ def test_separations_match_the_lp_only_reference(monkeypatch):
         d = (1, 1, 2, 2, 2, 3, 3, 4)[case % 8]
         g, w, cfg, extras = random_bipartite_instance(rng, d)
         made = []
-        monkeypatch.setattr(lib, "_Separations", Counted)
+        monkeypatch.setattr(nerve_lib, "_Separations", Counted)
         colors = extend_colors(g, w, cfg, extras)
-        monkeypatch.setattr(lib, "_Separations", oracles.LPSeparations)
+        monkeypatch.setattr(nerve_lib, "_Separations", oracles.LPSeparations)
         assert colors == extend_colors(g, w, cfg, extras)
         for sep in made:
             pairs = sum(map(len, sep.apart.values())) // 2
@@ -629,7 +628,6 @@ def test_separations_match_the_lp_only_reference(monkeypatch):
 def test_recheck_tests_only_candidates_that_could_be_gained(monkeypatch):
     # classes only grow, so the LP runs on the non-faces of the original
     # nerve whose proper subsets are faces, and never on one of its faces
-    lib = importlib.import_module("wordnerve.nerve")
     rng = random.Random(41)
     extended = []
     for d in (1, 2, 2, 3):
@@ -640,16 +638,17 @@ def test_recheck_tests_only_candidates_that_could_be_gained(monkeypatch):
         extras = random_general_position_extras(rng, cfg, 6)
         extended.append((cfg, extend_coloring_2d(cfg, extras)))
     tested = []
-    real = lib.hulls_intersect
+    real = nerve_lib.hulls_intersect
     monkeypatch.setattr(
-        lib, "hulls_intersect", lambda classes: tested.append(classes) or real(classes)
+        nerve_lib, "hulls_intersect", lambda classes: tested.append(classes) or real(classes)
     )
     total = 0
     for cfg, ext in extended:
         n = len(cfg.points)
         k = nerve(cfg, 2).complex
         tested.clear()
-        assert _verified_extension(cfg, lib.NerveResult(k), ext.points[n:], ext.colors[n:]) == ext
+        result = nerve_lib.NerveResult(k)
+        assert _verified_extension(cfg, result, ext.points[n:], ext.colors[n:]) == ext
         color_of = dict(zip(cfg.points, cfg.colors))
         faces = sorted(sorted(color_of[cls[0]] for cls in classes) for classes in tested)
         assert faces == sorted(

@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from wordnerve import search
 from wordnerve.encode import word_bipartite
 from wordnerve.graphs import Graph, bipartition, from_edge_list
 from wordnerve.search import (
@@ -205,21 +206,30 @@ def _inline_pool(sizes):
 def test_pool_is_capped_at_cpu_count(monkeypatch):
     w5 = wheel5()  # 4 depth-2 prefixes
     budget = SearchBudget(5, 15, 10_000_000)
-    cpus = os.cpu_count() or 1
+    cpus = search.usable_cpus()
     sizes = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(sizes))
     verdicts = [find_general_word(w5, 2, budget, jobs=64)]
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "usable_cpus", lambda: 2)
     verdicts.append(find_general_word(w5, 2, budget, jobs=64))
-    monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+    monkeypatch.setattr(search, "usable_cpus", lambda: 1000)
     verdicts.append(find_general_word(w5, 2, budget, jobs=64))
     verdicts.append(find_general_word(w5, 2, budget, jobs=3))
     # one batch per prefix at most, never one list per requested job
     verdicts.append(find_general_word(w5, 2, budget, jobs=10**9))
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(search, "usable_cpus", lambda: 1)
     verdicts.append(find_general_word(w5, 2, budget, jobs=64))  # in-process: no pool
     assert sizes == ([min(4, cpus)] if cpus > 1 else []) + [2, 4, 3, 4]
     assert all(v == sequential_search(w5, 2, budget) for v in verdicts)
+
+
+def test_usable_cpus_follows_the_affinity_mask(monkeypatch):
+    """Under `taskset -c 0` on a 2-CPU machine the pool gets one worker."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert search.usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert search.usable_cpus() == 2
 
 
 def test_jobs_match_sequential_on_random_graphs():
@@ -239,7 +249,7 @@ def test_every_jobs_value_returns_the_sequential_verdict(monkeypatch):
     """Outcome, witness and node count equal the plain DFS's for every
     jobs value, also when the node limit cuts the search short."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(search, "usable_cpus", lambda: 64)
     rng = random.Random(24)
     outcomes = set()
     for _ in range(300):
