@@ -15,7 +15,6 @@ import argparse
 import sys
 import time
 from itertools import combinations
-from pathlib import Path
 
 from . import _deferred, formats
 from .graphs import Graph, from_edge_list, one_skeleton
@@ -45,12 +44,18 @@ _INPUT_ERRORS = (ValueError, OSError)
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    with open(path) as f:
+        return f.read()
+
+
+def _write(path: str, text: str):
+    with open(path, "w") as f:
+        f.write(text)
 
 
 def _emit(text: str, output: str | None):
     if output:
-        Path(output).write_text(text)
+        _write(output, text)
     else:
         sys.stdout.write(text)
 
@@ -103,7 +108,7 @@ def cmd_realize(args) -> int:
     if args.svg:  # first, so that an unwritable path leaves stdout empty
         from .svgplot import svg_for_config
 
-        Path(args.svg).write_text(svg_for_config(config))
+        _write(args.svg, svg_for_config(config))
     _emit(formats.dump_json(formats.config_to_doc(config)), args.output)
     summary = f"nerve 1-skeleton ({len(skeleton.edges)} edges):\n" + _graph_summary(skeleton)
     (sys.stdout if args.output else sys.stderr).write(summary)

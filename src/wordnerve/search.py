@@ -20,9 +20,11 @@ Completeness-preserving cuts:
 * total alternation still owed must fit in the remaining slots, each of
   which can serve at most one run per deficient pair of its letter.
 
-The enumeration tree can be split at a fixed prefix depth across worker
-processes; the parent adds up the prefixes' node counts in sequential order,
-so every worker count returns the sequential verdict, node count included.
+The enumeration tree can be split at a prefix depth across worker
+processes, which share one stop rank so that no prefix ranked after a
+witness starts; the parent adds up the prefixes' node counts in sequential
+order, so every worker count returns the sequential verdict, node count
+included.
 """
 
 from __future__ import annotations
@@ -139,9 +141,10 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
 
 
 class _Enumeration:
-    """Mutable DFS state over letter indices 0..n-1: last[x] is the word
-    position of x's last copy or -1, alt[x][y] the run count of the pair.
-    Appending x opens a run of {x, y} iff last[x] <= last[y]."""
+    """The DFS over letter indices 0..n-1 for one problem.  Its state lives
+    in `dfs`: last[x] is the word position of x's last copy or -1, and
+    alt[x][y] the run count of the pair.  Appending x opens a run of
+    {x, y} iff last[x] <= last[y]."""
 
     def __init__(self, n: int, adj: list[list[bool]], d: int, budget: SearchBudget,
                  auts: list[tuple[int, ...]]):
@@ -151,179 +154,182 @@ class _Enumeration:
         self.max_copies = budget.max_copies_per_letter
         self.max_len = budget.max_total_length
         self.node_limit = budget.node_limit
-
-        self.word: list[int] = []
-        self.alt = [[0] * n for _ in range(n)]
-        self.last = [-1] * n
-        self.counts = [0] * n
-        self.introduced = 0
-        self.total_deficit = sum(
-            self.target for i in range(n) for j in range(i + 1, n) if adj[i][j]
-        )
-        self.deficient_deg = [sum(1 for j in range(n) if adj[i][j]) for i in range(n)]
-        identity = tuple(range(n))
-        self.stab_stack = [[p for p in auts if p != identity]]
-
+        self.auts = auts
         self.nodes = 0
         self.found: list[int] | None = None
         self.limit_hit = False
 
-    def _useful(self, x: int) -> bool:
-        adj_x, alt_x, last, lx = self.adj[x], self.alt[x], self.last, self.last[x]
-        for y in range(self.n):
-            if adj_x[y] and alt_x[y] < self.target and lx < last[y]:
-                return True
-        return False
-
-    def _append(self, x: int):
-        """Apply letter x; return (ok, lx), lx being x's previous last position."""
-        ok = True
-        target = self.target
-        adj_x, alt_x, last, lx = self.adj[x], self.alt[x], self.last, self.last[x]
-        for y in range(self.n):
-            if y != x and lx <= last[y]:
-                new_alt = alt_x[y] + 1
-                alt_x[y] = self.alt[y][x] = new_alt
-                if adj_x[y]:
-                    if new_alt <= target:
-                        self.total_deficit -= 1
-                        if new_alt == target:
-                            self.deficient_deg[x] -= 1
-                            self.deficient_deg[y] -= 1
-                elif new_alt >= target:
-                    ok = False  # non-edge became d-intersecting; hopeless
-        if lx < 0:
-            self.introduced += 1
-            self.stab_stack.append([p for p in self.stab_stack[-1] if p[x] == x])
-        self.counts[x] += 1
-        last[x] = len(self.word)
-        self.word.append(x)
-        self.nodes += 1
-        return ok, lx
-
-    def _undo(self, lx: int):
-        """Pop x; undo is LIFO, so its previous last position lx finds its pairs."""
-        x = self.word.pop()
-        if lx < 0:
-            self.stab_stack.pop()
-            self.introduced -= 1
-        self.counts[x] -= 1
-        adj_x, alt_x, last, target = self.adj[x], self.alt[x], self.last, self.target
-        last[x] = lx
-        for y in range(self.n):
-            if y != x and lx <= last[y]:
-                runs = alt_x[y]
-                if adj_x[y] and runs <= target:
-                    self.total_deficit += 1
-                    if runs == target:
-                        self.deficient_deg[x] += 1
-                        self.deficient_deg[y] += 1
-                alt_x[y] = self.alt[y][x] = runs - 1
-
-    def _candidates(self):
-        n, counts, word = self.n, self.counts, self.word
-        prev = word[-1] if word else -1
-        stab = self.stab_stack[-1]
-        for x in range(n):
-            if x == prev or counts[x] >= self.max_copies:
-                continue
-            if counts[x] == 0:
-                if any(p[x] < x for p in stab):
-                    continue
-            elif not self._useful(x):
-                continue
-            yield x
-
-    def _prune(self, x: int) -> bool:
-        """True when the subtree below the freshly appended x is hopeless."""
-        rem = self.max_len - len(self.word)
-        if self.n - self.introduced > rem:
-            return True
-        if self.total_deficit > 0:
-            gmax = 0
-            for z in range(self.n):
-                if self.counts[z] < self.max_copies and self.deficient_deg[z] > gmax:
-                    gmax = self.deficient_deg[z]
-            if self.total_deficit > rem * gmax:
-                return True
-            for y in range(self.n):
-                if self.adj[x][y] and self.alt[x][y] < self.target:
-                    deficit = self.target - self.alt[x][y]
-                    if deficit > rem:
-                        return True
-                    room = (self.max_copies - self.counts[x]) + (
-                        self.max_copies - self.counts[y]
-                    )
-                    if deficit > room:
-                        return True
-        return False
-
-    def _children(self, depth_cap: int | None, prefix_sink):
-        """The letters to try below the current word, fixed on entry: none
-        at the length bound, and none at the depth cap, where the word is
-        emitted to prefix_sink instead of being expanded."""
-        if len(self.word) >= self.max_len:
-            return iter(())
-        if depth_cap is not None and len(self.word) >= depth_cap:
-            prefix_sink.append((tuple(self.word), self.nodes))
-            return iter(())
-        return iter(list(self._candidates()))
-
-    def dfs(self, depth_cap: int | None = None,
+    def dfs(self, prefix: tuple[int, ...] = (), depth_cap: int | None = None,
             prefix_sink: list[tuple[tuple[int, ...], int]] | None = None):
-        """Exhaust the subtree below the current word.  The stack holds one
-        candidate iterator per open word, and undos[k] removes the letter
-        that opened frames[k + 1], so depth is bounded by max_len only."""
-        frames = [self._children(depth_cap, prefix_sink)]
-        undos = []
-        while frames:
-            x = next(frames[-1], None)
-            if x is None:
-                frames.pop()
-                if undos:
-                    self._undo(undos.pop())
+        """Exhaust the subtree below `prefix`, a word this search enumerated
+        (neither a witness nor pruned), whose letters are replayed but not
+        counted as nodes.  A word at depth_cap goes to prefix_sink with the
+        node count so far instead of being expanded.  One loop, no
+        recursion: its[k] iterates the children of the word's first k
+        letters, fixed on entry, and lxs[k] is the previous last position of
+        the word's letter k, which is all its undo needs."""
+        n, adj, target, max_copies, max_len = (
+            self.n, self.adj, self.target, self.max_copies, self.max_len)
+        node_limit, cap = self.node_limit, max_len if depth_cap is None else depth_cap
+        nbrs = [[y for y in range(n) if adj[x][y]] for x in range(n)]
+        non_nbrs = [[y for y in range(n) if y != x and not adj[x][y]] for x in range(n)]
+        word: list[int] = []
+        alt = [[0] * n for _ in range(n)]
+        last = [-1] * n
+        counts = [0] * n
+        deficient_deg = [len(ys) for ys in nbrs]
+        deficit = target * sum(deficient_deg) // 2  # runs still owed, over all edges
+        introduced = 0
+        identity = tuple(range(n))
+        stabs = [[p for p in self.auts if p != identity]]
+        nodes = -len(prefix)
+        its: list = []
+        lxs: list[int] = []
+        x = -1  # the word's last letter whenever a word is opened
+        opened = True
+        while True:
+            if opened:  # fix the children of the word just opened
+                depth = len(word)
+                kids = ()
+                if depth < len(prefix):
+                    kids = prefix[depth:depth + 1]
+                elif depth < max_len:
+                    # the cuts, on every word but the root: a slot for each
+                    # missing letter, and room for every run still owed
+                    rem = max_len - depth
+                    pruned = depth > 0 and n - introduced > rem
+                    if depth > 0 and deficit and not pruned:
+                        gmax = 0
+                        for z in range(n):
+                            if counts[z] < max_copies and deficient_deg[z] > gmax:
+                                gmax = deficient_deg[z]
+                        pruned = deficit > rem * gmax
+                        alt_x, room = alt[x], 2 * max_copies - counts[x]
+                        for y in nbrs[x]:
+                            owed = target - alt_x[y]
+                            if owed > 0 and (owed > rem or owed > room - counts[y]):
+                                pruned = True
+                                break
+                    if pruned:
+                        pass
+                    elif depth >= cap:
+                        prefix_sink.append((tuple(word), nodes))
+                    else:
+                        kids = []
+                        stab = stabs[-1]
+                        for z in range(n):
+                            if z == x or counts[z] >= max_copies:
+                                continue
+                            if counts[z] == 0:
+                                for p in stab:
+                                    if p[z] < z:
+                                        break
+                                else:
+                                    kids.append(z)
+                                continue
+                            alt_z, lz = alt[z], last[z]
+                            for y in nbrs[z]:
+                                if alt_z[y] < target and lz < last[y]:
+                                    kids.append(z)
+                                    break
+                its.append(iter(kids))
+            x = next(its[-1], -1)
+            if x < 0:  # children exhausted: close the word
+                its.pop()
+                if not lxs:
+                    break
+                x, lx = word.pop(), lxs.pop()
+                if lx < 0:
+                    stabs.pop()
+                    introduced -= 1
+                counts[x] -= 1
+                last[x] = lx
+                alt_x = alt[x]
+                for y in nbrs[x]:
+                    if lx <= last[y]:
+                        runs = alt_x[y]
+                        if runs <= target:
+                            deficit += 1
+                            if runs == target:
+                                deficient_deg[x] += 1
+                                deficient_deg[y] += 1
+                        alt_x[y] = alt[y][x] = runs - 1
+                for y in non_nbrs[x]:
+                    if lx <= last[y]:
+                        alt_x[y] = alt[y][x] = alt_x[y] - 1
+                opened = False
                 continue
-            if self.nodes >= self.node_limit:
+            if nodes >= node_limit:
                 self.limit_hit = True
                 break
-            ok, undo = self._append(x)
-            if ok:
-                if self.total_deficit == 0 and self.introduced == self.n:
-                    self.found = list(self.word)
-                    self._undo(undo)
+            nodes += 1
+            lx, alt_x = last[x], alt[x]
+            opened = False
+            for y in non_nbrs[x]:
+                if lx <= last[y] and alt_x[y] == target - 1:
+                    break  # a non-edge would become d-intersecting: hopeless
+            else:
+                for y in nbrs[x]:
+                    if lx <= last[y]:
+                        runs = alt_x[y] + 1
+                        alt_x[y] = alt[y][x] = runs
+                        if runs <= target:
+                            deficit -= 1
+                            if runs == target:
+                                deficient_deg[x] -= 1
+                                deficient_deg[y] -= 1
+                for y in non_nbrs[x]:
+                    if lx <= last[y]:
+                        alt_x[y] = alt[y][x] = alt_x[y] + 1
+                if lx < 0:
+                    introduced += 1
+                    stabs.append([p for p in stabs[-1] if p[x] == x])
+                counts[x] += 1
+                last[x] = len(word)
+                word.append(x)
+                lxs.append(lx)
+                if deficit == 0 and introduced == n:
+                    self.found = word
                     break
-                if not self._prune(x):
-                    frames.append(self._children(depth_cap, prefix_sink))
-                    undos.append(undo)
-                    continue
-            self._undo(undo)
-        for undo in reversed(undos):
-            self._undo(undo)
-
-    def replay(self, prefix: tuple[int, ...]):
-        for x in prefix:
-            ok, _ = self._append(x)
-            assert ok, "enumerated prefix cannot be in violation"
-        self.nodes -= len(prefix)  # replays are bookkeeping, not exploration
+                opened = True
+        self.nodes = nodes
 
 
-def _run_prefix_batch_impl(n, adj, d, budget, auts, batch):
+def _run_prefix_batch_impl(n, adj, d, budget, auts, batch, stop_rank=None):
     """Worker: DFS-complete each (rank, (prefix, shallow nodes)) in rank
     order, under what the node limit leaves after the shallow nodes and this
     worker's earlier prefixes (never less than the sequential DFS leaves), up
-    to the first witness or spent limit.  Returns {rank: (witness, nodes, limit_hit)}."""
+    to the first witness or spent limit.  With a shared stop_rank, a rank
+    above it is not started, and a witness or spent limit lowers it to the
+    rank that found it.  Returns {rank: (witness, nodes, limit_hit)}."""
     results = {}
     spent = 0
     for rank, (prefix, shallow) in batch:
+        if stop_rank is not None and rank > stop_rank.value:
+            break
         enum = _Enumeration(n, adj, d, budget, auts)
-        enum.replay(prefix)
-        enum.node_limit = budget.node_limit - shallow - spent
-        enum.dfs()
+        enum.node_limit = max(0, budget.node_limit - shallow - spent)
+        enum.dfs(prefix)
         spent += enum.nodes
         results[rank] = (enum.found, enum.nodes, enum.limit_hit)
         if enum.found is not None or enum.limit_hit:
+            if stop_rank is not None:
+                with stop_rank.get_lock():
+                    stop_rank.value = min(stop_rank.value, rank)
             break
     return results
+
+
+_pool_stop_rank = None  # in a pool worker: the stop rank its pool shares
+
+
+def _join_pool(stop_rank):
+    global _pool_stop_rank
+    _pool_stop_rank = stop_rank
+
+
+def _run_pooled_batch(*args):
+    return _run_prefix_batch_impl(*args, _pool_stop_rank)
 
 
 def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> SearchVerdict:
@@ -363,13 +369,20 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
     # Enumerate the canonical prefixes at the cut, each with the sequential
     # node count up to and including it.  With one worker the cut is at
     # depth 0: the one prefix is the empty word and its DFS is the whole
-    # search.  A witness no deeper than the cut ends the enumeration, after
-    # every prefix emitted before it.
+    # search.  Otherwise the cut deepens from depth 2 while the prefixes
+    # grow and number fewer than 8 per worker.  A witness or spent limit no
+    # deeper than the cut ends the enumeration, after every prefix emitted
+    # before it.
     workers = min(jobs, usable_cpus())
     args = (len(letters), adj, d, budget, auts)
-    enum = _Enumeration(*args)
-    prefixes: list[tuple[tuple[int, ...], int]] = []
-    enum.dfs(depth_cap=0 if workers == 1 else 2, prefix_sink=prefixes)
+    depth, previous = (0 if workers == 1 else 2), 0
+    while True:
+        enum, prefixes = _Enumeration(*args), []
+        enum.dfs((), depth, prefixes)
+        if (depth == 0 or not previous < len(prefixes) < 8 * workers
+                or enum.found is not None or enum.limit_hit):
+            break
+        depth, previous = depth + 1, len(prefixes)
     ranked = list(enumerate(prefixes))
     k = min(workers, len(ranked))
     batches = [ranked[w::k] for w in range(k)]
@@ -379,15 +392,21 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
         # Imported on first use: multiprocessing and its dependencies add
         # about 2 MB of resident memory (CPython 3.11, Linux) to every
         # process that imports wordnerve.
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=k) as pool:
-            futures = [pool.submit(_run_prefix_batch_impl, *args, b) for b in batches]
+        # The stop rank reaches the workers as they start, through initargs:
+        # fork inheritance alone would miss it under spawn or forkserver.
+        stop_rank = multiprocessing.Value("q", len(ranked))
+        with ProcessPoolExecutor(max_workers=k, initializer=_join_pool,
+                                 initargs=(stop_rank,)) as pool:
+            futures = [pool.submit(_run_pooled_batch, *args, b) for b in batches]
             parts = [f.result() for f in futures]
     results = {rank: r for part in parts for rank, r in part.items()}
 
     # Add up the nodes in sequential order.  A worker stops after a witness
-    # or a spent limit, so only a rank after such a stop can be missing.
+    # or a spent limit and starts no rank above the shared stop rank, so
+    # only a rank after such a stop can be missing.
     spent = 0
     for rank, (_, shallow) in ranked:
         if rank not in results:

@@ -34,7 +34,6 @@ from wordnerve.search import (
     NODE_LIMIT,
     NOT_FOUND,
     SearchVerdict,
-    _Enumeration,
     _problem_arrays,
     automorphisms,
 )
@@ -146,7 +145,178 @@ def automorphisms_bruteforce(g) -> set[tuple[int, ...]]:
     }
 
 
-def sequential_search(g, d: int, budget, enumeration=_Enumeration) -> SearchVerdict:
+class StepEnumeration:
+    """The search's DFS as it was before `wordnerve.search` flattened it
+    into one loop: one method per step, over the same tree in the same
+    order.  Mutable DFS state over letter indices 0..n-1: last[x] is the
+    word position of x's last copy or -1, alt[x][y] the run count of the
+    pair.  Appending x opens a run of {x, y} iff last[x] <= last[y]."""
+
+    def __init__(self, n: int, adj: list[list[bool]], d: int, budget,
+                 auts: list[tuple[int, ...]]):
+        self.n = n
+        self.adj = adj
+        self.target = d + 2
+        self.max_copies = budget.max_copies_per_letter
+        self.max_len = budget.max_total_length
+        self.node_limit = budget.node_limit
+
+        self.word: list[int] = []
+        self.alt = [[0] * n for _ in range(n)]
+        self.last = [-1] * n
+        self.counts = [0] * n
+        self.introduced = 0
+        self.total_deficit = sum(
+            self.target for i in range(n) for j in range(i + 1, n) if adj[i][j]
+        )
+        self.deficient_deg = [sum(1 for j in range(n) if adj[i][j]) for i in range(n)]
+        identity = tuple(range(n))
+        self.stab_stack = [[p for p in auts if p != identity]]
+
+        self.nodes = 0
+        self.found: list[int] | None = None
+        self.limit_hit = False
+
+    def _useful(self, x: int) -> bool:
+        adj_x, alt_x, last, lx = self.adj[x], self.alt[x], self.last, self.last[x]
+        for y in range(self.n):
+            if adj_x[y] and alt_x[y] < self.target and lx < last[y]:
+                return True
+        return False
+
+    def _append(self, x: int):
+        """Apply letter x; return (ok, lx), lx being x's previous last position."""
+        ok = True
+        target = self.target
+        adj_x, alt_x, last, lx = self.adj[x], self.alt[x], self.last, self.last[x]
+        for y in range(self.n):
+            if y != x and lx <= last[y]:
+                new_alt = alt_x[y] + 1
+                alt_x[y] = self.alt[y][x] = new_alt
+                if adj_x[y]:
+                    if new_alt <= target:
+                        self.total_deficit -= 1
+                        if new_alt == target:
+                            self.deficient_deg[x] -= 1
+                            self.deficient_deg[y] -= 1
+                elif new_alt >= target:
+                    ok = False  # non-edge became d-intersecting; hopeless
+        if lx < 0:
+            self.introduced += 1
+            self.stab_stack.append([p for p in self.stab_stack[-1] if p[x] == x])
+        self.counts[x] += 1
+        last[x] = len(self.word)
+        self.word.append(x)
+        self.nodes += 1
+        return ok, lx
+
+    def _undo(self, lx: int):
+        """Pop x; undo is LIFO, so its previous last position lx finds its pairs."""
+        x = self.word.pop()
+        if lx < 0:
+            self.stab_stack.pop()
+            self.introduced -= 1
+        self.counts[x] -= 1
+        adj_x, alt_x, last, target = self.adj[x], self.alt[x], self.last, self.target
+        last[x] = lx
+        for y in range(self.n):
+            if y != x and lx <= last[y]:
+                runs = alt_x[y]
+                if adj_x[y] and runs <= target:
+                    self.total_deficit += 1
+                    if runs == target:
+                        self.deficient_deg[x] += 1
+                        self.deficient_deg[y] += 1
+                alt_x[y] = self.alt[y][x] = runs - 1
+
+    def _candidates(self):
+        n, counts, word = self.n, self.counts, self.word
+        prev = word[-1] if word else -1
+        stab = self.stab_stack[-1]
+        for x in range(n):
+            if x == prev or counts[x] >= self.max_copies:
+                continue
+            if counts[x] == 0:
+                if any(p[x] < x for p in stab):
+                    continue
+            elif not self._useful(x):
+                continue
+            yield x
+
+    def _prune(self, x: int) -> bool:
+        """True when the subtree below the freshly appended x is hopeless."""
+        rem = self.max_len - len(self.word)
+        if self.n - self.introduced > rem:
+            return True
+        if self.total_deficit > 0:
+            gmax = 0
+            for z in range(self.n):
+                if self.counts[z] < self.max_copies and self.deficient_deg[z] > gmax:
+                    gmax = self.deficient_deg[z]
+            if self.total_deficit > rem * gmax:
+                return True
+            for y in range(self.n):
+                if self.adj[x][y] and self.alt[x][y] < self.target:
+                    deficit = self.target - self.alt[x][y]
+                    if deficit > rem:
+                        return True
+                    room = (self.max_copies - self.counts[x]) + (
+                        self.max_copies - self.counts[y]
+                    )
+                    if deficit > room:
+                        return True
+        return False
+
+    def _children(self, depth_cap: int | None, prefix_sink):
+        """The letters to try below the current word, fixed on entry: none
+        at the length bound, and none at the depth cap, where the word is
+        emitted to prefix_sink instead of being expanded."""
+        if len(self.word) >= self.max_len:
+            return iter(())
+        if depth_cap is not None and len(self.word) >= depth_cap:
+            prefix_sink.append((tuple(self.word), self.nodes))
+            return iter(())
+        return iter(list(self._candidates()))
+
+    def dfs(self, depth_cap: int | None = None,
+            prefix_sink: list[tuple[tuple[int, ...], int]] | None = None):
+        """Exhaust the subtree below the current word.  The stack holds one
+        candidate iterator per open word, and undos[k] removes the letter
+        that opened frames[k + 1], so depth is bounded by max_len only."""
+        frames = [self._children(depth_cap, prefix_sink)]
+        undos = []
+        while frames:
+            x = next(frames[-1], None)
+            if x is None:
+                frames.pop()
+                if undos:
+                    self._undo(undos.pop())
+                continue
+            if self.nodes >= self.node_limit:
+                self.limit_hit = True
+                break
+            ok, undo = self._append(x)
+            if ok:
+                if self.total_deficit == 0 and self.introduced == self.n:
+                    self.found = list(self.word)
+                    self._undo(undo)
+                    break
+                if not self._prune(x):
+                    frames.append(self._children(depth_cap, prefix_sink))
+                    undos.append(undo)
+                    continue
+            self._undo(undo)
+        for undo in reversed(undos):
+            self._undo(undo)
+
+    def replay(self, prefix: tuple[int, ...]):
+        for x in prefix:
+            ok, _ = self._append(x)
+            assert ok, "enumerated prefix cannot be in violation"
+        self.nodes -= len(prefix)  # replays are bookkeeping, not exploration
+
+
+def sequential_search(g, d: int, budget, enumeration=StepEnumeration) -> SearchVerdict:
     """The search as one plain DFS over the whole tree, with no prefix
     split: the verdict every `jobs` value of `find_general_word` must
     return, node count included.  `enumeration` picks the DFS state class."""
@@ -158,7 +328,7 @@ def sequential_search(g, d: int, budget, enumeration=_Enumeration) -> SearchVerd
     return SearchVerdict(NODE_LIMIT if enum.limit_hit else NOT_FOUND, None, enum.nodes)
 
 
-class EndMatrixEnumeration(_Enumeration):
+class EndMatrixEnumeration(StepEnumeration):
     """The DFS state `wordnerve.search` replaced by per-letter last
     positions: endl[x][y] is whichever of x and y came last (-1 before
     both), and each append returns an undo list of (y, old_alt, old_end)."""

@@ -101,3 +101,16 @@ def test_subcommand_in_a_fresh_interpreter(tmp_path, capsys, files, argv, extra,
         assert (code, out) == (expected_code, capsys.readouterr().out)
     if "SVG" in argv:
         assert (tmp_path / "fresh.svg").read_bytes() == (tmp_path / "in-process.svg").read_bytes()
+
+
+def test_imports_load_no_pathlib_and_no_process_pool():
+    """Without `site`, which on some interpreters preloads `pathlib` and so
+    hides it from the `loaded:` sets above, importing the CLI loads no
+    `pathlib`, and importing `search` loads no process-pool machinery."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    child = ("import sys, wordnerve.cli, wordnerve.search\n"
+             "print(sorted({'pathlib', 'multiprocessing', 'concurrent.futures', 'ctypes'}"
+             " & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", child], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout == "[]\n", proc.stderr

@@ -1,6 +1,9 @@
 import concurrent.futures
+import multiprocessing
 import os
 import random
+import subprocess
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -22,7 +25,12 @@ from wordnerve.search import (
 )
 from wordnerve.words import Word, induced_graph_general, max_alternation
 
-from .oracles import EndMatrixEnumeration, automorphisms_bruteforce, sequential_search
+from .oracles import (
+    EndMatrixEnumeration,
+    StepEnumeration,
+    automorphisms_bruteforce,
+    sequential_search,
+)
 
 
 def cycle(n):
@@ -181,13 +189,16 @@ def test_jobs_deterministic():
     assert v4b == v4
 
 
-def _inline_pool(sizes):
-    """A stand-in for ProcessPoolExecutor that records its max_workers and
-    runs every submitted call inline, so no process starts."""
+def _inline_pool(sizes, runs=None):
+    """A stand-in for ProcessPoolExecutor that records its max_workers, runs
+    its initializer and then every submitted call inline, in submission
+    order, so no process starts.  Each call's last argument (the batch) and
+    its result are appended to `runs` when given."""
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -198,13 +209,17 @@ def _inline_pool(sizes):
         def submit(self, fn, *args):
             future = concurrent.futures.Future()
             future.set_result(fn(*args))
+            if runs is not None:
+                runs.append((args[-1], future.result()))
             return future
 
     return InlinePool
 
 
 def test_pool_is_capped_at_cpu_count(monkeypatch):
-    w5 = wheel5()  # 4 depth-2 prefixes
+    # W5 has 4, 15, 66, 298, 1,304, 5,312 and 19,798 prefixes at depths 2
+    # to 8, and the cut deepens until there are 8 per worker
+    w5 = wheel5()
     budget = SearchBudget(5, 15, 10_000_000)
     cpus = search.usable_cpus()
     sizes = []
@@ -215,12 +230,80 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(search, "usable_cpus", lambda: 1000)
     verdicts.append(find_general_word(w5, 2, budget, jobs=64))
     verdicts.append(find_general_word(w5, 2, budget, jobs=3))
-    # one batch per prefix at most, never one list per requested job
     verdicts.append(find_general_word(w5, 2, budget, jobs=10**9))
     monkeypatch.setattr(search, "usable_cpus", lambda: 1)
     verdicts.append(find_general_word(w5, 2, budget, jobs=64))  # in-process: no pool
-    assert sizes == ([min(4, cpus)] if cpus > 1 else []) + [2, 4, 3, 4]
+    assert sizes == ([min(64, cpus)] if cpus > 1 else []) + [2, 64, 3, 1000]
     assert all(v == sequential_search(w5, 2, budget) for v in verdicts)
+    # one batch per prefix at most, never one list per requested job: the
+    # prefixes of C4 at d = 1 stop growing at 7
+    c4, c4_budget = cycle(4), SearchBudget(3, 12, 1_000_000)
+    monkeypatch.setattr(search, "usable_cpus", lambda: 1000)
+    assert find_general_word(c4, 1, c4_budget, jobs=10**9) == sequential_search(c4, 1, c4_budget)
+    assert sizes[-1] == 7
+
+
+def test_no_batch_starts_a_prefix_ranked_after_a_witness(monkeypatch):
+    """The inline pool runs the batches one after another.  Once a batch
+    has recorded a witness or a spent limit at some rank, no later batch
+    starts a rank above it, and the verdict stays the sequential one."""
+    runs = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([], runs))
+    monkeypatch.setattr(search, "usable_cpus", lambda: 2)
+    instances = [(wheel5(), 2, SearchBudget(5, 15, 10_000_000))]
+    rng = random.Random(26)
+    while len(instances) < 12:
+        n = rng.randint(4, 6)
+        labels = [f"v{i}" for i in range(n)]
+        edges = [e for e in combinations(labels, 2) if rng.random() < 0.5]
+        g, d = from_edge_list(edges, labels), rng.randint(1, 3)
+        budget = SearchBudget(3, 14, 200_000)
+        if sequential_search(g, d, budget).found:
+            instances.append((g, d, budget))
+    skipped = 0
+    for g, d, budget in instances:
+        runs.clear()
+        assert find_general_word(g, d, budget, jobs=2) == sequential_search(g, d, budget)
+        stop = float("inf")
+        for batch, part in runs:
+            assert all(rank <= stop for rank in part), (g, d)
+            skipped += sum(rank > stop for rank, _ in batch)
+            stop = min([stop] + [rank for rank, (found, _, limit_hit) in part.items()
+                                 if found is not None or limit_hit])
+    assert skipped > 0  # some batch had ranks after a recorded witness
+
+
+def test_k33_over_two_processes_returns_the_sequential_verdict():
+    k33 = from_edge_list([(u, v) for u in "abc" for v in "xyz"])
+    budget = SearchBudget(3, 24, 5_000_000)  # the CLI's defaults at d = 3
+    v1 = find_general_word(k33, 3, budget, jobs=1)
+    assert (v1.outcome, v1.nodes_explored) == (FOUND, 79_280)
+    assert find_general_word(k33, 3, budget, jobs=2) == v1
+    assert multiprocessing.active_children() == []  # no worker outlives the call
+
+
+def test_jobs_match_under_the_spawn_start_method():
+    """Spawned workers inherit nothing from the parent: the stop rank must
+    reach them through the pool's initializer."""
+    child = (
+        "import multiprocessing\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "from wordnerve import search\n"
+        "from wordnerve.graphs import from_edge_list\n"
+        "search.usable_cpus = lambda: 2  # a pool even on one CPU\n"
+        "edges = [('1', '2'), ('2', '3'), ('3', '4'), ('4', '5'), ('1', '5')]\n"
+        "g = from_edge_list(edges + [(v, '6') for v in '12345'])\n"
+        "budget = search.SearchBudget(5, 15, 10_000_000)\n"
+        "v1 = search.find_general_word(g, 2, budget, jobs=1)\n"
+        "v2 = search.find_general_word(g, 2, budget, jobs=2)\n"
+        "print(v1.outcome, v1.nodes_explored, v1 == v2)\n"
+    )
+    src = os.path.dirname(os.path.dirname(search.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    expected = sequential_search(wheel5(), 2, SearchBudget(5, 15, 10_000_000))
+    assert proc.stdout == f"found {expected.nodes_explored} True\n", proc.stderr
 
 
 def test_usable_cpus_follows_the_affinity_mask(monkeypatch):
@@ -287,6 +370,34 @@ def test_last_positions_match_end_matrix_reference():
         outcomes.add(expected.outcome)
         assert find_general_word(g, d, budget) == expected, (g, d, budget)
     assert outcomes == {FOUND, NOT_FOUND, NODE_LIMIT}
+
+
+def test_prefix_cut_and_replay_match_the_reference():
+    """The flat loop emits the reference DFS's prefixes with the same node
+    counts, and below each replayed prefix returns its witness, node count
+    and limit verdict, also under limits spent inside or before the prefix."""
+    rng = random.Random(27)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        labels = [f"v{i}" for i in range(n)]
+        g = from_edge_list([e for e in combinations(labels, 2) if rng.random() < 0.5], labels)
+        budget = SearchBudget(rng.randint(1, 3), rng.randint(n, 12), 20_000)
+        letters, adj = search._problem_arrays(g)
+        args = (len(letters), adj, rng.randint(1, 3), budget, automorphisms(g))
+        flat, ref = search._Enumeration(*args), StepEnumeration(*args)
+        cut, ref_cut = [], []
+        flat.dfs((), 3, cut)
+        ref.dfs(depth_cap=3, prefix_sink=ref_cut)
+        assert (cut, flat.found, flat.nodes) == (ref_cut, ref.found, ref.nodes)
+        for prefix, _ in cut:
+            for limit in (0, 7, budget.node_limit):
+                flat, ref = search._Enumeration(*args), StepEnumeration(*args)
+                flat.node_limit = ref.node_limit = limit
+                flat.dfs(prefix)
+                ref.replay(prefix)
+                ref.dfs()
+                assert (flat.found, flat.nodes, flat.limit_hit) == (
+                    ref.found, ref.nodes, ref.limit_hit)
 
 
 def test_budget_relative_completeness_vs_naive_enumeration():
