@@ -61,6 +61,11 @@ def point(coords) -> Point:
     return tuple(rational(c) for c in coords)
 
 
+def _point_text(p: Point) -> str:
+    """A point as the files write its coordinates: "(7/3, -5)"."""
+    return f"({', '.join(map(str, p))})"
+
+
 def moment_point(t, d: int) -> Point:
     """(t, t^2, ..., t^d) exactly."""
     if d < 1:
@@ -259,7 +264,7 @@ def _check_general_position_2d(points: list[Point]) -> list[tuple[int, int]]:
             j, k = min(pairs)
             raise GeometryError(
                 f"collinear triple at indices ({i}, {j}, {k}): "
-                f"{points[i]}, {points[j]}, {points[k]}"
+                + ", ".join(_point_text(points[m]) for m in (i, j, k))
             )
     return ints
 

@@ -35,6 +35,7 @@ from .geometry import (
     Point,
     _check_general_position_2d,
     _hull_2d,
+    _point_text,
     _primitive,
     hulls_intersect,
     hyperplane_through_moment_points,
@@ -43,7 +44,7 @@ from .geometry import (
     rational,
 )
 from .graphs import Graph, Record, SimplicialComplex
-from .words import Word, pair_runs
+from .words import Word, _intersecting_pairs
 
 
 class ExtensionError(RuntimeError):
@@ -144,25 +145,25 @@ def nerve(config: ColoredConfig, max_dim: int) -> NerveResult:
     order = _curve_order(config)
     if order is not None:
         seq = [config.colors[i] for i in order]
-        faces.update(
-            frozenset(pair) for pair in combinations(labels, 2)
-            if pair_runs(seq, *pair) >= config.dimension + 2
-        )
+        faces.update(map(frozenset, _intersecting_pairs(seq, config.dimension)))
         first = 3
     for size in range(first, max_dim + 2):
-        layer_hits = []
-        for combo in combinations(labels, size):
-            if any(
-                frozenset(combo[:i] + combo[i + 1 :]) not in faces
-                for i in range(size)
-            ):
-                continue
-            if hulls_intersect([classes[c] for c in combo]):
-                layer_hits.append(frozenset(combo))
-        if not layer_hits:
+        met = _new_faces(faces, classes, size)
+        if not met:
             break
-        faces.update(layer_hits)
+        faces.update(map(frozenset, met))
     return NerveResult(SimplicialComplex(labels, frozenset(faces)))
+
+
+def _new_faces(faces, classes: dict[str, list[Point]], size: int) -> list[tuple[str, ...]]:
+    """The label sets of `size`, in label order, that are not in `faces`
+    while every subset one smaller is, and whose classes' hulls meet."""
+    return [
+        combo for combo in combinations(sorted(classes), size)
+        if frozenset(combo) not in faces
+        and all(frozenset(combo[:i] + combo[i + 1 :]) in faces for i in range(size))
+        and hulls_intersect([classes[c] for c in combo])
+    ]
 
 
 def _coerce_extras(extras, config: ColoredConfig) -> list[Point]:
@@ -177,8 +178,7 @@ def _coerce_extras(extras, config: ColoredConfig) -> list[Point]:
             raise DegenerateInputError(f"extras must live in R^{d}")
         if p in taken:
             where = "a configuration point" if p in config.points else "given twice"
-            text = ", ".join(map(str, p))
-            raise DegenerateInputError(f"extra ({text}) is {where}")
+            raise DegenerateInputError(f"extra {_point_text(p)} is {where}")
         taken.add(p)
         out.append(p)
     return out
@@ -205,14 +205,7 @@ def _verified_extension(config: ColoredConfig, before: NerveResult,
     classes = extended.classes()
     if set(classes) != set(k.vertices):
         raise ExtensionError("extension changed the nerve")
-    met = [
-        combo
-        for size in (2, 3)
-        for combo in combinations(k.vertices, size)
-        if not k.is_face(combo)
-        and all(k.is_face(combo[:i] + combo[i + 1 :]) for i in range(size))
-        and hulls_intersect([classes[c] for c in combo])
-    ]
+    met = _new_faces(k.faces, classes, 2) + _new_faces(k.faces, classes, 3)
     if any(len(combo) == 2 for combo in met):
         raise ExtensionError("extension changed the nerve")
     if met:
@@ -515,7 +508,7 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
     for e in extras:
         sides = [h.side(e) for _, h, _ in hyperplanes]
         if 0 in sides:
-            raise DegenerateInputError(f"extra {e} lies on a separator hyperplane")
+            raise DegenerateInputError(f"extra {_point_text(e)} lies on a separator hyperplane")
         # Candidate order: the region rule's u-color first (the hyperplane
         # whose block side holds the extra, else the last u-color), then
         # the remaining colors.  The region rule alone can weld a far
@@ -534,5 +527,6 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
                 assignment.append(c)
                 break
         else:
-            raise ExtensionError(f"extension step failed: no safe color for extra {e}")
+            raise ExtensionError(
+                f"extension step failed: no safe color for extra {_point_text(e)}")
     return _verified_extension(config, before, extras, assignment)

@@ -20,6 +20,10 @@ Completeness-preserving cuts:
 * total alternation still owed must fit in the remaining slots, each of
   which can serve at most one run per deficient pair of its letter.
 
+`find_general_word` builds the problem once (`_problem`: neighbour lists,
+d + 2, the copy and length bounds and the non-identity automorphisms).
+Every DFS runs over it as `_dfs`, which returns (witness or None, nodes,
+limit_hit): the prefix cut, the in-process batch and the pool batches.
 The enumeration tree can be split at a prefix depth across worker
 processes, which share one stop rank so that no prefix ranked after a
 witness starts; the parent adds up the prefixes' node counts in sequential
@@ -140,162 +144,154 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return perms
 
 
-class _Enumeration:
-    """The DFS over letter indices 0..n-1 for one problem.  Its state lives
-    in `dfs`: last[x] is the word position of x's last copy or -1, and
-    alt[x][y] the run count of the pair.  Appending x opens a run of
-    {x, y} iff last[x] <= last[y]."""
+def _problem(g: Graph, d: int, budget: SearchBudget):
+    """The search problem of g at level d, built once per search and read by
+    every `_dfs` call: (nbrs, non_nbrs, d + 2, copy bound, length bound,
+    automorphisms other than the identity), over the sorted vertex indices."""
+    _, adj = _problem_arrays(g)
+    n = len(adj)
+    identity = tuple(range(n))
+    return ([[y for y in range(n) if adj[x][y]] for x in range(n)],
+            [[y for y in range(n) if y != x and not adj[x][y]] for x in range(n)],
+            d + 2, budget.max_copies_per_letter, budget.max_total_length,
+            [p for p in automorphisms(g) if p != identity])
 
-    def __init__(self, n: int, adj: list[list[bool]], d: int, budget: SearchBudget,
-                 auts: list[tuple[int, ...]]):
-        self.n = n
-        self.adj = adj
-        self.target = d + 2
-        self.max_copies = budget.max_copies_per_letter
-        self.max_len = budget.max_total_length
-        self.node_limit = budget.node_limit
-        self.auts = auts
-        self.nodes = 0
-        self.found: list[int] | None = None
-        self.limit_hit = False
 
-    def dfs(self, prefix: tuple[int, ...] = (), depth_cap: int | None = None,
-            prefix_sink: list[tuple[tuple[int, ...], int]] | None = None):
-        """Exhaust the subtree below `prefix`, a word this search enumerated
-        (neither a witness nor pruned), whose letters are replayed but not
-        counted as nodes.  A word at depth_cap goes to prefix_sink with the
-        node count so far instead of being expanded.  One loop, no
-        recursion: its[k] iterates the children of the word's first k
-        letters, fixed on entry, and lxs[k] is the previous last position of
-        the word's letter k, which is all its undo needs."""
-        n, adj, target, max_copies, max_len = (
-            self.n, self.adj, self.target, self.max_copies, self.max_len)
-        node_limit, cap = self.node_limit, max_len if depth_cap is None else depth_cap
-        nbrs = [[y for y in range(n) if adj[x][y]] for x in range(n)]
-        non_nbrs = [[y for y in range(n) if y != x and not adj[x][y]] for x in range(n)]
-        word: list[int] = []
-        alt = [[0] * n for _ in range(n)]
-        last = [-1] * n
-        counts = [0] * n
-        deficient_deg = [len(ys) for ys in nbrs]
-        deficit = target * sum(deficient_deg) // 2  # runs still owed, over all edges
-        introduced = 0
-        identity = tuple(range(n))
-        stabs = [[p for p in self.auts if p != identity]]
-        nodes = -len(prefix)
-        its: list = []
-        lxs: list[int] = []
-        x = -1  # the word's last letter whenever a word is opened
-        opened = True
-        while True:
-            if opened:  # fix the children of the word just opened
-                depth = len(word)
-                kids = ()
-                if depth < len(prefix):
-                    kids = prefix[depth:depth + 1]
-                elif depth < max_len:
-                    # the cuts, on every word but the root: a slot for each
-                    # missing letter, and room for every run still owed
-                    rem = max_len - depth
-                    pruned = depth > 0 and n - introduced > rem
-                    if depth > 0 and deficit and not pruned:
-                        gmax = 0
-                        for z in range(n):
-                            if counts[z] < max_copies and deficient_deg[z] > gmax:
-                                gmax = deficient_deg[z]
-                        pruned = deficit > rem * gmax
-                        alt_x, room = alt[x], 2 * max_copies - counts[x]
-                        for y in nbrs[x]:
-                            owed = target - alt_x[y]
-                            if owed > 0 and (owed > rem or owed > room - counts[y]):
-                                pruned = True
-                                break
-                    if pruned:
-                        pass
-                    elif depth >= cap:
-                        prefix_sink.append((tuple(word), nodes))
-                    else:
-                        kids = []
-                        stab = stabs[-1]
-                        for z in range(n):
-                            if z == x or counts[z] >= max_copies:
-                                continue
-                            if counts[z] == 0:
-                                for p in stab:
-                                    if p[z] < z:
-                                        break
-                                else:
-                                    kids.append(z)
-                                continue
-                            alt_z, lz = alt[z], last[z]
-                            for y in nbrs[z]:
-                                if alt_z[y] < target and lz < last[y]:
-                                    kids.append(z)
+def _dfs(problem, node_limit: int, prefix: tuple[int, ...] = (), depth_cap: int | None = None,
+         prefix_sink: list[tuple[tuple[int, ...], int]] | None = None):
+    """Exhaust the subtree below `prefix`, a word this search enumerated
+    (neither a witness nor pruned), whose letters are replayed but not
+    counted as nodes, and return (witness or None, nodes, limit_hit).  A
+    word at depth_cap goes to prefix_sink with the node count so far
+    instead of being expanded.
+
+    The state is over letter indices: last[x] is the word position of x's
+    last copy or -1, and alt[x][y] the run count of the pair; appending x
+    opens a run of {x, y} iff last[x] <= last[y].  One loop, no recursion:
+    its[k] iterates the children of the word's first k letters, fixed on
+    entry, and lxs[k] is the previous last position of the word's letter
+    k, which is all its undo needs."""
+    nbrs, non_nbrs, target, max_copies, max_len, auts = problem
+    n, cap = len(nbrs), max_len if depth_cap is None else depth_cap
+    word: list[int] = []
+    alt = [[0] * n for _ in range(n)]
+    last = [-1] * n
+    counts = [0] * n
+    deficient_deg = [len(ys) for ys in nbrs]
+    deficit = target * sum(deficient_deg) // 2  # runs still owed, over all edges
+    introduced = 0
+    stabs = [auts]
+    nodes = -len(prefix)
+    its: list = []
+    lxs: list[int] = []
+    x = -1  # the word's last letter whenever a word is opened
+    opened = True
+    while True:
+        if opened:  # fix the children of the word just opened
+            depth = len(word)
+            kids = ()
+            if depth < len(prefix):
+                kids = prefix[depth:depth + 1]
+            elif depth < max_len:
+                # the cuts, on every word but the root: a slot for each
+                # missing letter, and room for every run still owed
+                rem = max_len - depth
+                pruned = depth > 0 and n - introduced > rem
+                if depth > 0 and deficit and not pruned:
+                    gmax = 0
+                    for z in range(n):
+                        if counts[z] < max_copies and deficient_deg[z] > gmax:
+                            gmax = deficient_deg[z]
+                    pruned = deficit > rem * gmax
+                    alt_x, room = alt[x], 2 * max_copies - counts[x]
+                    for y in nbrs[x]:
+                        owed = target - alt_x[y]
+                        if owed > 0 and (owed > rem or owed > room - counts[y]):
+                            pruned = True
+                            break
+                if pruned:
+                    pass
+                elif depth >= cap:
+                    prefix_sink.append((tuple(word), nodes))
+                else:
+                    kids = []
+                    stab = stabs[-1]
+                    for z in range(n):
+                        if z == x or counts[z] >= max_copies:
+                            continue
+                        if counts[z] == 0:
+                            for p in stab:
+                                if p[z] < z:
                                     break
-                its.append(iter(kids))
-            x = next(its[-1], -1)
-            if x < 0:  # children exhausted: close the word
-                its.pop()
-                if not lxs:
-                    break
-                x, lx = word.pop(), lxs.pop()
-                if lx < 0:
-                    stabs.pop()
-                    introduced -= 1
-                counts[x] -= 1
-                last[x] = lx
-                alt_x = alt[x]
-                for y in nbrs[x]:
-                    if lx <= last[y]:
-                        runs = alt_x[y]
-                        if runs <= target:
-                            deficit += 1
-                            if runs == target:
-                                deficient_deg[x] += 1
-                                deficient_deg[y] += 1
-                        alt_x[y] = alt[y][x] = runs - 1
-                for y in non_nbrs[x]:
-                    if lx <= last[y]:
-                        alt_x[y] = alt[y][x] = alt_x[y] - 1
-                opened = False
-                continue
-            if nodes >= node_limit:
-                self.limit_hit = True
-                break
-            nodes += 1
-            lx, alt_x = last[x], alt[x]
-            opened = False
+                            else:
+                                kids.append(z)
+                            continue
+                        alt_z, lz = alt[z], last[z]
+                        for y in nbrs[z]:
+                            if alt_z[y] < target and lz < last[y]:
+                                kids.append(z)
+                                break
+            its.append(iter(kids))
+        x = next(its[-1], -1)
+        if x < 0:  # children exhausted: close the word
+            its.pop()
+            if not lxs:
+                return None, nodes, False
+            x, lx = word.pop(), lxs.pop()
+            if lx < 0:
+                stabs.pop()
+                introduced -= 1
+            counts[x] -= 1
+            last[x] = lx
+            alt_x = alt[x]
+            for y in nbrs[x]:
+                if lx <= last[y]:
+                    runs = alt_x[y]
+                    if runs <= target:
+                        deficit += 1
+                        if runs == target:
+                            deficient_deg[x] += 1
+                            deficient_deg[y] += 1
+                    alt_x[y] = alt[y][x] = runs - 1
             for y in non_nbrs[x]:
-                if lx <= last[y] and alt_x[y] == target - 1:
-                    break  # a non-edge would become d-intersecting: hopeless
-            else:
-                for y in nbrs[x]:
-                    if lx <= last[y]:
-                        runs = alt_x[y] + 1
-                        alt_x[y] = alt[y][x] = runs
-                        if runs <= target:
-                            deficit -= 1
-                            if runs == target:
-                                deficient_deg[x] -= 1
-                                deficient_deg[y] -= 1
-                for y in non_nbrs[x]:
-                    if lx <= last[y]:
-                        alt_x[y] = alt[y][x] = alt_x[y] + 1
-                if lx < 0:
-                    introduced += 1
-                    stabs.append([p for p in stabs[-1] if p[x] == x])
-                counts[x] += 1
-                last[x] = len(word)
-                word.append(x)
-                lxs.append(lx)
-                if deficit == 0 and introduced == n:
-                    self.found = word
-                    break
-                opened = True
-        self.nodes = nodes
+                if lx <= last[y]:
+                    alt_x[y] = alt[y][x] = alt_x[y] - 1
+            opened = False
+            continue
+        if nodes >= node_limit:
+            return None, nodes, True
+        nodes += 1
+        lx, alt_x = last[x], alt[x]
+        opened = False
+        for y in non_nbrs[x]:
+            if lx <= last[y] and alt_x[y] == target - 1:
+                break  # a non-edge would become d-intersecting: hopeless
+        else:
+            for y in nbrs[x]:
+                if lx <= last[y]:
+                    runs = alt_x[y] + 1
+                    alt_x[y] = alt[y][x] = runs
+                    if runs <= target:
+                        deficit -= 1
+                        if runs == target:
+                            deficient_deg[x] -= 1
+                            deficient_deg[y] -= 1
+            for y in non_nbrs[x]:
+                if lx <= last[y]:
+                    alt_x[y] = alt[y][x] = alt_x[y] + 1
+            if lx < 0:
+                introduced += 1
+                stabs.append([p for p in stabs[-1] if p[x] == x])
+            counts[x] += 1
+            last[x] = len(word)
+            word.append(x)
+            lxs.append(lx)
+            if deficit == 0 and introduced == n:
+                return word, nodes, False
+            opened = True
 
 
-def _run_prefix_batch_impl(n, adj, d, budget, auts, batch, stop_rank=None):
+def _run_prefix_batch_impl(problem, node_limit, batch, stop_rank=None):
     """Worker: DFS-complete each (rank, (prefix, shallow nodes)) in rank
     order, under what the node limit leaves after the shallow nodes and this
     worker's earlier prefixes (never less than the sequential DFS leaves), up
@@ -307,12 +303,10 @@ def _run_prefix_batch_impl(n, adj, d, budget, auts, batch, stop_rank=None):
     for rank, (prefix, shallow) in batch:
         if stop_rank is not None and rank > stop_rank.value:
             break
-        enum = _Enumeration(n, adj, d, budget, auts)
-        enum.node_limit = max(0, budget.node_limit - shallow - spent)
-        enum.dfs(prefix)
-        spent += enum.nodes
-        results[rank] = (enum.found, enum.nodes, enum.limit_hit)
-        if enum.found is not None or enum.limit_hit:
+        results[rank] = found, nodes, limit_hit = _dfs(
+            problem, max(0, node_limit - shallow - spent), prefix)
+        spent += nodes
+        if found is not None or limit_hit:
             if stop_rank is not None:
                 with stop_rank.get_lock():
                     stop_rank.value = min(stop_rank.value, rank)
@@ -350,8 +344,7 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
     if jobs < 1:
         raise SearchError("jobs must be >= 1")
 
-    letters, adj = _problem_arrays(g)
-    auts = automorphisms(g)
+    problem = _problem(g, d, budget)
     limit = budget.node_limit
 
     def verdict_from(found, nodes: int, limit_hit: bool) -> SearchVerdict:
@@ -361,7 +354,7 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
             return SearchVerdict(NODE_LIMIT, None, limit)
         if found is None:
             return SearchVerdict(NOT_FOUND, None, nodes)
-        w = Word(tuple(letters[i] for i in found))
+        w = Word(tuple(g.vertices[i] for i in found))
         if induced_graph_general(w, d) != g:
             raise RuntimeError(f"witness {w} fails post-hoc verification")
         return SearchVerdict(FOUND, w, nodes)
@@ -374,20 +367,19 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
     # deeper than the cut ends the enumeration, after every prefix emitted
     # before it.
     workers = min(jobs, usable_cpus())
-    args = (len(letters), adj, d, budget, auts)
     depth, previous = (0 if workers == 1 else 2), 0
     while True:
-        enum, prefixes = _Enumeration(*args), []
-        enum.dfs((), depth, prefixes)
+        prefixes = []
+        cut = _dfs(problem, limit, (), depth, prefixes)  # (witness, nodes, limit_hit)
         if (depth == 0 or not previous < len(prefixes) < 8 * workers
-                or enum.found is not None or enum.limit_hit):
+                or cut[0] is not None or cut[2]):
             break
         depth, previous = depth + 1, len(prefixes)
     ranked = list(enumerate(prefixes))
     k = min(workers, len(ranked))
     batches = [ranked[w::k] for w in range(k)]
     if k <= 1:
-        parts = [_run_prefix_batch_impl(*args, b) for b in batches]
+        parts = [_run_prefix_batch_impl(problem, limit, b) for b in batches]
     else:
         # Imported on first use: multiprocessing and its dependencies add
         # about 2 MB of resident memory (CPython 3.11, Linux) to every
@@ -400,7 +392,7 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
         stop_rank = multiprocessing.Value("q", len(ranked))
         with ProcessPoolExecutor(max_workers=k, initializer=_join_pool,
                                  initargs=(stop_rank,)) as pool:
-            futures = [pool.submit(_run_pooled_batch, *args, b) for b in batches]
+            futures = [pool.submit(_run_pooled_batch, problem, limit, b) for b in batches]
             parts = [f.result() for f in futures]
     results = {rank: r for part in parts for rank, r in part.items()}
 
@@ -415,7 +407,7 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
         spent += nodes
         if found is not None or limit_hit or shallow + spent > limit:
             return verdict_from(found, shallow + spent, limit_hit)
-    return verdict_from(enum.found, enum.nodes + spent, enum.limit_hit)
+    return verdict_from(cut[0], cut[1] + spent, cut[2])
 
 
 def general_rep_number_bounded(g: Graph, max_d: int, budget: SearchBudget,

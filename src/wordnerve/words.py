@@ -87,19 +87,21 @@ def is_d_intersecting(w: Word, x: str, y: str, d: int) -> bool:
     return max_alternation(w, x, y) >= d + 2
 
 
+def _intersecting_pairs(letters, d: int) -> list[tuple[str, str]]:
+    """The pairs (x, y), x < y, of a plain letter sequence whose
+    restriction makes at least d + 2 runs: its d-intersecting pairs."""
+    alphabet = sorted(set(letters))
+    return [(x, y) for i, x in enumerate(alphabet) for y in alphabet[i + 1 :]
+            if pair_runs(letters, x, y) >= d + 2]
+
+
 def induced_graph_general(w: Word, d: int) -> Graph:
     """Graph on the alphabet with an edge exactly where letters are
     d-intersecting (the biconditional reading used by every proof that
     consumes this construction)."""
     if d < 1:
         raise WordError("d must be a positive integer")
-    letters = sorted(w.alphabet)
-    edges = set()
-    for i, x in enumerate(letters):
-        for y in letters[i + 1 :]:
-            if max_alternation(w, x, y) >= d + 2:
-                edges.add((x, y))
-    return Graph(tuple(letters), frozenset(edges))
+    return Graph(tuple(sorted(w.alphabet)), frozenset(_intersecting_pairs(w.letters, d)))
 
 
 def induced_graph_classic(w: Word) -> Graph:

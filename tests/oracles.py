@@ -19,6 +19,7 @@ from wordnerve.geometry import (
     Point,
     _cross,
     _hull_2d,
+    _point_text,
     hulls_intersect,
 )
 from wordnerve.graphs import SimplicialComplex
@@ -91,7 +92,7 @@ def check_general_position_2d_cubic(points: list[Point]):
         if _cross(points[i], points[j], points[k]) == 0:
             raise GeometryError(
                 f"collinear triple at indices ({i}, {j}, {k}): "
-                f"{points[i]}, {points[j]}, {points[k]}"
+                + ", ".join(_point_text(points[m]) for m in (i, j, k))
             )
 
 

@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from xml.etree import ElementTree
@@ -301,7 +302,7 @@ def test_extend_bipartite_on_hyperplane_extra(tmp_path, capsys):
         capsys, "extend", str(cfg_path), ef, "--mode", "bipartite", "--graph", gf,
     )
     assert code == 2
-    assert "separator" in err
+    assert err == "error: extra (7/2) lies on a separator hyperplane\n"
 
 
 def golden_argv(name):
@@ -309,6 +310,24 @@ def golden_argv(name):
     if name == "planar":
         return argv + ["--mode", "planar"]
     return argv + ["--mode", "bipartite", "--graph", str(DATA / f"{name}_graph.txt")]
+
+
+@pytest.mark.parametrize("offset, reason", [
+    (0, "block point on separator hyperplane"),
+    (Fraction(3, 2), "block split by its own hyperplane"),
+])
+def test_extend_bipartite_separator_faults_exit_4(monkeypatch, capsys, offset, reason):
+    """A separator hyperplane that breaks its invariants is an internal
+    error: its first root moved onto the first point of the color's first
+    block, or between that block's second and third points."""
+    separator_params = nerve_lib._separator_params
+
+    def moved(layout, j):
+        return [layout.spans[1, j].start + 1 + offset] + separator_params(layout, j)[1:]
+
+    monkeypatch.setattr(nerve_lib, "_separator_params", moved)
+    code, out, err = run(capsys, *golden_argv("bipartite"))
+    assert (code, out, err) == (4, "", f"internal error: {reason}\n")
 
 
 @pytest.mark.parametrize("name", ["planar", "bipartite", "bipartite3"])

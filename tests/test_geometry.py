@@ -264,7 +264,7 @@ def test_general_position_names_the_first_collinear_triple():
     # (1, 4); the lexicographically first triple is still (0, 1, 4)
     pts = [point(p) for p in ((0, 0), (1, 0), (1, 1), (2, 2), (5, 0))]
     message = general_position_error(_check_general_position_2d, pts)
-    assert message.startswith("collinear triple at indices (0, 1, 4): ")
+    assert message == "collinear triple at indices (0, 1, 4): (0, 0), (1, 0), (5, 0)"
     assert message == general_position_error(check_general_position_2d_cubic, pts)
 
 

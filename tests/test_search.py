@@ -382,22 +382,22 @@ def test_prefix_cut_and_replay_match_the_reference():
         labels = [f"v{i}" for i in range(n)]
         g = from_edge_list([e for e in combinations(labels, 2) if rng.random() < 0.5], labels)
         budget = SearchBudget(rng.randint(1, 3), rng.randint(n, 12), 20_000)
+        d = rng.randint(1, 3)
         letters, adj = search._problem_arrays(g)
-        args = (len(letters), adj, rng.randint(1, 3), budget, automorphisms(g))
-        flat, ref = search._Enumeration(*args), StepEnumeration(*args)
+        args = (len(letters), adj, d, budget, automorphisms(g))
+        problem = search._problem(g, d, budget)
+        ref = StepEnumeration(*args)
         cut, ref_cut = [], []
-        flat.dfs((), 3, cut)
+        found, nodes, _ = search._dfs(problem, budget.node_limit, (), 3, cut)
         ref.dfs(depth_cap=3, prefix_sink=ref_cut)
-        assert (cut, flat.found, flat.nodes) == (ref_cut, ref.found, ref.nodes)
+        assert (cut, found, nodes) == (ref_cut, ref.found, ref.nodes)
         for prefix, _ in cut:
             for limit in (0, 7, budget.node_limit):
-                flat, ref = search._Enumeration(*args), StepEnumeration(*args)
-                flat.node_limit = ref.node_limit = limit
-                flat.dfs(prefix)
+                ref = StepEnumeration(*args)
+                ref.node_limit = limit
                 ref.replay(prefix)
                 ref.dfs()
-                assert (flat.found, flat.nodes, flat.limit_hit) == (
-                    ref.found, ref.nodes, ref.limit_hit)
+                assert search._dfs(problem, limit, prefix) == (ref.found, ref.nodes, ref.limit_hit)
 
 
 def test_budget_relative_completeness_vs_naive_enumeration():
