@@ -4,9 +4,9 @@ Points are tuples of Fraction coordinates, all in a fixed dimension d.
 The moment curve sends a parameter t to (t, t^2, ..., t^d); configurations
 of distinct parameters are vertices of a cyclic polytope.  Facet structure
 (Gale's evenness condition), Radon-type hull intersections (Breen's
-alternation criterion vs. exact LP feasibility), hyperplanes spanned by d
-curve points, a quadratic 2D general-position check and a 2D
-convex-position subset finder all live here.
+alternation criterion, separating axes for planar pairs, exact LP
+feasibility), hyperplanes spanned by d curve points, a quadratic 2D
+general-position check and a 2D convex-position subset finder live here.
 
 x(t) lies on the hyperplane n . x = c exactly when t is a root of
 n_d t^d + ... + n_1 t - c, so the hyperplane through x(t_1), ..., x(t_d)
@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -80,12 +81,8 @@ def moment_point(t, d: int) -> Point:
 
 
 def hulls_intersect(classes: list[list[Point]]) -> bool:
-    """Do the convex hulls of all classes share a common point?
-
-    Exact feasibility: one block of barycentric weights per class, each
-    block nonnegative and summing to 1, with class 1's combination equal
-    to every other class's combination, coordinate by coordinate.
-    """
+    """Do the convex hulls of all classes share a common point?  A planar
+    pair is decided by `_planar_pair_meets`, every other shape by `_hull_lp`."""
     if not classes or any(len(c) == 0 for c in classes):
         raise GeometryError("every class must be nonempty")
     d = len(classes[0][0])
@@ -96,7 +93,37 @@ def hulls_intersect(classes: list[list[Point]]) -> bool:
     k = len(classes)
     if k == 1:
         return True
+    if k == 2 and d == 2:
+        return _planar_pair_meets(*classes)
+    return _hull_lp(classes)
 
+
+def _planar_pair_meets(a: list[Point], b: list[Point]) -> bool:
+    """Convex polygons A and B are disjoint iff the outward normal of some
+    edge of one has the other strictly beyond that edge (Chazelle and
+    Dobkin 1987), or, when A - B is a point or a segment (both have at most
+    2 vertices), some q - p puts them strictly apart.  On `_integer_copy`."""
+    ints = _integer_copy(a + b)
+    ha, hb = _hull_2d(ints[: len(a)]), _hull_2d(ints[len(a) :])
+    for h, other in ((ha, hb), (hb, ha)):
+        for p, q in zip(h, h[1:] + h[:1]):  # counterclockwise, so (dy, -dx) points out
+            x, y = q[1] - p[1], p[0] - q[0]
+            if min([x * o[0] + y * o[1] for o in other]) > x * p[0] + y * p[1]:
+                return False
+    if len(ha) <= 2 and len(hb) <= 2:
+        for p in ha:
+            for q in hb:
+                x, y = q[0] - p[0], q[1] - p[1]
+                if max([x * o[0] + y * o[1] for o in ha]) < min([x * o[0] + y * o[1] for o in hb]):
+                    return False
+    return True
+
+
+def _hull_lp(classes: list[list[Point]]) -> bool:
+    """Exact feasibility: one block of barycentric weights per class, each
+    block nonnegative and summing to 1, with class 1's combination equal
+    to every other class's combination, coordinate by coordinate."""
+    d, k = len(classes[0][0]), len(classes)
     sizes = [len(c) for c in classes]
     offsets = []
     total = 0
@@ -149,12 +176,18 @@ def gale_facets(r: int, d: int) -> list[tuple[int, ...]]:
     disjoint pairs {i, i+1} among the L = r-a-b-2 indices strictly between
     a+1 and r-b.  Such pairs correspond one to one to k-subsets of
     range(L-k): slot c in position j (from 0) gives the pair starting at
-    a+2+c+j.
+    a+2+c+j.  An (r, d) whose facets need more than sys.maxsize bytes of
+    pointers is refused before any is built.
     """
     if d < 2:
         raise GeometryError("dimension must be >= 2")
     if r <= d:
         raise GeometryError(f"need more points than the dimension (r={r}, d={d})")
+    k, odd = divmod(d, 2)
+    n = r - k - odd  # C(r, d) has C(n, k) * (2 if d is odd else r / n) facets
+    count = None if min(k, n - k) >= 61 else math.comb(n, k) * (2 * n if odd else r) // n
+    if count is None or count * (d + 1) > sys.maxsize // 8:  # C(n, k) >= 2^61; 8-byte slots
+        raise GeometryError(f"C({r}, {d}) has more facets than memory can hold")
     facets = []
     for a in range(d + 1):
         for b in range(d - a + 1):
@@ -224,8 +257,18 @@ def _cross(o: Point, a: Point, b: Point) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _integer_copy(points: list[Point]) -> list[tuple[int, int]]:
+    """Planar points times the lcm of their coordinate denominators:
+    integer points with the same signs of every homogeneous polynomial."""
+    ratios = [x.as_integer_ratio() for p in points for x in p]
+    scale = math.lcm(*[q for _, q in ratios])
+    flat = iter([n * (scale // q) for n, q in ratios])
+    return list(zip(flat, flat))
+
+
 def _hull_2d(points: list[Point]) -> list[Point]:
-    """Monotone-chain hull in counterclockwise order (general position)."""
+    """Monotone-chain hull in counterclockwise order, without collinear
+    vertices: a collinear class gives its two ends, a single point itself."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
@@ -247,12 +290,11 @@ def _check_general_position_2d(points: list[Point]) -> list[tuple[int, int]]:
     triple (i, j, k).  O(N^2): for each i, the later points on one line
     through points[i] share a primitive direction from it, and the first
     two indices of a direction form its smallest pair.  The directions are
-    taken on one copy of the points times the lcm of their denominators,
-    which is returned; the message shows the given points."""
+    taken on `_integer_copy(points)`, which is returned; the message shows
+    the given points."""
     if len(set(points)) != len(points):
         raise GeometryError("duplicate points")
-    scale = math.lcm(*(x.denominator for p in points for x in p))
-    ints = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+    ints = _integer_copy(points)
     for i, (x, y) in enumerate(ints):
         first: dict[tuple[int, ...], int] = {}
         pairs = []

@@ -7,12 +7,12 @@ the coloring has the color labels as vertices and a face for every set of
 classes whose convex hulls share a common point; faces are only evaluated
 up to a requested dimension and never extrapolated beyond it.  When every
 point is on the moment curve, its parameter is its first coordinate and
-Breen's run count settles the pairs; faces of size 3 and up, and every
-face of a configuration off the curve, are exact LP verdicts.
+Breen's run count settles the pairs.  Every other face is an exact
+`hulls_intersect` verdict: separating axes for a planar pair, else an LP.
 
 Both extension algorithms recolor extra points so that the nerve of the
 enlarged configuration is label-identical to the original.  Neither is
-trusted: every run re-checks the enlarged configuration by LP afterwards
+trusted: every run re-checks the enlarged configuration afterwards
 and fails loudly on any difference.  The classes only grow, so no face
 can be lost; the re-check tests the candidates that could be gained.
 The planar extension searches its support lines on one integer-scaled
@@ -20,7 +20,7 @@ copy of the points (its predicates are signs of homogeneous polynomials
 in the coordinates, which a positive scale keeps).  The bipartite one
 keeps each non-face pair apart with a hyperplane through curve points in
 the gaps between the pair's runs, which Breen's criterion bounds by d + 1,
-and asks the LP only when an extra lands on the wrong side of it.
+and runs a hull test only when an extra lands on the wrong side of it.
 """
 
 from __future__ import annotations
@@ -129,8 +129,7 @@ def nerve(config: ColoredConfig, max_dim: int) -> NerveResult:
 
     On the moment curve the pairs come from Breen's criterion: two classes
     meet iff their colors, read in parameter order, make at least d+2 runs.
-    Faces of size 3 and up, and every face of a configuration off the
-    curve, are exact LP verdicts (`hulls_intersect`).
+    Every other face is an exact `hulls_intersect` verdict.
 
     For a realized word only the 1-skeleton is a function of the word.
     Higher faces depend on the chosen curve parameters: the same word can
@@ -186,12 +185,12 @@ def _coerce_extras(extras, config: ColoredConfig) -> list[Point]:
 
 def _verified_extension(config: ColoredConfig, before: NerveResult,
                         extras: list[Point], new_colors) -> ColoredConfig:
-    """The configuration grown by the colored extras, after checking by LP
-    that its nerve (up to triangles) is the original one.
+    """The configuration grown by the colored extras, after checking by
+    hull tests that its nerve (up to triangles) is the original one.
 
     The original points are a prefix of the grown configuration and the
     extras take original labels, so every face of `before` stays a face.
-    The LP therefore runs only on the candidates that could be gained:
+    The hull tests therefore run only on the candidates that could be gained:
     non-faces of size 2 and 3 of `before` whose proper subsets are faces.
     The candidates that meet are then exactly the faces gained.
 
@@ -403,8 +402,8 @@ class _Separations:
     Every non-face pair starts with a `_curve_separator` certificate
     [normal, hi, lo], built without an LP.  An extra on the correct side
     of it keeps the pair apart at the cost of one dot product.  Otherwise
-    the LP decides, and a certificate whose bounds a placement crosses is
-    dropped: from then on that pair is an LP verdict.
+    `hulls_intersect` decides, and a certificate whose bounds a placement
+    crosses is dropped: from then on that pair is a hull-test verdict.
     """
 
     def __init__(self, config: ColoredConfig, before: NerveResult):
@@ -456,7 +455,7 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
     extra is offered first to the color of the first hyperplane whose
     block side contains it, else to the last u-color, then to the other
     colors.  A color is taken when it keeps every non-face pair apart
-    (`_Separations`: curve-gap certificates, the LP where they fail).
+    (`_Separations`: curve-gap certificates, hull tests where they fail).
     Extras lying exactly on a separator hyperplane, given twice or equal
     to a configuration point are rejected.  The result is re-checked by
     `_verified_extension`: a filled hollow triangle is an input error,

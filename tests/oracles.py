@@ -19,8 +19,8 @@ from wordnerve.geometry import (
     Point,
     _cross,
     _hull_2d,
+    _hull_lp,
     _point_text,
-    hulls_intersect,
 )
 from wordnerve.graphs import SimplicialComplex
 from wordnerve.nerve import (
@@ -78,7 +78,7 @@ def convex_position_lp(points) -> bool:
         return True
     for i, p in enumerate(points):
         others = [q for j, q in enumerate(points) if j != i]
-        if hulls_intersect([[p], others]):
+        if _hull_lp([[p], others]):
             return False
     return True
 
@@ -98,7 +98,8 @@ def check_general_position_2d_cubic(points: list[Point]):
 
 def nerve_lp(config: ColoredConfig, max_dim: int) -> NerveResult:
     """The nerve with every face, pairs included, an exact LP verdict
-    (the route the library keeps for configurations off the curve)."""
+    (`geometry._hull_lp`, the route the library keeps for triples and for
+    pairs outside the plane)."""
     if max_dim < 1:
         raise DegenerateInputError("max_dim must be >= 1")
     classes = config.classes()
@@ -112,7 +113,7 @@ def nerve_lp(config: ColoredConfig, max_dim: int) -> NerveResult:
                 for i in range(size)
             ):
                 continue
-            if hulls_intersect([classes[c] for c in combo]):
+            if _hull_lp([classes[c] for c in combo]):
                 layer_hits.append(frozenset(combo))
         if not layer_hits:
             break
@@ -652,7 +653,7 @@ class LPSeparations:
     def place(self, c: str, e: Point) -> bool:
         grown = self.classes[c] + [e]
         if any(
-            not self.before.is_face((c, x)) and hulls_intersect([grown, self.classes[x]])
+            not self.before.is_face((c, x)) and _hull_lp([grown, self.classes[x]])
             for x in self.classes
             if x != c
         ):

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -7,6 +8,7 @@ from xml.etree import ElementTree
 
 import pytest
 
+import wordnerve.geometry as geometry_lib
 import wordnerve.nerve as nerve_lib
 from wordnerve import formats
 from wordnerve.cli import main
@@ -256,6 +258,16 @@ def test_facets(tmp_path, capsys):
     assert code == 2
 
 
+# Once an OverflowError and a MemoryError traceback with exit 1.
+@pytest.mark.parametrize("r, d", [("99999999999999999999", "2"),
+                                  ("99999999999999999999", "3"),
+                                  (str(sys.maxsize), "2")])
+def test_facets_past_memory_is_an_input_error(capsys, r, d):
+    code, out, err = run(capsys, "facets", r, d)
+    assert (code, out) == (2, "")
+    assert err == f"error: C({r}, {d}) has more facets than memory can hold\n"
+
+
 def test_extend_planar(tmp_path, capsys):
     wf = write(tmp_path, "w.txt", "1 4 2 1 3 2 4 3\n")
     cfg_path = tmp_path / "cfg.json"
@@ -337,6 +349,22 @@ def test_extend_golden_stdout(capsys, name):
     code, out, err = run(capsys, *golden_argv(name))
     assert (code, err) == (0, "")
     assert out == (DATA / f"{name}_stdout.txt").read_text()
+
+
+@pytest.mark.parametrize("name, reaches_lp", [
+    ("planar", False), ("bipartite", False), ("bipartite3", True),
+])
+def test_extend_golden_lp_route(capsys, monkeypatch, name, reaches_lp):
+    # planar pairs are decided by separating axes, so only the d = 3
+    # golden reaches the simplex; its stdout stays the golden one
+    calls = []
+    real = geometry_lib.feasible_eq_nonneg
+    monkeypatch.setattr(geometry_lib, "feasible_eq_nonneg",
+                        lambda rows, rhs: calls.append(rows) or real(rows, rhs))
+    code, out, err = run(capsys, *golden_argv(name))
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"{name}_stdout.txt").read_text()
+    assert bool(calls) == reaches_lp
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -7,6 +7,7 @@ Examples are derandomized, so the suite stays deterministic.
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -186,3 +187,22 @@ def test_fuzz_word(text):
     files = {"fuzz.txt": text}
     assert exit_code(["induce", "fuzz.txt", "--dim", "2"], files) in (0, 2)
     assert exit_code(["realize", "fuzz.txt", "--dim", "2"], files) in (0, 2)
+
+
+# C(r, d) with more facets than memory can hold is refused before any is
+# built: r = 10**20 once raised OverflowError, r = sys.maxsize MemoryError.
+facet_sizes = st.integers(-3, 30) | st.sampled_from([10**20, sys.maxsize, sys.maxsize // 8])
+
+
+@given(facet_sizes, facet_sizes)
+@example(10**20, 2)
+@example(10**20, 3)
+@example(sys.maxsize, 2)
+@example(sys.maxsize // 8, 2)
+@FUZZ
+def test_fuzz_facets(r, d):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["facets", str(r), str(d)])
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    assert (out.getvalue() == "") == (code == 2)

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -173,6 +175,24 @@ def test_gale_facets_match_evenness_scan():
     for r in range(3, 15):
         for d in range(2, r):
             assert gale_facets(r, d) == gale_facets_scan(r, d), (r, d)
+
+
+def test_gale_facet_count_matches_closed_form():
+    # r/(r-k) C(r-k, k) facets for d = 2k, 2 C(r-k-1, k) for d = 2k + 1
+    for r in range(3, 15):
+        for d in range(2, r):
+            k = d // 2
+            closed = 2 * math.comb(r - k - 1, k) if d % 2 else r * math.comb(r - k, k) // (r - k)
+            assert len(gale_facets(r, d)) == closed, (r, d)
+
+
+@pytest.mark.parametrize("r, d", [
+    (10**20, 2), (10**20, 3), (sys.maxsize, 2), (sys.maxsize // 8, 2),
+    (sys.maxsize, sys.maxsize // 8), (10**20, sys.maxsize), (2 * 10**20, 10**20),
+])
+def test_gale_facets_refuses_more_facets_than_memory_holds(r, d):
+    with pytest.raises(GeometryError, match="more facets than memory can hold"):
+        gale_facets(r, d)
 
 
 def test_hyperplane_construction_and_sides():

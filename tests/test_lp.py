@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -64,7 +65,7 @@ def test_verdict_where_only_an_artificial_could_enter(params, meet):
         return feasible_eq_nonneg(rows, rhs)
 
     with mock.patch.object(geometry, "feasible_eq_nonneg", spy):
-        assert hulls_intersect(classes) == meet
+        assert geometry._hull_lp(classes) == meet
     [(rows, rhs)] = systems
     assert feasible_eq_nonneg(rows, rhs) == _oracle(rows, rhs) == meet
 
@@ -170,6 +171,47 @@ def classes(draw):
 def test_hulls_intersect_matches_fraction_route(cls):
     verdict = hulls_intersect(cls)
     with mock.patch.object(geometry, "feasible_eq_nonneg", _oracle):
-        assert verdict == hulls_intersect(cls)
+        assert verdict == geometry._hull_lp(cls)
     if len(cls[0][0]) == 1:  # intervals on a line meet iff max of mins <= min of maxes
         assert verdict == (max(min(c)[0] for c in cls) <= min(max(c)[0] for c in cls))
+
+
+# -- separating axes for planar pairs against the LP -------------------------
+
+GRID = [(F(x), F(y)) for x in range(3) for y in range(3)]
+
+
+def test_planar_pairs_match_lp_on_a_grid():
+    # every ordered pair of 1-3 points of a 3 x 3 grid: single points,
+    # segments, collinear classes, shared points, and hulls that touch at a
+    # vertex or along an edge
+    subsets = [list(c) for size in (1, 2, 3) for c in combinations(GRID, size)]
+    for a in subsets:
+        for b in subsets:
+            assert hulls_intersect([a, b]) == geometry._hull_lp([a, b]), (a, b)
+
+
+@st.composite
+def planar_pairs(draw):
+    """Two classes of 1-5 rational points; a third of the draws put a
+    point of class 0's hull (a vertex, an edge point or an inner point)
+    into class 1, and some draw class 1 on one line."""
+    a = [(draw(coordinates), draw(coordinates)) for _ in range(draw(st.integers(1, 5)))]
+    b = [(draw(coordinates), draw(coordinates)) for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):  # class 1 on the line through two of its points
+        (x0, y0), (x1, y1) = b[0], b[-1]
+        b = [(x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+             for t in draw(st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 3)),
+                                    min_size=1, max_size=4))]
+    if draw(st.integers(0, 2)) == 0:
+        weights = [F(draw(st.integers(0, 2))) for _ in a]
+        weights[0] += 1
+        total = sum(weights)
+        b[-1] = tuple(sum(w * p[c] for w, p in zip(weights, a)) / total for c in (0, 1))
+    return [[tuple(map(F, p)) for p in a], [tuple(map(F, p)) for p in b]]
+
+
+@DIFF
+@given(planar_pairs())
+def test_planar_pairs_match_lp(pair):
+    assert hulls_intersect(pair) == geometry._hull_lp(pair)

@@ -198,22 +198,22 @@ def test_breen_pair_layer_matches_lp():
         assert nerve(shuffled(cfg, rng), 2).complex == expected
 
 
-def count_hull_tests(monkeypatch, module) -> Counter:
-    """Count the module's `hulls_intersect` calls by number of classes."""
+def count_hull_tests(monkeypatch, module, name="hulls_intersect") -> Counter:
+    """Count the module's calls of the hull test `name` by number of classes."""
     calls: Counter = Counter()
-    real = module.hulls_intersect
+    real = getattr(module, name)
 
     def counted(classes):
         calls[len(classes)] += 1
         return real(classes)
 
-    monkeypatch.setattr(module, "hulls_intersect", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_curve_configurations_skip_the_pair_lp(monkeypatch):
     lib = count_hull_tests(monkeypatch, nerve_lib)
-    ref = count_hull_tests(monkeypatch, oracles)
+    ref = count_hull_tests(monkeypatch, oracles, "_hull_lp")
     cfg = realize_on_moment_curve(ROADMAP_WORD, 2, ROADMAP_PARAMS)
     assert nerve(cfg, 2).complex == nerve_lp(cfg, 2).complex
     assert lib[2] == 0 and ref[2] > 0
