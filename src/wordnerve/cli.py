@@ -135,10 +135,15 @@ def cmd_search(args) -> int:
 
 
 def cmd_facets(args) -> int:
-    facets = _cli.gale_facets(args.r, args.d)
-    doc = {"r": args.r, "d": args.d, "facets": [list(f) for f in facets]}
-    _emit(formats.dump_json(doc), args.output)
-    return EXIT_OK
+    # gale_facets refuses a list past the address space; one that only
+    # exceeds the memory at hand is the same input error.
+    try:
+        doc = {"r": args.r, "d": args.d, "facets": _cli.gale_facets(args.r, args.d)}
+        _emit(formats.dump_json(doc), args.output)  # tuples dump as arrays
+        return EXIT_OK
+    except MemoryError:
+        pass  # leave the handler first: its traceback holds the partial list
+    raise ValueError(f"C({args.r}, {args.d}) has more facets than memory can hold")
 
 
 def cmd_extend(args) -> int:

@@ -1,14 +1,18 @@
 """Exact feasibility of equality systems A x = b, x >= 0 over the rationals.
 
-Phase-I simplex with Bland's smallest-index anti-cycling rule: minimize
-the sum of one artificial variable per row; feasible iff the optimum is
-zero.  The tableau is [A | b] plus the objective row, with no artificial
-columns; `basis[i] = n + i` marks a row whose artificial is basic.
-Bland's scan would enter an artificial only when no original column can
-enter.  The solver stops there: with the artificials that left the basis
-dropped (Bertsimas and Tsitsiklis 1997, section 3.5) that basis is
-optimal, so the objective is zero iff some x >= 0 solves A x = b.  The
-full tableau pivots alike until then, so the verdicts agree.
+Phase-I simplex: minimize the sum of one artificial variable per row;
+feasible iff the optimum is zero.  The tableau is [A | b] plus the
+objective row, with no artificial columns; `basis[i] = n + i` marks a row
+whose artificial is basic.  The entering column is Dantzig's: the most
+negative reduced cost, lowest index on ties.  After 2m degenerate pivots
+in a row (the leaving row's rhs is 0) Bland's smallest-index rule enters
+instead, until the next nondegenerate pivot.  This terminates: each
+nondegenerate pivot lowers the objective, so no basis recurs across one,
+Dantzig's streaks are bounded, and Bland's rule cannot cycle from any
+basis (Bland 1977).  The solver stops when no original column has a
+negative reduced cost, whatever the rule: with the artificials that left
+the basis dropped (Bertsimas and Tsitsiklis 1997, section 3.5) that basis
+is optimal, so the objective is zero iff some x >= 0 solves A x = b.
 
 The tableau is integer and fraction-free.  Each row's denominators are
 cleared once, with the row's lcm, and every pivot is the
@@ -63,15 +67,16 @@ def feasible_eq_nonneg(rows: list[list[Fraction | int]], rhs: list[Fraction | in
     tab.append([-sum(column) for column in zip(*tab)])
 
     denom = 1
+    degenerate = 0  # consecutive pivots on a zero rhs
     while True:
         obj = tab[m]
-        enter = -1
-        for j in range(n):  # Bland: smallest eligible index enters
-            if obj[j] < 0:
-                enter = j
-                break
-        if enter < 0:
+        low = min(obj[:n], default=0)  # reduced costs, all over one D > 0
+        if low >= 0:
             break
+        if degenerate < 2 * m:  # Dantzig: most negative, lowest index on ties
+            enter = obj.index(low)
+        else:  # Bland: smallest eligible index, which cannot cycle
+            enter = next(j for j in range(n) if obj[j] < 0)
         leave = -1
         for i in range(m):
             a = tab[i][enter]
@@ -86,6 +91,7 @@ def feasible_eq_nonneg(rows: list[list[Fraction | int]], rhs: list[Fraction | in
         if leave < 0:
             # Cannot happen: the Phase-I objective is bounded below by 0.
             raise ArithmeticError("phase-I simplex unbounded")
+        degenerate = degenerate + 1 if tab[leave][-1] == 0 else 0
         p = tab[leave][enter]
         prow = tab[leave]
         for i in range(m + 1):

@@ -114,3 +114,21 @@ def test_imports_load_no_pathlib_and_no_process_pool():
     proc = subprocess.run([sys.executable, "-S", "-c", child], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert proc.stdout == "[]\n", proc.stderr
+
+
+def test_facets_past_the_memory_limit_is_an_input_error():
+    """C(10^7, 2) has 10^7 facets, under the up-front guard, but they do not
+    fit in 600 MB: a child that lowers only its own address-space limit
+    must still exit 2 with one error line and no traceback."""
+    pytest.importorskip("resource")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    child = ("import resource, sys\n"
+             "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (600_000 * 1024, hard))\n"
+             "from wordnerve.cli import main\n"
+             "sys.exit(main(['facets', '10000000', '2']))\n")
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", child],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: C(10000000, 2) has more facets than memory can hold\n"

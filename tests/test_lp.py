@@ -1,5 +1,8 @@
+import json
+import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -7,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from .oracles import feasible_eq_nonneg_fraction
-from wordnerve import geometry
+from wordnerve import geometry, lp
 from wordnerve.geometry import hulls_intersect, moment_point
 from wordnerve.lp import feasible_eq_nonneg
+from wordnerve.nerve import nerve, realize_on_moment_curve
+from wordnerve.words import Word
 
 F = Fraction
 
@@ -50,8 +55,9 @@ def test_exactness_no_rounding():
 
 # The smallest infeasible and the smallest feasible system of the seed-1
 # benchmark inputs where, with one artificial column per row, Bland's scan
-# would enter an artificial.  The solver has no such column: it stops there
-# and must read the verdict off the objective.
+# would enter an artificial.  The solver has no such column: it stops once no
+# original column has a negative reduced cost, here with 2 and 1 artificials
+# still basic, and must read the verdict off the objective.
 @pytest.mark.parametrize(
     "params, meet",
     [([[5], [3]], False), ([[5, 10], [7, 11, 13, 14], [2, 6, 9]], True)],
@@ -106,14 +112,28 @@ def _oracle(rows, rhs):
 @st.composite
 def systems(draw):
     """(rows, rhs, feasible by construction) with at most 6 rows and 8
-    columns; entries mix ints and Fractions."""
+    columns; entries mix ints and Fractions.  A third of the draws are
+    degenerate: small entries, columns that repeat or negate an earlier
+    column, and a mostly zero rhs, the shape on which Dantzig's rule
+    alone can cycle."""
     m = draw(st.integers(1, 6))
     n = draw(st.integers(1, 8))
-    rows = [[draw(rationals) for _ in range(n)] for _ in range(m)]
+    degenerate = draw(st.integers(0, 2)) == 0
+    entries = st.sampled_from([-1, 0, 0, 1, 2]) if degenerate else rationals
+    rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    for j in range(1, n if degenerate else 0):
+        sign = draw(st.sampled_from([0, 1, -1]))
+        if sign:  # a copy or the negative of an earlier column
+            k = draw(st.integers(0, j - 1))
+            for row in rows:
+                row[j] = sign * row[k]
     known_feasible = draw(st.booleans())
     if known_feasible:  # b = A x for x >= 0; zeros in x make it degenerate
-        x = [draw(st.sampled_from([0, 0, 1, 2, F(1, 3), F(1, 10**30)])) for _ in range(n)]
+        values = [0, 0, 0, 0, 1] if degenerate else [0, 0, 1, 2, F(1, 3), F(1, 10**30)]
+        x = [draw(st.sampled_from(values)) for _ in range(n)]
         rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    elif degenerate:
+        rhs = [draw(st.sampled_from([0, 0, 0, 1, -1])) for _ in range(m)]
     else:  # any sign, so negative right-hand sides too
         rhs = [draw(rationals) for _ in range(m)]
     for i in range(1, m):
@@ -215,3 +235,82 @@ def planar_pairs(draw):
 @given(planar_pairs())
 def test_planar_pairs_match_lp(pair):
     assert hulls_intersect(pair) == geometry._hull_lp(pair)
+
+
+# -- triple systems of moment-curve words ------------------------------------
+
+# (d, colors, letters): the word shapes of the benchmark's nerve pipeline,
+# whose LP calls are all triple tests since the pairs follow Breen.
+CURVE_SHAPES = (
+    (2, 4, 12), (2, 5, 14), (2, 6, 16),
+    (3, 4, 16), (3, 5, 18), (3, 6, 20),
+    (4, 4, 18), (4, 5, 20), (4, 6, 22),
+)
+CURVE_TRIANGLES = Path(__file__).parent / "data" / "curve_triangles.jsonl"
+
+
+def curve_words(count, seed=1):
+    """`count` seeded (word, d) pairs cycling through CURVE_SHAPES; each word
+    uses every one of its colors c0..c{k-1}."""
+    rng = random.Random(seed)
+    for i in range(count):
+        d, k, n = CURVE_SHAPES[i % len(CURVE_SHAPES)]
+        letters = ()
+        while len(set(letters)) < k:
+            letters = tuple(f"c{rng.randrange(k)}" for _ in range(n))
+        yield Word(letters), d
+
+
+def triple_systems(words):
+    """Every (rows, rhs) that `nerve(config, 2)` passes the LP solver on the
+    moment-curve realizations of `words`: triple tests only, since the pairs
+    follow Breen's criterion."""
+    systems = []
+
+    def spy(rows, rhs):
+        systems.append((rows, rhs))
+        return feasible_eq_nonneg(rows, rhs)
+
+    with mock.patch.object(geometry, "feasible_eq_nonneg", spy):
+        for w, d in words:
+            nerve(realize_on_moment_curve(w, d), 2)
+    return systems
+
+
+def test_curve_triple_systems_match_fraction_simplex():
+    systems = triple_systems(curve_words(100))
+    assert len(systems) > 100
+    for rows, rhs in systems:
+        assert rhs.count(1) == 3  # one weight block per class
+        assert feasible_eq_nonneg(rows, rhs) == _oracle(rows, rhs)
+
+
+# A seed-1 benchmark triple at d = 4 (11 rows, 12 columns) whose pivots stay
+# degenerate 2m = 22 times in a row, so Bland's rule enters at least once.
+BLAND_TRIPLE = [[1, 4, 8, 10], [3, 7, 13, 19], [2, 6, 12, 16]]
+
+
+def test_degenerate_triple_reaches_the_bland_fallback(monkeypatch):
+    systems = []
+    with mock.patch.object(geometry, "feasible_eq_nonneg", lambda *s: systems.append(s)):
+        geometry._hull_lp([[moment_point(t, 4) for t in cls] for cls in BLAND_TRIPLE])
+    [(rows, rhs)] = systems
+    scans = []
+
+    def bland_scan(eligible):  # `next` is called only by the Bland branch
+        scans.append(1)
+        return next(eligible)
+
+    monkeypatch.setattr(lp, "next", bland_scan, raising=False)
+    assert not feasible_eq_nonneg(rows, rhs)
+    assert scans
+    assert not _oracle(rows, rhs)
+
+
+def test_curve_triangles_golden():
+    # The 2-faces of the first 200 words, as the Bland-only solver found them.
+    lines = []
+    for w, d in curve_words(200):
+        triangles = nerve(realize_on_moment_curve(w, d), 2).complex.faces_of_size(3)
+        lines.append(json.dumps({"d": d, "word": " ".join(w.letters), "triangles": triangles}))
+    assert ("\n".join(lines) + "\n").encode() == CURVE_TRIANGLES.read_bytes()
