@@ -10,7 +10,7 @@ Library layout:
                Phase-I simplex)
 * geometry  -- exact rational geometry (moment curve, Gale, Breen,
                hyperplanes) and the planar primitives (cross product,
-               hull, general-position check, convex-position subset)
+               hull, general-position check)
 * nerve     -- colored configurations, nerve complexes, extensions
 * formats   -- stable text/JSON formats
 * svgplot   -- deterministic SVG rendering (2D)
@@ -33,9 +33,8 @@ _EXPORTS = {
                   "is_d_intersecting max_alternation rotate word"),
         ("encode", "ChordDiagram bipartite_layout chord_intersection_graph "
                    "word_any_graph word_bipartite word_from_chord_diagram"),
-        ("geometry", "GeometryError Hyperplane breen_intersect convex_position_subset_2d "
-                     "gale_facets hulls_intersect hyperplane_through_moment_points "
-                     "moment_point point rational"),
+        ("geometry", "GeometryError Hyperplane breen_intersect gale_facets hulls_intersect "
+                     "hyperplane_through_moment_points moment_point point rational"),
         ("search", "SearchBudget SearchError SearchVerdict find_general_word "
                    "general_rep_number_bounded gr_upper_bound"),
         ("nerve", "ColoredConfig DegenerateInputError ExtensionError NerveResult "

@@ -5,8 +5,8 @@ The moment curve sends a parameter t to (t, t^2, ..., t^d); configurations
 of distinct parameters are vertices of a cyclic polytope.  Facet structure
 (Gale's evenness condition), Radon-type hull intersections (Breen's
 alternation criterion, separating axes for planar pairs, exact LP
-feasibility), hyperplanes spanned by d curve points, a quadratic 2D
-general-position check and a 2D convex-position subset finder live here.
+feasibility), hyperplanes spanned by d curve points and a quadratic 2D
+general-position check live here.
 
 x(t) lies on the hyperplane n . x = c exactly when t is a root of
 n_d t^d + ... + n_1 t - c, so the hyperplane through x(t_1), ..., x(t_d)
@@ -20,7 +20,6 @@ oracle cross-checks in the test-suite rely on bit-true answers.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 import sys
@@ -309,75 +308,3 @@ def _check_general_position_2d(points: list[Point]) -> list[tuple[int, int]]:
                 + ", ".join(_point_text(points[m]) for m in (i, j, k))
             )
     return ints
-
-
-def convex_position_subset_2d(points: list[Point], n: int) -> list[Point] | None:
-    """Some n of the given 2D points in convex position (cyclic order), or
-    None.  Dynamic programming over angularly ordered point pairs, anchored
-    at each candidate lexicographic-minimum vertex.  Points must be in
-    general position; a collinear triple is rejected with its indices.
-    """
-    for p in points:
-        if len(p) != 2:
-            raise GeometryError("points must be 2-dimensional")
-    _check_general_position_2d(points)
-    if n < 1:
-        raise GeometryError("target size must be >= 1")
-    if n <= 2:
-        return list(points[:n]) if len(points) >= n else None
-
-    pts = sorted(points)
-    best: list[Point] | None = None
-    for idx, anchor in enumerate(pts):
-        others = pts[idx + 1 :]
-        if len(others) + 1 < n:
-            break
-        # sort by angle around the anchor (all angles within a half-plane)
-        def cmp(a, b):
-            c = _cross(anchor, a, b)
-            return -1 if c > 0 else 1
-
-        ordered = sorted(others, key=functools.cmp_to_key(cmp))
-        k = len(ordered)
-        # chain[i][j]: longest convex chain anchor -> ... -> ordered[i] -> ordered[j]
-        chain = [[2] * k for _ in range(k)]
-        parent: dict[tuple[int, int], tuple[int, int] | None] = {}
-        result_len = 2
-        result_pair = None
-        for j in range(k):
-            for i in range(j):
-                chain[i][j] = 3
-                parent[(i, j)] = None
-        for i in range(k):
-            for j in range(i + 1, k):
-                for l in range(j + 1, k):
-                    if _cross(ordered[i], ordered[j], ordered[l]) > 0:
-                        if chain[i][j] + 1 > chain[j][l]:
-                            chain[j][l] = chain[i][j] + 1
-                            parent[(j, l)] = (i, j)
-        for i in range(k):
-            for j in range(i + 1, k):
-                # close the polygon: turn at ordered[j] back to the anchor
-                if _cross(ordered[i], ordered[j], anchor) > 0 and chain[i][j] > result_len:
-                    result_len = chain[i][j]
-                    result_pair = (i, j)
-        if result_pair is not None and result_len >= n:
-            # reconstruct the chain back from the closing pair
-            seq = []
-            pair = result_pair
-            while pair is not None:
-                seq.append(ordered[pair[1]])
-                nxt = parent.get(pair)
-                if nxt is None:
-                    seq.append(ordered[pair[0]])
-                pair = nxt
-            seq.append(anchor)
-            seq.reverse()  # anchor first, counterclockwise
-            if len(seq) >= n and (best is None or len(seq) > len(best)):
-                best = seq
-        if best is not None and len(best) >= n:
-            break
-    if best is None or len(best) < n:
-        return None
-    # a cyclic-order subsequence of a convex polygon stays in convex position
-    return best[:n]

@@ -410,13 +410,13 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
     return verdict_from(cut[0], cut[1] + spent, cut[2])
 
 
-def general_rep_number_bounded(g: Graph, max_d: int, budget: SearchBudget,
-                               jobs: int = 1) -> dict[int, SearchVerdict]:
+def general_rep_number_bounded(g: Graph, max_d: int,
+                               budget: SearchBudget) -> dict[int, SearchVerdict]:
     """Verdict per d in 1..max_d; the least d with a witness is the
     budget-relative upper bound for the representation number."""
     if max_d < 1:
         raise SearchError("max_d must be >= 1")
-    return {d: find_general_word(g, d, budget, jobs=jobs) for d in range(1, max_d + 1)}
+    return {d: find_general_word(g, d, budget) for d in range(1, max_d + 1)}
 
 
 def gr_upper_bound(results: dict[int, SearchVerdict]) -> int | None:

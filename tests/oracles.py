@@ -72,17 +72,6 @@ def has_odd_cycle_bruteforce(vertices, edges) -> bool:
     return True
 
 
-def convex_position_lp(points) -> bool:
-    """Every point is outside the hull of the others (exact LP membership)."""
-    if len(points) <= 2:
-        return True
-    for i, p in enumerate(points):
-        others = [q for j, q in enumerate(points) if j != i]
-        if _hull_lp([[p], others]):
-            return False
-    return True
-
-
 def check_general_position_2d_cubic(points: list[Point]):
     """The general-position check by testing every triple in
     lexicographic order (the cubic loop the library replaced)."""

@@ -2,16 +2,13 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
 from wordnerve.geometry import (
     GeometryError,
     _check_general_position_2d,
-    _cross,
     breen_intersect,
-    convex_position_subset_2d,
     gale_facets,
     hulls_intersect,
     hyperplane_through_moment_points,
@@ -23,7 +20,6 @@ from wordnerve.oracles import facet_oracle
 
 from .oracles import (
     check_general_position_2d_cubic,
-    convex_position_lp,
     det,
     gale_facets_scan,
     hyperplane_through_points,
@@ -251,26 +247,6 @@ def test_moment_hyperplane_matches_cofactor_route():
         assert h == hyperplane_through_points([moment_point(t, d) for t in sorted(params)])
 
 
-def test_convex_position_subset_square():
-    square = [point((0, 0)), point((4, 0)), point((4, 4)), point((0, 4))]
-    got = convex_position_subset_2d(square, 4)
-    assert got is not None and sorted(got) == sorted(square)
-
-
-def test_convex_position_subset_inner_point():
-    pts = [point((0, 0)), point((4, 0)), point((4, 4)), point((0, 4)), point((2, 1))]
-    assert convex_position_subset_2d(pts, 5) is None
-    got = convex_position_subset_2d(pts, 4)
-    assert got is not None and convex_position_lp(got)
-
-
-def test_convex_position_subset_rejects_collinear():
-    with pytest.raises(GeometryError):
-        convex_position_subset_2d(
-            [point((0, 0)), point((1, 1)), point((2, 2)), point((0, 3))], 3
-        )
-
-
 def general_position_error(check, points) -> str | None:
     try:
         check(points)
@@ -306,55 +282,3 @@ def test_general_position_matches_triple_scan():
         assert general_position_error(_check_general_position_2d, pts) == expected
         errors += expected is not None
     assert 400 < errors < 1600
-
-
-def _general_position_sample(rng, count, span=60):
-    def collinear(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0])
-
-    pts: list = []
-    while len(pts) < count:
-        cand = (
-            F(rng.randint(0, span * 7), rng.randint(1, 7)),
-            F(rng.randint(0, span * 7), rng.randint(1, 7)),
-        )
-        if cand in pts:
-            continue
-        if any(collinear(a, b, cand) for a, b in combinations(pts, 2)):
-            continue
-        pts.append(cand)
-    return [point(p) for p in pts]
-
-
-def test_convex_position_subset_random_twenty_points():
-    rng = random.Random(14)
-    found = 0
-    for _ in range(12):
-        pts = _general_position_sample(rng, 20)
-        got = convex_position_subset_2d(pts, 6)
-        if got is None:
-            continue
-        assert len(got) == 6
-        assert all(p in pts for p in got)
-        assert convex_position_lp(got)
-        # cyclic order: consistent orientation around the polygon
-        n = len(got)
-        crosses = [_cross(got[i], got[(i + 1) % n], got[(i + 2) % n]) for i in range(n)]
-        turns = {(c > 0) - (c < 0) for c in crosses}
-        assert turns == {1} or turns == {-1}
-        found += 1
-    assert found >= 5  # 20 random points nearly always contain a convex hexagon
-
-
-def test_convex_position_subset_matches_bruteforce_small():
-    rng = random.Random(15)
-    for _ in range(25):
-        pts = _general_position_sample(rng, 8, span=30)
-        for n in (4, 5, 6):
-            got = convex_position_subset_2d(pts, n)
-            brute = any(
-                convex_position_lp(list(sub)) for sub in combinations(pts, n)
-            )
-            assert (got is not None) == brute
-            if got is not None:
-                assert convex_position_lp(got)

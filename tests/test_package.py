@@ -1,6 +1,7 @@
 """The package namespace: names are loaded on first access, and the name
 `wordnerve.nerve` is the submodule whatever the import order."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -15,12 +16,13 @@ SRC = str(Path(wordnerve.__file__).parents[1])
 
 # Every public name the package exported when it imported all its
 # submodules eagerly, less the function `nerve`, which shadowed the
-# submodule of the same name.
+# submodule of the same name, and less `convex_position_subset_2d`, which
+# nothing outside its own tests called.
 NAMES = sorted("""
     ChordDiagram ColoredConfig ComplexError DegenerateInputError ExtensionError
     GeometryError Graph GraphError Hyperplane NerveResult SearchBudget SearchError
     SearchVerdict SimplicialComplex Word WordError bipartite_layout bipartition
-    breen_intersect chord_intersection_graph convex_position_subset_2d
+    breen_intersect chord_intersection_graph
     extend_coloring_2d extend_coloring_bipartite find_general_word from_edge_list
     gale_facets general_rep_number_bounded gr_upper_bound hulls_intersect
     hyperplane_through_moment_points induced_graph_classic induced_graph_general
@@ -67,3 +69,22 @@ def test_every_public_name_still_resolves():
         assert scope[name] is sys.modules[f"wordnerve.{name}"]
     with pytest.raises(AttributeError):
         wordnerve.no_such_name
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """Each exported name is read somewhere in the library, the demos or
+    the benchmark: as a name, an attribute or a `from ... import`.  The
+    files are found from this test file, not from `wordnerve.__file__`,
+    so an installed copy cannot point the scan elsewhere."""
+    root = Path(__file__).parents[1]
+    used = set()
+    for pattern in ("src/wordnerve/*.py", "demos/*.py", "bench/*.py"):
+        for path in sorted(root.glob(pattern)):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(alias.name for alias in node.names)
+    assert sorted(set(wordnerve.__all__) - used) == []
