@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: induce, encode, realize, search, facets, extend, selftest.
-Exit codes: 0 success, 2 input error, 3 search budget exhausted,
-4 internal invariant violation.
+Exit codes: 0 success, 2 input error (an input too large for the memory
+at hand included), 3 search budget exhausted, 4 internal invariant
+violation.
 
 Every command validates its inputs fully before writing anything, and
 identical inputs plus identical flags produce byte-identical outputs
@@ -174,14 +175,14 @@ def _selftest(seed: int) -> list[tuple[str, bool]]:
     import random
 
     from .encode import word_any_graph
-    from .geometry import breen_intersect, hulls_intersect, moment_point
+    from .geometry import _hull_lp, breen_intersect, hulls_intersect, moment_point
     from .oracles import brute_max_alternation, facet_oracle
 
     rng = random.Random(seed)
     checks: list[tuple[str, bool]] = []
 
     ok = True
-    for _ in range(60):  # Breen's criterion against exact LP feasibility
+    for _ in range(60):  # Breen's criterion against the hull test and exact LP feasibility
         r = rng.randint(2, 7)
         d = rng.randint(1, 4)
         params = sorted(rng.sample(range(1, 40), r))
@@ -189,11 +190,8 @@ def _selftest(seed: int) -> list[tuple[str, bool]]:
         marked = set(rng.sample(params, cut))
         a = [t for t in params if t in marked]
         b = [t for t in params if t not in marked]
-        lhs = breen_intersect(a, b, d)
-        rhs = hulls_intersect(
-            [[moment_point(t, d) for t in a], [moment_point(t, d) for t in b]]
-        )
-        ok = ok and lhs == rhs
+        pair = [[moment_point(t, d) for t in a], [moment_point(t, d) for t in b]]
+        ok = ok and breen_intersect(a, b, d) == hulls_intersect(pair) == _hull_lp(pair)
     checks.append(("breen-vs-feasibility", ok))
 
     ok = all(
@@ -297,6 +295,10 @@ def main(argv=None) -> int:
     except (RuntimeError, AssertionError) as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
+    except MemoryError:
+        pass  # leave the handler first: its traceback holds what filled memory
+    sys.stderr.write(f"error: {args.command}: the input needs more memory than is available\n")
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

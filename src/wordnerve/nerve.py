@@ -18,9 +18,10 @@ can be lost; the re-check tests the candidates that could be gained.
 The planar extension searches its support lines on one integer-scaled
 copy of the points (its predicates are signs of homogeneous polynomials
 in the coordinates, which a positive scale keeps).  The bipartite one
-keeps each non-face pair apart with a hyperplane through curve points in
-the gaps between the pair's runs, which Breen's criterion bounds by d + 1,
-and runs a hull test only when an extra lands on the wrong side of it.
+keeps each non-face pair apart with a fixed hyperplane midway between the
+pair, whose normal has its roots on the curve in the gaps between the
+pair's runs (Breen's criterion bounds them by d + 1), and runs a hull test
+only when an extra does not land strictly on its class's side of it.
 """
 
 from __future__ import annotations
@@ -156,11 +157,17 @@ def nerve(config: ColoredConfig, max_dim: int) -> NerveResult:
 
 def _new_faces(faces, classes: dict[str, list[Point]], size: int) -> list[tuple[str, ...]]:
     """The label sets of `size`, in label order, that are not in `faces`
-    while every subset one smaller is, and whose classes' hulls meet."""
+    while every subset one smaller is, and whose classes' hulls meet.
+
+    Each candidate is a face one smaller, sorted, plus a larger label, so
+    the walk is bounded by the faces and not by the label sets of `size`."""
+    labels = sorted(classes)
+    rank = {c: i for i, c in enumerate(labels)}
+    base = sorted(tuple(sorted(f)) for f in faces if len(f) == size - 1)
     return [
-        combo for combo in combinations(sorted(classes), size)
+        combo for f in base for combo in (f + (c,) for c in labels[rank[f[-1]] + 1 :])
         if frozenset(combo) not in faces
-        and all(frozenset(combo[:i] + combo[i + 1 :]) in faces for i in range(size))
+        and all(frozenset(combo[:i] + combo[i + 1 :]) in faces for i in range(size - 1))
         and hulls_intersect([classes[c] for c in combo])
     ]
 
@@ -368,14 +375,15 @@ def _dot(normal, p: Point):
 
 def _curve_separator(config: ColoredConfig, order: list[int], a: str, b: str):
     """A hyperplane strictly between classes a and b of a moment-curve
-    configuration, as (normal, hi, lo) with normal . p <= hi < lo <=
-    normal . q for every p in a and q in b; `order` is `_curve_order`.
+    configuration, as (normal, offset) with normal . p < offset < normal . q
+    for every p in a and q in b, the offset midway between the two classes;
+    `order` is `_curve_order`.
 
     The pair must be a non-face: by Breen's criterion its colors make at
     most d + 1 runs in parameter order.  One root goes between the two
     parameters of each color change and the rest past the pair's largest
     parameter, so the degree-d polynomial with these roots, which is
-    normal . x(t) - offset, has one sign on class a and the other on b.
+    normal . x(t) - c for some c, has one sign on class a and the other on b.
     """
     pair = [i for i in order if config.colors[i] in (a, b)]
     roots = [
@@ -388,61 +396,47 @@ def _curve_separator(config: ColoredConfig, order: list[int], a: str, b: str):
     normal = hyperplane_through_moment_points(roots, config.dimension).normal
     va = [_dot(normal, config.points[i]) for i in pair if config.colors[i] == a]
     vb = [_dot(normal, config.points[i]) for i in pair if config.colors[i] == b]
-    if max(va) < min(vb):
-        return normal, max(va), min(vb)
-    if max(vb) < min(va):
-        return tuple(-x for x in normal), -min(va), -max(vb)
-    raise ExtensionError(f"the curve-gap hyperplane does not separate {a} and {b}")
+    if min(vb) < max(va):
+        normal, va, vb = tuple(-x for x in normal), [-v for v in va], [-v for v in vb]
+    if not max(va) < min(vb):
+        raise ExtensionError(f"the curve-gap hyperplane does not separate {a} and {b}")
+    return normal, (max(va) + min(vb)) / 2
 
 
 class _Separations:
     """The classes of a moment-curve coloring as extras join them, with
     each non-face pair of the original nerve kept apart.
 
-    Every non-face pair starts with a `_curve_separator` certificate
-    [normal, hi, lo], built without an LP.  An extra on the correct side
-    of it keeps the pair apart at the cost of one dot product.  Otherwise
-    `hulls_intersect` decides, and a certificate whose bounds a placement
-    crosses is dropped: from then on that pair is a hull-test verdict.
+    `certs[c][x]` is a fixed hyperplane (normal, offset) with class c
+    strictly below and class x strictly above, from `_curve_separator`
+    without an LP; `certs[x][c]` is its negation.  An extra for c strictly
+    below it keeps the pair apart at the cost of one dot product.  Any
+    other extra runs a hull test, and a placement that passes it retires
+    the pair's certificate to None: a hull-test verdict from then on.
     """
 
     def __init__(self, config: ColoredConfig, before: NerveResult):
         order = _curve_order(config)
         self.classes = config.classes()
-        self.apart: dict[str, list[str]] = {c: [] for c in self.classes}
-        self.certs: dict[tuple[str, str], list] = {}
+        self.certs: dict[str, dict[str, tuple | None]] = {c: {} for c in self.classes}
         for a, b in combinations(config.color_labels, 2):
             if not before.complex.is_face((a, b)):
-                self.apart[a].append(b)
-                self.apart[b].append(a)
-                self.certs[a, b] = list(_curve_separator(config, order, a, b))
+                normal, offset = _curve_separator(config, order, a, b)
+                self.certs[a][b] = normal, offset
+                self.certs[b][a] = tuple(-x for x in normal), -offset
 
     def place(self, c: str, e: Point) -> bool:
         """Color e with c if that keeps every non-face pair apart, and
         say whether it did.  Growth cannot delete an intersection, so
         this is the whole check."""
-        values = {}
-        unsure = []
-        for x in self.apart[c]:
-            key = (c, x) if c < x else (x, c)
-            cert = self.certs.get(key)
-            if cert is not None:
-                values[key] = v = _dot(cert[0], e)
-                if (v < cert[2]) if key[0] == c else (v > cert[1]):
-                    continue
-            unsure.append(x)
+        certs = self.certs[c]
+        unsure = [x for x, cert in certs.items() if cert is None or not _dot(cert[0], e) < cert[1]]
         grown = self.classes[c] + [e]
         if any(hulls_intersect([grown, self.classes[x]]) for x in unsure):
             return False
         self.classes[c] = grown
-        for key, v in values.items():
-            cert = self.certs[key]
-            if key[0] == c:
-                cert[1] = max(cert[1], v)
-            else:
-                cert[2] = min(cert[2], v)
-            if cert[1] >= cert[2]:
-                del self.certs[key]
+        for x in unsure:
+            certs[x] = self.certs[x][c] = None
         return True
 
 

@@ -21,6 +21,7 @@ from wordnerve.geometry import (
     _hull_2d,
     _hull_lp,
     _point_text,
+    hulls_intersect,
 )
 from wordnerve.graphs import SimplicialComplex
 from wordnerve.nerve import (
@@ -108,6 +109,19 @@ def nerve_lp(config: ColoredConfig, max_dim: int) -> NerveResult:
             break
         faces.update(layer_hits)
     return NerveResult(SimplicialComplex(labels, frozenset(faces)))
+
+
+def new_faces_reference(faces, classes: dict[str, list[Point]],
+                        size: int) -> list[tuple[str, ...]]:
+    """`nerve._new_faces` by walking every label set of `size` in label
+    order: the sets not in `faces` whose subsets one smaller all are, and
+    whose classes' hulls meet."""
+    return [
+        combo for combo in combinations(sorted(classes), size)
+        if frozenset(combo) not in faces
+        and all(frozenset(combo[:i] + combo[i + 1 :]) in faces for i in range(size))
+        and hulls_intersect([classes[c] for c in combo])
+    ]
 
 
 def gale_facets_scan(r: int, d: int) -> list[tuple[int, ...]]:

@@ -500,6 +500,23 @@ def test_selftest(capsys):
     assert out.count("PASS") == 4 and "FAIL" not in out
 
 
+def test_selftest_reaches_the_lp_on_planar_pairs(capsys, monkeypatch):
+    # planar pairs take the separating-axis route in `hulls_intersect`, so
+    # only a check that also calls the LP sees an LP that is wrong on them
+    real = geometry_lib._hull_lp
+
+    def flipped(classes):
+        verdict = real(classes)
+        if len(classes) == 2 and len(classes[0][0]) == 2:
+            return not verdict
+        return verdict
+
+    monkeypatch.setattr(geometry_lib, "_hull_lp", flipped)
+    code, out, _ = run(capsys, "selftest", "--seed", "0")
+    assert code == 4
+    assert "FAIL breen-vs-feasibility\n" in out
+
+
 def test_output_byte_determinism(tmp_path, capsys):
     gf = write(tmp_path, "g.txt", "a b\nb c\n")
     outs = []

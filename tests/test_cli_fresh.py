@@ -116,19 +116,36 @@ def test_imports_load_no_pathlib_and_no_process_pool():
     assert proc.stdout == "[]\n", proc.stderr
 
 
-def test_facets_past_the_memory_limit_is_an_input_error():
-    """C(10^7, 2) has 10^7 facets, under the up-front guard, but they do not
-    fit in 600 MB: a child that lowers only its own address-space limit
-    must still exit 2 with one error line and no traceback."""
-    pytest.importorskip("resource")
+def limited(argv):
+    """Run `main(argv)` in a child that lowers only its own address-space
+    limit to 600 MB, under `-X dev -W error`."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     child = ("import resource, sys\n"
              "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
              "resource.setrlimit(resource.RLIMIT_AS, (600_000 * 1024, hard))\n"
              "from wordnerve.cli import main\n"
-             "sys.exit(main(['facets', '10000000', '2']))\n")
-    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", child],
+             f"sys.exit(main({argv!r}))\n")
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", child],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def test_facets_past_the_memory_limit_is_an_input_error():
+    """C(10^7, 2) has 10^7 facets, under the up-front guard, but they do not
+    fit in 600 MB: a child that lowers only its own address-space limit
+    must still exit 2 with one error line and no traceback."""
+    pytest.importorskip("resource")
+    proc = limited(["facets", "10000000", "2"])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: C(10000000, 2) has more facets than memory can hold\n"
+
+
+def test_realize_past_the_memory_limit_is_an_input_error(tmp_path):
+    """The W5 word on the moment curve in R^30000 does not fit in 600 MB:
+    any subcommand that runs out of memory exits 2 with one error line."""
+    pytest.importorskip("resource")
+    word = tmp_path / "w5.word"
+    word.write_text(W5_WORD)
+    proc = limited(["realize", str(word), "--dim", "30000"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: realize: the input needs more memory than is available\n"

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import wordnerve
 import wordnerve.nerve as nerve_lib
 from wordnerve.encode import ChordDiagram, word_bipartite, word_from_chord_diagram
 from wordnerve.geometry import hulls_intersect, moment_point, point
@@ -28,6 +33,7 @@ from . import oracles
 from .oracles import assign_extras_2d_reference, nerve_lp
 
 F = Fraction
+SRC = str(Path(wordnerve.__file__).parents[1])
 
 
 def wheel5():
@@ -562,10 +568,11 @@ def test_curve_separator_strictly_separates_every_non_face_pair():
         for a, b in combinations(cfg.color_labels, 2):
             if oracles.dp_max_alternation(seq, a, b) >= d + 2:
                 continue
-            normal, hi, lo = _curve_separator(cfg, _curve_order(cfg), a, b)
+            normal, offset = _curve_separator(cfg, _curve_order(cfg), a, b)
             va = [sum(n * x for n, x in zip(normal, p)) for p in classes[a]]
             vb = [sum(n * x for n, x in zip(normal, p)) for p in classes[b]]
-            assert max(va) == hi < lo == min(vb)
+            assert max(va) < offset < min(vb)
+            assert offset == (max(va) + min(vb)) / 2
             pairs += 1
     assert pairs > 300
 
@@ -615,13 +622,17 @@ def test_separations_match_the_lp_only_reference(monkeypatch):
         monkeypatch.setattr(nerve_lib, "_Separations", oracles.LPSeparations)
         assert colors == extend_colors(g, w, cfg, extras)
         for sep in made:
-            pairs = sum(map(len, sep.apart.values())) // 2
-            built += pairs
-            invalidated += pairs - len(sep.certs)
-            for (a, b), (normal, hi, lo) in sep.certs.items():
-                va = [sum(n * x for n, x in zip(normal, p)) for p in sep.classes[a]]
-                vb = [sum(n * x for n, x in zip(normal, p)) for p in sep.classes[b]]
-                assert max(va) == hi < lo == min(vb)
+            for c, row in sep.certs.items():
+                for x, cert in row.items():
+                    built += c < x
+                    if cert is None:
+                        invalidated += c < x
+                        assert sep.certs[x][c] is None
+                        continue
+                    normal, offset = cert
+                    assert sep.certs[x][c] == (tuple(-n for n in normal), -offset)
+                    for p in sep.classes[c]:
+                        assert sum(n * v for n, v in zip(normal, p)) < offset
     assert built > 0 and invalidated > 0
 
 
@@ -666,3 +677,66 @@ def test_recheck_refuses_an_extra_with_a_new_label():
     before = nerve(cfg, 2)
     with pytest.raises(ExtensionError, match="extension changed the nerve"):
         _verified_extension(cfg, before, [(F(9), F(-1))], ["z"])
+
+
+# -- face candidates ----------------------------------------------------------
+
+
+def test_face_candidates_match_the_combinations_reference(monkeypatch):
+    # candidates grow from the faces one smaller: the sets, their order and
+    # so every hull test must be those of walking all label sets of a size,
+    # in the layers of `nerve` and in the re-check of grown classes
+    real = nerve_lib._new_faces
+    calls = []
+
+    def checked(faces, classes, size):
+        out = real(faces, classes, size)
+        assert out == oracles.new_faces_reference(faces, classes, size)
+        calls.append(len(out))
+        return out
+
+    monkeypatch.setattr(nerve_lib, "_new_faces", checked)
+    rng = random.Random(43)
+    in_nerve, in_recheck = [], []
+    for case in range(300):
+        k = rng.randint(2, 7)
+        seq = [f"c{rng.randrange(k)}" for _ in range(rng.randint(k, 16))]
+        d = case % 4 + 1
+        cfg = realize_on_moment_curve(Word(tuple(seq)), d)
+        if case % 3 == 0:  # off the curve: the pairs are a layer too
+            p = cfg.points[0]
+            cfg = ColoredConfig(((p[0] + F(1, 7),) + p[1:],) + cfg.points[1:], cfg.colors)
+        calls.clear()
+        nerve(cfg, rng.randint(1, 3))
+        in_nerve += calls
+        before = nerve(cfg, 2)
+        extras = []
+        for _ in range(rng.randint(1, 4)):
+            pts = rng.sample(cfg.points, min(3, len(cfg.points)))
+            mean = tuple(sum(p[i] for p in pts) / len(pts) for i in range(d))
+            if mean not in cfg.points and mean not in extras:
+                extras.append(mean)
+        colors = [rng.choice(cfg.color_labels) for _ in extras]
+        calls.clear()
+        try:
+            _verified_extension(cfg, before, extras, colors)
+        except (ExtensionError, DegenerateInputError):
+            pass  # a gained face: the candidates were checked on the way
+        in_recheck += calls
+    assert len(in_nerve) > 250 and sum(in_nerve) > 200
+    assert len(in_recheck) == 600 and sum(in_recheck) > 150
+
+
+def test_face_candidates_do_not_walk_every_label_set():
+    """2,000 labels whose only faces are singletons have no candidate of
+    size 3; walking the C(2000, 3), about 1.3e9, label sets to find that
+    out would take far past the timeout."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    child = ("from fractions import Fraction\n"
+             "from wordnerve.nerve import _new_faces\n"
+             "labels = [f'c{i}' for i in range(2000)]\n"
+             "classes = {c: [(Fraction(i),)] for i, c in enumerate(labels)}\n"
+             "print(_new_faces({frozenset([c]) for c in labels}, classes, 3))\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
