@@ -32,8 +32,6 @@ from .words import pair_runs
 
 Point = tuple[Fraction, ...]
 
-ONE = Fraction(1)
-
 
 class GeometryError(ValueError):
     """Degenerate or inconsistent geometric input (nerve.DegenerateInputError)."""
@@ -67,16 +65,14 @@ def _point_text(p: Point) -> str:
 
 
 def moment_point(t, d: int) -> Point:
-    """(t, t^2, ..., t^d) exactly."""
+    """(t, t^2, ..., t^d) exactly.  With t = n/q in lowest terms, t^k is
+    n^k / q^k, also in lowest terms, so it is built from integer powers."""
     if d < 1:
         raise GeometryError("dimension must be >= 1")
-    t = rational(t)
-    out = []
-    acc = ONE
-    for _ in range(d):
-        acc = acc * t
-        out.append(acc)
-    return tuple(out)
+    n, q = rational(t).as_integer_ratio()
+    if q == 1:
+        return tuple([Fraction(n**k) for k in range(1, d + 1)])
+    return tuple([Fraction(n**k, q**k) for k in range(1, d + 1)])
 
 
 def hulls_intersect(classes: list[list[Point]]) -> bool:

@@ -1,10 +1,10 @@
 """Exact feasibility of equality systems A x = b, x >= 0 over the rationals.
 
 Phase-I simplex: minimize the sum of one artificial variable per row;
-feasible iff the optimum is zero.  The tableau is [A | b] plus the
-objective row, with no artificial columns; `basis[i] = n + i` marks a row
-whose artificial is basic.  The entering column is Dantzig's: the most
-negative reduced cost, lowest index on ties.  After 2m degenerate pivots
+feasible iff the optimum is zero.  The tableau starts as [A | b] plus
+the objective row, with no artificial columns; `basis[i] = n + i` marks a
+row whose artificial is basic.  The entering variable is Dantzig's: the
+most negative reduced cost, lowest index on ties.  After 2m degenerate pivots
 in a row (the leaving row's rhs is 0) Bland's smallest-index rule enters
 instead, until the next nondegenerate pivot.  This terminates: each
 nondegenerate pivot lowers the objective, so no basis recurs across one,
@@ -27,11 +27,26 @@ starting integer matrix, so the division is exact.  Pivots are positive,
 so D > 0, T and T / D share their signs, and the ratio test compares
 cross products with no division.  The pivot loop takes no gcd and does
 no Fraction arithmetic.
+
+The tableau stores only the nonbasic structural columns, in variable
+index order (`cols[j]` is the variable of column j), and the rhs.  A
+basic column of T / D is a unit vector e_r, so in T it is D * e_r and a
+pivot would only rewrite it into D' * e_r.  The entering column leaves
+the tableau.  A structural variable that leaves the basis comes back at
+its sorted place with the column the update would give it: it was
+D * e_r, so it is the old D in the pivot row (which the update keeps)
+and (p * 0 - T[i][s] * D) / D = -T[i][s] in every other row i, the
+objective row included.  An artificial that leaves is dropped, as
+before.  A basic column has reduced cost 0 and is never eligible, so
+with the nonbasic ones kept in index order Dantzig's lowest position on
+ties and Bland's first eligible position are the same variables as on
+the full tableau, and every pivot sequence is unchanged.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 
@@ -62,6 +77,7 @@ def feasible_eq_nonneg(rows: list[list[Fraction | int]], rhs: list[Fraction | in
             scale = -scale
         tab.append([a.numerator * (scale // a.denominator) for a in entries])
     basis = [n + i for i in range(m)]
+    cols = list(range(n))  # cols[j]: the variable of column j, nonbasic, in index order
 
     # Row m is the Phase-I objective, the sum of artificials: minus each column sum.
     tab.append([-sum(column) for column in zip(*tab)])
@@ -70,13 +86,13 @@ def feasible_eq_nonneg(rows: list[list[Fraction | int]], rhs: list[Fraction | in
     degenerate = 0  # consecutive pivots on a zero rhs
     while True:
         obj = tab[m]
-        low = min(obj[:n], default=0)  # reduced costs, all over one D > 0
+        low = min(obj[:-1], default=0)  # reduced costs, all over one D > 0
         if low >= 0:
             break
         if degenerate < 2 * m:  # Dantzig: most negative, lowest index on ties
             enter = obj.index(low)
         else:  # Bland: smallest eligible index, which cannot cycle
-            enter = next(j for j in range(n) if obj[j] < 0)
+            enter = next(j for j in range(len(cols)) if obj[j] < 0)
         leave = -1
         for i in range(m):
             a = tab[i][enter]
@@ -97,8 +113,22 @@ def feasible_eq_nonneg(rows: list[list[Fraction | int]], rhs: list[Fraction | in
         for i in range(m + 1):
             if i != leave:
                 f = tab[i][enter]
-                tab[i] = [(p * a - f * b) // denom for a, b in zip(tab[i], prow)]
+                row = [(p * a - f * b) // denom for a, b in zip(tab[i], prow)]
+                row[enter] = -f  # the leaving variable's column, if it returns
+                tab[i] = row
+        prow[enter] = denom  # the leaving variable's column was D * e_leave
         denom = p
-        basis[leave] = enter
+        out = basis[leave]
+        basis[leave] = cols[enter]
+        del cols[enter]
+        if out < n:  # back among the nonbasic columns, in index order
+            at = bisect_left(cols, out)
+            cols.insert(at, out)
+            if at != enter:
+                for row in tab:
+                    row.insert(at, row.pop(enter))
+        else:  # an artificial that leaves never returns
+            for row in tab:
+                del row[enter]
 
     return tab[m][-1] == 0  # objective value = -obj[rhs] / D; feasible iff 0

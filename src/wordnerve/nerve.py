@@ -54,6 +54,8 @@ class ExtensionError(RuntimeError):
 
 DegenerateInputError = GeometryError  # the nerve code's name for the same class
 
+_EXACT = (int, Fraction)
+
 
 class ColoredConfig(Record):
     """Distinct points in one dimension, each carrying a color label."""
@@ -70,6 +72,10 @@ class ColoredConfig(Record):
         for p in self.points:
             if len(p) != d:
                 raise DegenerateInputError("mixed point dimensions")
+            for x in p:  # exact rationals only; a bool is an int but no coordinate
+                if type(x) not in _EXACT and (not isinstance(x, _EXACT) or isinstance(x, bool)):
+                    raise DegenerateInputError(
+                        f"inexact coordinate {x!r} in point {_point_text(p)}")
         if len(set(self.points)) != len(self.points):
             raise DegenerateInputError("duplicate points in configuration")
         for c in self.colors:
@@ -101,25 +107,30 @@ def realize_on_moment_curve(w: Word, d: int, params=None) -> ColoredConfig:
         raise DegenerateInputError("dimension must be >= 1")
     n = len(w)
     if params is None:
-        params = list(range(1, n + 1))
-    params = [rational(t) for t in params]
-    if len(params) != n:
-        raise DegenerateInputError("need exactly one parameter per letter")
-    for a, b in zip(params, params[1:]):
-        if not a < b:
-            raise DegenerateInputError("parameters must be strictly increasing")
+        params = range(1, n + 1)
+    else:
+        params = [rational(t) for t in params]
+        if len(params) != n:
+            raise DegenerateInputError("need exactly one parameter per letter")
+        for a, b in zip(params, params[1:]):
+            if not a < b:
+                raise DegenerateInputError("parameters must be strictly increasing")
     points = tuple(moment_point(t, d) for t in params)
     return ColoredConfig(points, w.letters)
 
 
 def _curve_order(config: ColoredConfig) -> list[int] | None:
     """The point indices sorted by curve parameter when every point is
-    (t, t^2, ..., t^d) for its first coordinate t, else None."""
+    (t, t^2, ..., t^d) for its first coordinate t, else None.  With
+    t = n/q in lowest terms, t^k is n^k / q^k in lowest terms, so each
+    coordinate is checked by its integer numerator and denominator."""
     for p in config.points:
-        t = acc = p[0]
+        n = nk = p[0].numerator
+        q = qk = p[0].denominator
         for x in p[1:]:
-            acc *= t
-            if x != acc:
+            nk *= n
+            qk *= q
+            if x.numerator != nk or x.denominator != qk:
                 return None
     return sorted(range(len(config.points)), key=lambda i: config.points[i][0])
 

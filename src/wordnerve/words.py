@@ -87,12 +87,34 @@ def is_d_intersecting(w: Word, x: str, y: str, d: int) -> bool:
     return max_alternation(w, x, y) >= d + 2
 
 
+def _opened_runs(letters) -> tuple[list[str], list[list[int]]]:
+    """The sorted alphabet of a plain letter sequence and, for letters
+    i != j of it, opened[i][j]: how many runs of the restriction to
+    {i, j} letter i opens, so the pair makes opened[i][j] + opened[j][i]
+    runs.  One left-to-right sweep keeps last[x], the position of x's
+    last copy (-1 before its first): appending x opens a run of {x, y}
+    exactly when last[x] <= last[y]."""
+    alphabet = sorted(set(letters))
+    index = {a: i for i, a in enumerate(alphabet)}
+    last = [-1] * len(alphabet)
+    opened = [[0] * len(alphabet) for _ in alphabet]
+    for pos, a in enumerate(letters):
+        x = index[a]
+        lx = last[x]
+        row = opened[x]
+        for y, ly in enumerate(last):
+            if lx <= ly:
+                row[y] += 1
+        last[x] = pos
+    return alphabet, opened
+
+
 def _intersecting_pairs(letters, d: int) -> list[tuple[str, str]]:
     """The pairs (x, y), x < y, of a plain letter sequence whose
     restriction makes at least d + 2 runs: its d-intersecting pairs."""
-    alphabet = sorted(set(letters))
-    return [(x, y) for i, x in enumerate(alphabet) for y in alphabet[i + 1 :]
-            if pair_runs(letters, x, y) >= d + 2]
+    alphabet, opened = _opened_runs(letters)
+    return [(x, alphabet[j]) for i, x in enumerate(alphabet) for j in range(i + 1, len(alphabet))
+            if opened[i][j] + opened[j][i] >= d + 2]
 
 
 def induced_graph_general(w: Word, d: int) -> Graph:
@@ -107,15 +129,14 @@ def induced_graph_general(w: Word, d: int) -> Graph:
 def induced_graph_classic(w: Word) -> Graph:
     """Graph on the alphabet with an edge exactly where the pair
     restriction strictly alternates (no two adjacent equal letters)."""
-    letters = sorted(w.alphabet)
-    counts = {x: w.count(x) for x in letters}
-    edges = set()
-    for i, x in enumerate(letters):
-        for y in letters[i + 1 :]:
-            # strict alternation <=> every occurrence starts a new run
-            if max_alternation(w, x, y) == counts[x] + counts[y]:
-                edges.add((x, y))
-    return Graph(tuple(letters), frozenset(edges))
+    letters, opened = _opened_runs(w.letters)
+    # strict alternation <=> every occurrence starts a new run
+    counts = [w.count(x) for x in letters]
+    edges = frozenset(
+        (x, letters[j]) for i, x in enumerate(letters) for j in range(i + 1, len(letters))
+        if opened[i][j] == counts[i] and opened[j][i] == counts[j]
+    )
+    return Graph(tuple(letters), edges)
 
 
 def rotate(w: Word, s: int) -> Word:

@@ -22,6 +22,7 @@ from wordnerve.geometry import (
     _hull_lp,
     _point_text,
     hulls_intersect,
+    rational,
 )
 from wordnerve.graphs import SimplicialComplex
 from wordnerve.nerve import (
@@ -511,6 +512,100 @@ def feasible_eq_nonneg_fraction(rows: list[list[Fraction]], rhs: list[Fraction])
         basis[leave] = enter
 
     return -obj[-1] == 0  # objective value = -obj[rhs]; feasible iff 0
+
+
+def moment_point_products(t, d: int) -> Point:
+    """(t, t^2, ..., t^d) by running Fraction products (the route
+    `geometry.moment_point` replaced by integer powers of t's numerator
+    and denominator)."""
+    t = rational(t)
+    out = []
+    acc = ONE
+    for _ in range(d):
+        acc = acc * t
+        out.append(acc)
+    return tuple(out)
+
+
+def curve_order_products(config: ColoredConfig) -> list[int] | None:
+    """`nerve._curve_order` by checking p[k] == p[0]**(k+1) with one
+    running Fraction product per point (the route it replaced by integer
+    numerators and denominators)."""
+    for p in config.points:
+        t = acc = p[0]
+        for x in p[1:]:
+            acc *= t
+            if x != acc:
+                return None
+    return sorted(range(len(config.points)), key=lambda i: config.points[i][0])
+
+
+def feasible_eq_nonneg_full(rows: list[list[Fraction | int]], rhs: list[Fraction | int]) -> bool:
+    """`wordnerve.lp.feasible_eq_nonneg` on the full integer tableau [A | b]:
+    the basic structural columns stay in it and every pivot rewrites them
+    (the solver `wordnerve.lp` replaced by a tableau of nonbasic columns).
+    Same pricing, ratio test and Bareiss update, so the same pivots."""
+    m = len(rows)
+    if len(rhs) != m:
+        raise ValueError(f"rhs has {len(rhs)} entries for {m} rows")
+    if m == 0:
+        return True
+    n = len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise ValueError("rows must all have the same length")
+
+    # Tableau: [A | b] in integers.  Each row is scaled by the lcm of its
+    # denominators, negated when b < 0 so that b >= 0.
+    tab: list[list[int]] = []
+    for i in range(m):
+        entries = [*rows[i], rhs[i]]
+        # A list, not a generator: unpacking a generator builds a resized
+        # tuple, and those pile up in the interpreter's tuple free lists.
+        scale = math.lcm(*[a.denominator for a in entries])
+        if rhs[i] < 0:
+            scale = -scale
+        tab.append([a.numerator * (scale // a.denominator) for a in entries])
+    basis = [n + i for i in range(m)]
+
+    # Row m is the Phase-I objective, the sum of artificials: minus each column sum.
+    tab.append([-sum(column) for column in zip(*tab)])
+
+    denom = 1
+    degenerate = 0  # consecutive pivots on a zero rhs
+    while True:
+        obj = tab[m]
+        low = min(obj[:n], default=0)  # reduced costs, all over one D > 0
+        if low >= 0:
+            break
+        if degenerate < 2 * m:  # Dantzig: most negative, lowest index on ties
+            enter = obj.index(low)
+        else:  # Bland: smallest eligible index, which cannot cycle
+            enter = next(j for j in range(n) if obj[j] < 0)
+        leave = -1
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                # b_i / a_i against b_leave / a_leave; both a's are > 0.
+                diff = tab[i][-1] * tab[leave][enter] - tab[leave][-1] * a
+                if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                    leave = i
+        if leave < 0:
+            # Cannot happen: the Phase-I objective is bounded below by 0.
+            raise ArithmeticError("phase-I simplex unbounded")
+        degenerate = degenerate + 1 if tab[leave][-1] == 0 else 0
+        p = tab[leave][enter]
+        prow = tab[leave]
+        for i in range(m + 1):
+            if i != leave:
+                f = tab[i][enter]
+                tab[i] = [(p * a - f * b) // denom for a, b in zip(tab[i], prow)]
+        denom = p
+        basis[leave] = enter
+
+    return tab[m][-1] == 0  # objective value = -obj[rhs] / D; feasible iff 0
 
 
 # The planar extension's line search as it was before `wordnerve.nerve`

@@ -23,6 +23,7 @@ from .oracles import (
     det,
     gale_facets_scan,
     hyperplane_through_points,
+    moment_point_products,
 )
 
 F = Fraction
@@ -53,6 +54,23 @@ def test_moment_point_examples():
     assert moment_point(2, 3) == (2, 4, 8)
     assert moment_point(0, 4) == (0, 0, 0, 0)
     assert moment_point(F(1, 2), 2) == (F(1, 2), F(1, 4))
+
+
+def test_moment_point_matches_fraction_products():
+    # integer powers of t's numerator and denominator against running
+    # Fraction products: negative, zero and integer parameters, and
+    # denominators up to 10^6
+    rng = random.Random(21)
+    params = [0, 1, -1, F(-1, 10**6), F(10**6 - 1, 10**6)]
+    for _ in range(1500):
+        q = rng.choice([1, rng.randint(2, 9), rng.randint(2, 10**6)])
+        params.append(F(rng.randint(-(10**6), 10**6), q))
+    for t in params:
+        for d in range(1, 7):
+            p = moment_point(t, d)
+            assert p == moment_point_products(t, d)
+            assert all(type(x) is F for x in p)
+    assert moment_point("-3/7", 3) == moment_point_products(F(-3, 7), 3)
 
 
 def test_orientation_moment_points_positive():

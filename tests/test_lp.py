@@ -1,3 +1,4 @@
+import builtins
 import json
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from . import oracles
 from .oracles import feasible_eq_nonneg_fraction
 from wordnerve import geometry, lp
 from wordnerve.geometry import hulls_intersect, moment_point
@@ -277,12 +279,64 @@ def triple_systems(words):
     return systems
 
 
-def test_curve_triple_systems_match_fraction_simplex():
-    systems = triple_systems(curve_words(100))
-    assert len(systems) > 100
-    for rows, rhs in systems:
+@pytest.fixture(scope="module")
+def curve_triples():
+    return triple_systems(curve_words(100))
+
+
+def test_curve_triple_systems_match_fraction_simplex(curve_triples):
+    assert len(curve_triples) > 100
+    for rows, rhs in curve_triples:
         assert rhs.count(1) == 3  # one weight block per class
         assert feasible_eq_nonneg(rows, rhs) == _oracle(rows, rhs)
+
+
+# -- the tableau of nonbasic columns against the full tableau -----------------
+
+
+def same_pivots(rows, rhs):
+    """Both tableaux make the same pivots and reach the same verdict.  Each
+    solver prices through `min` in its module, once per pivot and once to
+    stop; the price read is the least reduced cost while one is negative,
+    then 0.  The condensed solver must read the full tableau's prices, in
+    order, and fails at the first pivot that differs.  Returns the count."""
+    prices = []
+
+    def recorded(costs, default):
+        low = builtins.min(costs, default=default)
+        prices.append(builtins.min(low, 0))
+        return low
+
+    with mock.patch.object(oracles, "min", recorded, create=True):
+        verdict = oracles.feasible_eq_nonneg_full(rows, rhs)
+    expected = iter(prices)
+
+    def checked(costs, default):
+        low = builtins.min(costs, default=default)
+        assert builtins.min(low, 0) == next(expected, None)
+        return low
+
+    with mock.patch.object(lp, "min", checked, create=True):
+        assert feasible_eq_nonneg(rows, rhs) == verdict
+    assert next(expected, None) is None
+    return len(prices) - 1
+
+
+def test_curve_triple_systems_pivot_as_the_full_tableau(curve_triples):
+    pivots = [same_pivots(rows, rhs) for rows, rhs in curve_triples]
+    assert sum(pivots) > 10 * len(pivots)
+
+
+@DIFF
+@given(systems())
+@example(([[1, 1], [2, 2], [1, 0]], [1, 2, 1], True))
+# Here a returning variable's column put back by position rather than by
+# index, or with the sign of T[i][s] kept, changes the pivots.
+@example(([[2, 2, 2, 0, -1, 1], [1, 1, 2, 0, 1, 0], [1, 0, 0, 0, -1, 0], [-1, -1, -1, 1, 0, 2]],
+          [0, 0, 0, 1], True))
+def test_systems_pivot_as_the_full_tableau(system):
+    rows, rhs, _ = system
+    same_pivots(rows, rhs)
 
 
 # A seed-1 benchmark triple at d = 4 (11 rows, 12 columns) whose pivots stay

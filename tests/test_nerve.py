@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -30,7 +31,7 @@ from wordnerve.nerve import (
 from wordnerve.words import Word, induced_graph_general, word
 
 from . import oracles
-from .oracles import assign_extras_2d_reference, nerve_lp
+from .oracles import assign_extras_2d_reference, curve_order_products, nerve_lp
 
 F = Fraction
 SRC = str(Path(wordnerve.__file__).parents[1])
@@ -81,6 +82,57 @@ def test_realize_obs_fixture_in_r3():
     cfg2 = realize_on_moment_curve(word("11212"), 3)
     classes2 = cfg2.classes()
     assert not hulls_intersect([classes2["1"], classes2["2"]])
+
+
+def test_config_refuses_inexact_coordinates():
+    # a float such as 0.1 * 0.1 is not 1/100, and a bool or a string is no
+    # coordinate: each is refused by name before any verdict reads it
+    for bad in (0.5, 0.1 * 0.1, True, "1"):
+        points = ((F(1, 10), F(1, 100), F(1, 1000)), (F(1), bad, F(1)))
+        with pytest.raises(DegenerateInputError, match=r"inexact coordinate .* in point \(1, "):
+            ColoredConfig(points, ("a", "b"))
+    with pytest.raises(DegenerateInputError):
+        nerve(ColoredConfig(((0.1, 0.1 * 0.1, 0.1**3), (0.2, 0.04, 0.008)), ("a", "b")), 2)
+    ints = ColoredConfig(((1, 1), (2, 4), (3, 9)), ("a", "b", "a"))  # the planar copies
+    assert _curve_order(ints) == [0, 1, 2]
+
+
+def test_curve_order_matches_fraction_products():
+    # curve configurations in shuffled order, then the same with one
+    # coordinate of one point moved by 1/q, q the denominator of its t
+    rng = random.Random(21)
+    moved_off = 0
+    for case in range(400):
+        d = case % 6 + 1
+        size, pool = rng.randint(1, 12), set()
+        while len(pool) < size:
+            pool.add(F(rng.randint(-40, 40), rng.choice([1, rng.randint(1, 12)])))
+        points = [moment_point(t, d) for t in pool]
+        rng.shuffle(points)
+        colors = tuple(f"c{rng.randrange(3)}" for _ in points)
+        cfg = ColoredConfig(tuple(points), colors)
+        assert _curve_order(cfg) == curve_order_products(cfg) is not None
+        i, k = rng.randrange(len(points)), rng.randrange(d)
+        p = points[i]
+        points[i] = p[:k] + (p[k] + F(1, p[0].denominator),) + p[k + 1 :]
+        if len(set(points)) == len(points):
+            moved = ColoredConfig(tuple(points), colors)
+            order = _curve_order(moved)
+            assert order == curve_order_products(moved)
+            moved_off += order is None
+    assert moved_off > 250
+
+
+def test_nerve_of_distinct_letters_is_fast():
+    # one sweep of the word finds the pairs: no pair scans the whole word
+    for k, bound in ((300, 0.05), (600, 0.2)):
+        cfg = realize_on_moment_curve(Word(tuple(f"c{i}" for i in range(k))), 2)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            faces = nerve(cfg, 2).complex.faces_of_size(2)
+            best = min(best, time.perf_counter() - start)
+        assert faces == [] and best < bound, (k, best)
 
 
 def test_nerve_two_crossing_segments():

@@ -8,16 +8,21 @@ from wordnerve.graphs import from_edge_list
 from wordnerve.words import (
     Word,
     WordError,
+    _intersecting_pairs,
     induced_graph_classic,
     induced_graph_general,
     is_d_intersecting,
     max_alternation,
+    pair_runs,
     rotate,
     word,
 )
 from wordnerve.oracles import brute_max_alternation
 
 from .oracles import dp_max_alternation, strictly_alternates
+
+# Fixed examples and no example database: every run draws the same cases.
+EXAMPLES = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def test_word_basics():
@@ -53,18 +58,18 @@ def test_max_alternation_exhaustive_small():
         assert max_alternation(w, "a", "b") == brute_max_alternation(letters, "a", "b")
 
 
+@EXAMPLES
 @given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=60))
-@settings(max_examples=300, deadline=None)
 def test_max_alternation_matches_dp(letters):
     w = Word(tuple(letters))
     assert max_alternation(w, "a", "b") == dp_max_alternation(letters, "a", "b")
 
 
+@EXAMPLES
 @given(
     st.lists(st.sampled_from("abc"), min_size=1, max_size=30),
     st.lists(st.sampled_from("abc"), min_size=0, max_size=10),
 )
-@settings(max_examples=200, deadline=None)
 def test_max_alternation_monotone_under_extension(base, suffix):
     w1 = Word(tuple(base))
     w2 = Word(tuple(base + suffix))
@@ -118,6 +123,22 @@ def test_induced_graph_classic_matches_definition_fuzz():
                 assert g.has_edge(x, y) == strictly_alternates(letters, x, y)
 
 
+@EXAMPLES
+@given(st.lists(st.sampled_from("abcdef"), max_size=40))
+def test_sweep_matches_pair_runs(letters):
+    # one sweep of the word against one `pair_runs` scan per pair, on words
+    # with repeated letters, empty words included
+    alphabet = sorted(set(letters))
+    runs = {(x, y): pair_runs(letters, x, y)
+            for i, x in enumerate(alphabet) for y in alphabet[i + 1 :]}
+    for d in (1, 2, 3, 4):
+        assert _intersecting_pairs(letters, d) == [pair for pair, r in runs.items() if r >= d + 2]
+    if letters:
+        counts = {x: letters.count(x) for x in alphabet}
+        classic = {pair for pair, r in runs.items() if r == counts[pair[0]] + counts[pair[1]]}
+        assert induced_graph_classic(Word(tuple(letters))).edges == classic
+
+
 def test_rotate():
     assert rotate(word("12121"), 1) == word("21211")
     w = word("abcab")
@@ -126,8 +147,8 @@ def test_rotate():
     assert rotate(w, -1) == word("babca")
 
 
+@EXAMPLES
 @given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=14), st.integers(0, 13))
-@settings(max_examples=300, deadline=None)
 def test_rotation_invariance_at_level_two(letters, s):
     w = Word(tuple(letters))
     assert induced_graph_general(rotate(w, s), 2) == induced_graph_general(w, 2)
