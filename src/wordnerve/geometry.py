@@ -32,6 +32,8 @@ from .words import pair_runs
 
 Point = tuple[Fraction, ...]
 
+_EXACT = (int, Fraction)
+
 
 class GeometryError(ValueError):
     """Degenerate or inconsistent geometric input (nerve.DegenerateInputError)."""
@@ -75,9 +77,18 @@ def moment_point(t, d: int) -> Point:
     return tuple([Fraction(n**k, q**k) for k in range(1, d + 1)])
 
 
+def _check_exact(p) -> None:
+    """Refuse a point with a coordinate that is not an int or a Fraction: a
+    float is binary and a bool is no coordinate, though both pass for numbers."""
+    for x in p:
+        if type(x) not in _EXACT and (not isinstance(x, _EXACT) or isinstance(x, bool)):
+            raise GeometryError(f"inexact coordinate {x!r} in point {_point_text(p)}")
+
+
 def hulls_intersect(classes: list[list[Point]]) -> bool:
     """Do the convex hulls of all classes share a common point?  A planar
-    pair is decided by `_planar_pair_meets`, every other shape by `_hull_lp`."""
+    pair is decided by `_planar_pair_meets`, every other shape by `_hull_lp`.
+    Coordinates are ints or Fractions; any other type is refused."""
     if not classes or any(len(c) == 0 for c in classes):
         raise GeometryError("every class must be nonempty")
     d = len(classes[0][0])
@@ -85,6 +96,7 @@ def hulls_intersect(classes: list[list[Point]]) -> bool:
         for p in cls:
             if len(p) != d:
                 raise GeometryError("all points must share one dimension")
+            _check_exact(p)
     k = len(classes)
     if k == 1:
         return True
@@ -98,7 +110,7 @@ def _planar_pair_meets(a: list[Point], b: list[Point]) -> bool:
     edge of one has the other strictly beyond that edge (Chazelle and
     Dobkin 1987), or, when A - B is a point or a segment (both have at most
     2 vertices), some q - p puts them strictly apart.  On `_integer_copy`."""
-    ints = _integer_copy(a + b)
+    _, ints = _integer_copy(a + b)
     ha, hb = _hull_2d(ints[: len(a)]), _hull_2d(ints[len(a) :])
     for h, other in ((ha, hb), (hb, ha)):
         for p, q in zip(h, h[1:] + h[:1]):  # counterclockwise, so (dy, -dx) points out
@@ -252,13 +264,14 @@ def _cross(o: Point, a: Point, b: Point) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _integer_copy(points: list[Point]) -> list[tuple[int, int]]:
-    """Planar points times the lcm of their coordinate denominators:
-    integer points with the same signs of every homogeneous polynomial."""
+def _integer_copy(points: list[Point]) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm L of the points' coordinate denominators, and the points
+    times L: integer points with the same signs of every homogeneous
+    polynomial.  An affine form n . x - c keeps its signs as n . (L x) - L c."""
     ratios = [x.as_integer_ratio() for p in points for x in p]
     scale = math.lcm(*[q for _, q in ratios])
     flat = iter([n * (scale // q) for n, q in ratios])
-    return list(zip(flat, flat))
+    return scale, list(zip(*[flat] * len(points[0]))) if points else []
 
 
 def _hull_2d(points: list[Point]) -> list[Point]:
@@ -285,11 +298,11 @@ def _check_general_position_2d(points: list[Point]) -> list[tuple[int, int]]:
     triple (i, j, k).  O(N^2): for each i, the later points on one line
     through points[i] share a primitive direction from it, and the first
     two indices of a direction form its smallest pair.  The directions are
-    taken on `_integer_copy(points)`, which is returned; the message shows
-    the given points."""
+    taken on the integer copy of `_integer_copy(points)`, which is
+    returned; the message shows the given points."""
     if len(set(points)) != len(points):
         raise GeometryError("duplicate points")
-    ints = _integer_copy(points)
+    _, ints = _integer_copy(points)
     for i, (x, y) in enumerate(ints):
         first: dict[tuple[int, ...], int] = {}
         pairs = []

@@ -15,13 +15,16 @@ enlarged configuration is label-identical to the original.  Neither is
 trusted: every run re-checks the enlarged configuration afterwards
 and fails loudly on any difference.  The classes only grow, so no face
 can be lost; the re-check tests the candidates that could be gained.
-The planar extension searches its support lines on one integer-scaled
-copy of the points (its predicates are signs of homogeneous polynomials
-in the coordinates, which a positive scale keeps).  The bipartite one
-keeps each non-face pair apart with a fixed hyperplane midway between the
-pair, whose normal has its roots on the curve in the gaps between the
-pair's runs (Breen's criterion bounds them by d + 1), and runs a hull test
-only when an extra does not land strictly on its class's side of it.
+Both extensions decide on one integer copy of the configuration and the
+extras, scaled by the lcm of all their coordinate denominators: each
+predicate is the sign of a homogeneous polynomial in the coordinates, or
+of an affine one whose constant is scaled too, and a positive scale keeps
+every such sign.  The re-check runs on the given points.  The planar
+extension searches support lines on the copy.  The bipartite one keeps
+each non-face pair apart with a fixed hyperplane midway between the pair,
+whose normal has its roots on the curve in the gaps between the pair's
+runs (Breen's criterion bounds them by d + 1), and runs a hull test only
+when an extra does not land strictly on its class's side of it.
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ from .geometry import (
     GeometryError,
     Hyperplane,
     Point,
+    _check_exact,
     _check_general_position_2d,
     _hull_2d,
+    _integer_copy,
     _point_text,
     _primitive,
     hulls_intersect,
@@ -54,8 +59,6 @@ class ExtensionError(RuntimeError):
 
 DegenerateInputError = GeometryError  # the nerve code's name for the same class
 
-_EXACT = (int, Fraction)
-
 
 class ColoredConfig(Record):
     """Distinct points in one dimension, each carrying a color label."""
@@ -72,10 +75,7 @@ class ColoredConfig(Record):
         for p in self.points:
             if len(p) != d:
                 raise DegenerateInputError("mixed point dimensions")
-            for x in p:  # exact rationals only; a bool is an int but no coordinate
-                if type(x) not in _EXACT and (not isinstance(x, _EXACT) or isinstance(x, bool)):
-                    raise DegenerateInputError(
-                        f"inexact coordinate {x!r} in point {_point_text(p)}")
+            _check_exact(p)
         if len(set(self.points)) != len(self.points):
             raise DegenerateInputError("duplicate points in configuration")
         for c in self.colors:
@@ -247,12 +247,12 @@ _FIXED_DIRECTIONS = [
 ]
 
 
-def _support_lines(own: list[IntPoint], class_points: dict[str, list[IntPoint]],
-                   extras: list[IntPoint]):
+def _support_lines(own: list[IntPoint], class_points: dict[str, list[IntPoint]]):
     """Yield candidate support lines of conv(own), lazily and in a fixed
     order, as (normal, offset, chord): the line normal.q = offset with the
-    class on the side normal.q <= offset.  Points are integer pairs, so the
-    normal and the offset are integers too.
+    class on the side normal.q <= offset.  Points are integer pairs of the
+    extension's one integer copy, so the normal and the offset are
+    integers too.
 
     Directions come from the class's own hull edges first (the cheap,
     usually admissible chords), then a fixed fan, then every pairwise point
@@ -262,11 +262,13 @@ def _support_lines(own: list[IntPoint], class_points: dict[str, list[IntPoint]],
     through two own points is a chord, which other classes may straddle,
     and a tangent is not.
 
-    Only the extras are tested for lying on a line.  Class points need no
+    No point is tested for lying on a line here.  Class points need no
     test: a third point on a chord would be a collinear triple, which the
     general-position check rejects up front, and a point of another class
     on a tangent has value 0 there, so the caller's strict inside/outside
-    test already rejects the line.
+    test already rejects the line.  The caller drops a line through an
+    extra only once the line is admissible: the two tests filter one lazy
+    sequence, so in either order the first line to pass both is the same.
     """
     hull = _hull_2d(own)
     points = [q for c in sorted(class_points) for q in class_points[c]]
@@ -284,11 +286,7 @@ def _support_lines(own: list[IntPoint], class_points: dict[str, list[IntPoint]],
         seen.add(primitive)
         values = [dx * p[1] - dy * p[0] for p in own]
         for sign, extreme in ((1, max(values)), (-1, min(values))):
-            a, b = -sign * dy, sign * dx
-            offset = sign * extreme
-            if any(a * q[0] + b * q[1] == offset for q in extras):
-                continue
-            yield (a, b), offset, values.count(extreme) >= 2
+            yield (-sign * dy, sign * dx), sign * extreme, values.count(extreme) >= 2
 
 
 def _assign_extras_2d(class_points: dict[str, list[IntPoint]],
@@ -299,8 +297,10 @@ def _assign_extras_2d(class_points: dict[str, list[IntPoint]],
     Returns extra-index -> color.  Mirrors the two-color base split and
     the peel-one-color recursion: find a color and a support line whose
     class side contains no class disjoint from it, give that side's extras
-    to the color, and recurse on the rest.  Pair verdicts are read from
-    the original nerve.
+    to the color, and recurse on the rest.  A line through an extra would
+    leave it no strict side, so it is skipped; most lines fail the
+    admissibility test first, so the extras are tested only after it.
+    Pair verdicts are read from the original nerve.
     """
     colors = sorted(class_points)
     if len(colors) == 1:
@@ -309,7 +309,7 @@ def _assign_extras_2d(class_points: dict[str, list[IntPoint]],
         return {i: colors[1] for i in range(len(extras))}
 
     for color in colors:
-        for (a, b), offset, chord in _support_lines(class_points[color], class_points, extras):
+        for (a, b), offset, chord in _support_lines(class_points[color], class_points):
             for other in colors:
                 if other == color:
                     continue
@@ -320,6 +320,8 @@ def _assign_extras_2d(class_points: dict[str, list[IntPoint]],
                 if not inside and not chord and not all(v > offset for v in values):
                     break  # straddling is only safe across a chord
             else:
+                if any(a * q[0] + b * q[1] == offset for q in extras):
+                    continue
                 rest = {c: pts for c, pts in class_points.items() if c != color}
                 sub = _assign_extras_2d(rest, original, extras)
                 for i, q in enumerate(extras):
@@ -384,17 +386,23 @@ def _dot(normal, p: Point):
     return sum(a * x for a, x in zip(normal, p))
 
 
-def _curve_separator(config: ColoredConfig, order: list[int], a: str, b: str):
+def _curve_separator(config: ColoredConfig, order: list[int], ints: list[tuple[int, ...]],
+                     a: str, b: str):
     """A hyperplane strictly between classes a and b of a moment-curve
-    configuration, as (normal, offset) with normal . p < offset < normal . q
-    for every p in a and q in b, the offset midway between the two classes;
-    `order` is `_curve_order`.
+    configuration, as an integer normal and a doubled integer offset with
+    2 normal . p < offset2 < 2 normal . q for every p in a and q in b of
+    `ints`, the configuration's points scaled by `_integer_copy`: the
+    hyperplane normal . x = offset2 / 2 lies midway between the two classes
+    with no Fraction.  `order` is `_curve_order`.
 
     The pair must be a non-face: by Breen's criterion its colors make at
     most d + 1 runs in parameter order.  One root goes between the two
     parameters of each color change and the rest past the pair's largest
     parameter, so the degree-d polynomial with these roots, which is
     normal . x(t) - c for some c, has one sign on class a and the other on b.
+
+    The roots come from the given curve parameters, rational or not; the
+    normal is the same on any positive scale of the points.
     """
     pair = [i for i in order if config.colors[i] in (a, b)]
     roots = [
@@ -405,43 +413,50 @@ def _curve_separator(config: ColoredConfig, order: list[int], a: str, b: str):
     last = config.points[pair[-1]][0]
     roots += [last + k for k in range(1, config.dimension - len(roots) + 1)]
     normal = hyperplane_through_moment_points(roots, config.dimension).normal
-    va = [_dot(normal, config.points[i]) for i in pair if config.colors[i] == a]
-    vb = [_dot(normal, config.points[i]) for i in pair if config.colors[i] == b]
+    va = [_dot(normal, ints[i]) for i in pair if config.colors[i] == a]
+    vb = [_dot(normal, ints[i]) for i in pair if config.colors[i] == b]
     if min(vb) < max(va):
         normal, va, vb = tuple(-x for x in normal), [-v for v in va], [-v for v in vb]
     if not max(va) < min(vb):
         raise ExtensionError(f"the curve-gap hyperplane does not separate {a} and {b}")
-    return normal, (max(va) + min(vb)) / 2
+    return normal, max(va) + min(vb)
 
 
 class _Separations:
     """The classes of a moment-curve coloring as extras join them, with
-    each non-face pair of the original nerve kept apart.
+    each non-face pair of the original nerve kept apart.  Points are those
+    of the extension's one integer copy (`_integer_copy` of the
+    configuration and the extras): every test here is a sign, which a
+    positive scale keeps.
 
-    `certs[c][x]` is a fixed hyperplane (normal, offset) with class c
-    strictly below and class x strictly above, from `_curve_separator`
-    without an LP; `certs[x][c]` is its negation.  An extra for c strictly
-    below it keeps the pair apart at the cost of one dot product.  Any
-    other extra runs a hull test, and a placement that passes it retires
-    the pair's certificate to None: a hull-test verdict from then on.
+    `certs[c][x]` is a fixed hyperplane (normal, offset2) with class c
+    strictly below and class x strictly above, 2 normal . p against the
+    doubled offset, from `_curve_separator` without an LP; `certs[x][c]` is
+    its negation.  An extra for c strictly below it keeps the pair apart at
+    the cost of one integer dot product.  Any other extra runs a hull test,
+    and a placement that passes it retires the pair's certificate to None:
+    a hull-test verdict from then on.
     """
 
-    def __init__(self, config: ColoredConfig, before: NerveResult):
+    def __init__(self, config: ColoredConfig, ints: list[tuple[int, ...]],
+                 before: NerveResult):
         order = _curve_order(config)
-        self.classes = config.classes()
+        self.classes = ColoredConfig(tuple(ints), config.colors).classes()
         self.certs: dict[str, dict[str, tuple | None]] = {c: {} for c in self.classes}
         for a, b in combinations(config.color_labels, 2):
             if not before.complex.is_face((a, b)):
-                normal, offset = _curve_separator(config, order, a, b)
-                self.certs[a][b] = normal, offset
-                self.certs[b][a] = tuple(-x for x in normal), -offset
+                normal, offset2 = _curve_separator(config, order, ints, a, b)
+                self.certs[a][b] = normal, offset2
+                self.certs[b][a] = tuple(-x for x in normal), -offset2
 
-    def place(self, c: str, e: Point) -> bool:
+    def place(self, c: str, e: tuple[int, ...]) -> bool:
         """Color e with c if that keeps every non-face pair apart, and
         say whether it did.  Growth cannot delete an intersection, so
         this is the whole check."""
         certs = self.certs[c]
-        unsure = [x for x, cert in certs.items() if cert is None or not _dot(cert[0], e) < cert[1]]
+        unsure = [
+            x for x, cert in certs.items() if cert is None or not 2 * _dot(cert[0], e) < cert[1]
+        ]
         grown = self.classes[c] + [e]
         if any(hulls_intersect([grown, self.classes[x]]) for x in unsure):
             return False
@@ -462,8 +477,13 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
     colors.  A color is taken when it keeps every non-face pair apart
     (`_Separations`: curve-gap certificates, hull tests where they fail).
     Extras lying exactly on a separator hyperplane, given twice or equal
-    to a configuration point are rejected.  The result is re-checked by
-    `_verified_extension`: a filled hollow triangle is an input error,
+    to a configuration point are rejected.
+
+    Every decision runs on one integer copy of the configuration and the
+    extras, scaled by the lcm of all their coordinate denominators
+    (`_integer_copy`); each hyperplane's offset is scaled with them.
+    Messages name the given points, and the result is re-checked on them
+    by `_verified_extension`: a filled hollow triangle is an input error,
     any other change of the nerve an internal error.
     """
     layout = bipartite_layout(g)
@@ -479,15 +499,18 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
     if config.points != expected.points or config.colors != expected.colors:
         raise DegenerateInputError("configuration is not the moment-curve realization of the word")
     extras = _coerce_extras(extras, config)
+    n = len(config.points)
+    scale, ints = _integer_copy(list(config.points) + extras)
 
     m = len(layout.u_labels)
     hyperplanes: list[tuple[str, Hyperplane, int]] = []
     for j in range(1, m):
         h = hyperplane_through_moment_points(_separator_params(layout, j), d)
+        h = Hyperplane(h.normal, h.offset * scale)
         block_sign = None
         for i in range(1, d + 1):
             for pos in layout.spans[i, j]:
-                s = h.side(config.points[pos])
+                s = h.side(ints[pos])
                 if s == 0:
                     raise ExtensionError("block point on separator hyperplane")
                 if block_sign is None:
@@ -500,17 +523,17 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
         for jj in range(j + 1, m + 1):
             for i in range(1, d + 1):
                 for pos in layout.spans[i, jj]:
-                    if h.side(config.points[pos]) != -block_sign:
+                    if h.side(ints[pos]) != -block_sign:
                         raise ExtensionError("remainder block on the claimed side")
         hyperplanes.append((layout.u_labels[j - 1], h, block_sign))
 
     labels = config.color_labels
     before = nerve(config, 2)
-    separations = _Separations(config, before)
+    separations = _Separations(config, ints[:n], before)
 
     assignment: list[str] = []
-    for e in extras:
-        sides = [h.side(e) for _, h, _ in hyperplanes]
+    for e, x in zip(extras, ints[n:]):
+        sides = [h.side(x) for _, h, _ in hyperplanes]
         if 0 in sides:
             raise DegenerateInputError(f"extra {_point_text(e)} lies on a separator hyperplane")
         # Candidate order: the region rule's u-color first (the hyperplane
@@ -527,7 +550,7 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
             c for c in labels if c not in layout.u_labels
         ]
         for c in candidates:
-            if separations.place(c, e):
+            if separations.place(c, x):
                 assignment.append(c)
                 break
         else:

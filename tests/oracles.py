@@ -11,8 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
+import wordnerve.geometry as geometry_lib
+import wordnerve.nerve as nerve_lib
+from wordnerve.encode import bipartite_layout
 from wordnerve.geometry import (
     GeometryError,
     Hyperplane,
@@ -22,6 +25,7 @@ from wordnerve.geometry import (
     _hull_lp,
     _point_text,
     hulls_intersect,
+    hyperplane_through_moment_points,
     rational,
 )
 from wordnerve.graphs import SimplicialComplex
@@ -31,6 +35,7 @@ from wordnerve.nerve import (
     DegenerateInputError,
     ExtensionError,
     NerveResult,
+    _curve_order,
 )
 from wordnerve.search import (
     FOUND,
@@ -742,10 +747,11 @@ def assign_extras_2d_reference(class_points: dict[str, list[Point]],
 class LPSeparations:
     """`nerve._Separations` without certificates: a placement is tested
     by one LP per non-face pair of the grown class (the `safe` check the
-    curve-gap certificates replaced)."""
+    curve-gap certificates replaced).  It takes the same integer copy of
+    the points as the library's class."""
 
-    def __init__(self, config: ColoredConfig, before: NerveResult):
-        self.classes = config.classes()
+    def __init__(self, config: ColoredConfig, ints, before: NerveResult):
+        self.classes = ColoredConfig(tuple(ints), config.colors).classes()
         self.before = before.complex
 
     def place(self, c: str, e: Point) -> bool:
@@ -758,3 +764,187 @@ class LPSeparations:
             return False
         self.classes[c] = grown
         return True
+
+
+# The planar line search before the extras were tested only on admissible
+# lines: every candidate line is first tested against every extra.
+
+
+def eager_support_lines(own, class_points, extras):
+    """`nerve._support_lines` with the extras tested inside the generator:
+    a line through an extra is never yielded."""
+    hull = _hull_2d(own)
+    points = [q for c in sorted(class_points) for q in class_points[c]]
+    directions = chain(
+        ((b[0] - a[0], b[1] - a[1]) for a, b in zip(hull, hull[1:] + hull[:1]) if a != b),
+        _FIXED_DIRECTIONS,
+        (v for a, b in combinations(points, 2)
+         for v in ((b[0] - a[0], b[1] - a[1]), (a[1] - b[1], b[0] - a[0]))),
+    )
+    seen: set[tuple[int, ...]] = set()
+    for direction in directions:
+        dx, dy = primitive = geometry_lib._primitive(direction)
+        if primitive in seen:
+            continue
+        seen.add(primitive)
+        values = [dx * p[1] - dy * p[0] for p in own]
+        for sign, extreme in ((1, max(values)), (-1, min(values))):
+            a, b = -sign * dy, sign * dx
+            offset = sign * extreme
+            if any(a * q[0] + b * q[1] == offset for q in extras):
+                continue
+            yield (a, b), offset, values.count(extreme) >= 2
+
+
+def assign_extras_2d_eager(class_points, original: SimplicialComplex, extras) -> dict[int, str]:
+    """`nerve._assign_extras_2d` over `eager_support_lines`: the lines
+    through an extra are dropped before the admissibility test."""
+    colors = sorted(class_points)
+    if len(colors) == 1:
+        return {i: colors[0] for i in range(len(extras))}
+    if len(colors) == 2 and original.is_face(colors):
+        return {i: colors[1] for i in range(len(extras))}
+    for color in colors:
+        for (a, b), offset, chord in eager_support_lines(class_points[color], class_points,
+                                                         extras):
+            for other in colors:
+                if other == color:
+                    continue
+                values = [a * q[0] + b * q[1] for q in class_points[other]]
+                inside = all(v < offset for v in values)
+                if inside and not original.is_face((color, other)):
+                    break
+                if not inside and not chord and not all(v > offset for v in values):
+                    break
+            else:
+                rest = {c: pts for c, pts in class_points.items() if c != color}
+                sub = assign_extras_2d_eager(rest, original, extras)
+                for i, q in enumerate(extras):
+                    if a * q[0] + b * q[1] < offset:
+                        sub[i] = color
+                return sub
+    raise ExtensionError("extension step failed: no admissible color/line pair")
+
+
+# The bipartite extension before it decided on one integer copy: separator
+# sides, curve-gap certificates and placements on the given `Fraction`
+# points, each certificate offset a `Fraction` midpoint.  Hull tests go
+# through `wordnerve.nerve.hulls_intersect`, looked up at each call, so a
+# test that patches that binding sees them.
+
+
+def _dot(normal, p):
+    return sum(a * x for a, x in zip(normal, p))
+
+
+def curve_separator_fractions(config: ColoredConfig, order: list[int], a: str, b: str):
+    """`nerve._curve_separator` on the given points: (normal, offset) with
+    normal . p < offset < normal . q for p in a and q in b, the offset the
+    midpoint of the two classes' values."""
+    pair = [i for i in order if config.colors[i] in (a, b)]
+    roots = [
+        (config.points[i][0] + config.points[j][0]) / 2
+        for i, j in zip(pair, pair[1:])
+        if config.colors[i] != config.colors[j]
+    ]
+    last = config.points[pair[-1]][0]
+    roots += [last + k for k in range(1, config.dimension - len(roots) + 1)]
+    normal = hyperplane_through_moment_points(roots, config.dimension).normal
+    va = [_dot(normal, config.points[i]) for i in pair if config.colors[i] == a]
+    vb = [_dot(normal, config.points[i]) for i in pair if config.colors[i] == b]
+    if min(vb) < max(va):
+        normal, va, vb = tuple(-x for x in normal), [-v for v in va], [-v for v in vb]
+    if not max(va) < min(vb):
+        raise ExtensionError(f"the curve-gap hyperplane does not separate {a} and {b}")
+    return normal, (max(va) + min(vb)) / 2
+
+
+class FractionSeparations:
+    """`nerve._Separations` on the given points, with `Fraction` offsets."""
+
+    def __init__(self, config: ColoredConfig, before: NerveResult):
+        order = _curve_order(config)
+        self.classes = config.classes()
+        self.certs: dict[str, dict[str, tuple | None]] = {c: {} for c in self.classes}
+        for a, b in combinations(config.color_labels, 2):
+            if not before.complex.is_face((a, b)):
+                normal, offset = curve_separator_fractions(config, order, a, b)
+                self.certs[a][b] = normal, offset
+                self.certs[b][a] = tuple(-x for x in normal), -offset
+
+    def place(self, c: str, e: Point) -> bool:
+        certs = self.certs[c]
+        unsure = [x for x, cert in certs.items() if cert is None or not _dot(cert[0], e) < cert[1]]
+        grown = self.classes[c] + [e]
+        if any(nerve_lib.hulls_intersect([grown, self.classes[x]]) for x in unsure):
+            return False
+        self.classes[c] = grown
+        for x in unsure:
+            certs[x] = self.certs[x][c] = None
+        return True
+
+
+def extend_bipartite_fractions(g, w: Word, config: ColoredConfig, extras) -> ColoredConfig:
+    """`nerve.extend_coloring_bipartite` with every decision on the given
+    points: the same colors, hull tests in the same order on the same
+    points, and the same errors."""
+    layout = bipartite_layout(g)
+    if layout.word != w:
+        raise DegenerateInputError("word does not match the bipartite encoding of the graph")
+    if layout.trailing:
+        raise DegenerateInputError(
+            f"isolated vertices {layout.trailing} have no block region; "
+            "the separator construction does not cover them"
+        )
+    d = layout.d
+    expected = nerve_lib.realize_on_moment_curve(w, d)
+    if config.points != expected.points or config.colors != expected.colors:
+        raise DegenerateInputError("configuration is not the moment-curve realization of the word")
+    extras = nerve_lib._coerce_extras(extras, config)
+
+    m = len(layout.u_labels)
+    hyperplanes = []
+    for j in range(1, m):
+        h = hyperplane_through_moment_points(nerve_lib._separator_params(layout, j), d)
+        block_sign = None
+        for i in range(1, d + 1):
+            for pos in layout.spans[i, j]:
+                s = h.side(config.points[pos])
+                if s == 0:
+                    raise ExtensionError("block point on separator hyperplane")
+                if block_sign is None:
+                    block_sign = s
+                elif s != block_sign:
+                    raise ExtensionError("block split by its own hyperplane")
+        if block_sign is None:
+            raise ExtensionError(f"color {layout.u_labels[j - 1]} has no block")
+        for jj in range(j + 1, m + 1):
+            for i in range(1, d + 1):
+                for pos in layout.spans[i, jj]:
+                    if h.side(config.points[pos]) != -block_sign:
+                        raise ExtensionError("remainder block on the claimed side")
+        hyperplanes.append((layout.u_labels[j - 1], h, block_sign))
+
+    labels = config.color_labels
+    before = nerve_lib.nerve(config, 2)
+    separations = FractionSeparations(config, before)
+    assignment = []
+    for e in extras:
+        sides = [h.side(e) for _, h, _ in hyperplanes]
+        if 0 in sides:
+            raise DegenerateInputError(f"extra {_point_text(e)} lies on a separator hyperplane")
+        region = next(
+            (label for (label, _, sign), s in zip(hyperplanes, sides) if s == sign),
+            layout.u_labels[m - 1],
+        )
+        candidates = [region] + [c for c in layout.u_labels if c != region] + [
+            c for c in labels if c not in layout.u_labels
+        ]
+        for c in candidates:
+            if separations.place(c, e):
+                assignment.append(c)
+                break
+        else:
+            raise ExtensionError(
+                f"extension step failed: no safe color for extra {_point_text(e)}")
+    return nerve_lib._verified_extension(config, before, extras, assignment)

@@ -342,21 +342,23 @@ def test_extend_bipartite_separator_faults_exit_4(monkeypatch, capsys, offset, r
     assert (code, out, err) == (4, "", f"internal error: {reason}\n")
 
 
-@pytest.mark.parametrize("name", ["planar", "bipartite", "bipartite3"])
+@pytest.mark.parametrize("name", ["planar", "bipartite", "bipartite3", "bipartite4"])
 def test_extend_golden_stdout(capsys, name):
-    # rational coordinates (planar), K2,3 minus an edge (bipartite, d = 2)
-    # and a 6-cycle with a pendant edge (bipartite3, d = 3: separators from cubics)
+    # rational coordinates (planar), K2,3 minus an edge (bipartite, d = 2),
+    # a 6-cycle with a pendant edge (bipartite3, d = 3: separators from
+    # cubics) and an 8-cycle with a chord under extras whose denominators
+    # 1..7 make an integer copy scaled by 420 (bipartite4, d = 4)
     code, out, err = run(capsys, *golden_argv(name))
     assert (code, err) == (0, "")
     assert out == (DATA / f"{name}_stdout.txt").read_text()
 
 
 @pytest.mark.parametrize("name, reaches_lp", [
-    ("planar", False), ("bipartite", False), ("bipartite3", True),
+    ("planar", False), ("bipartite", False), ("bipartite3", True), ("bipartite4", True),
 ])
 def test_extend_golden_lp_route(capsys, monkeypatch, name, reaches_lp):
-    # planar pairs are decided by separating axes, so only the d = 3
-    # golden reaches the simplex; its stdout stays the golden one
+    # planar pairs are decided by separating axes, so only the d = 3 and
+    # d = 4 goldens reach the simplex; their stdout stays the golden one
     calls = []
     real = geometry_lib.feasible_eq_nonneg
     monkeypatch.setattr(geometry_lib, "feasible_eq_nonneg",

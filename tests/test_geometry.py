@@ -96,6 +96,27 @@ def test_hulls_intersect_examples():
         hulls_intersect([seg1, []])
 
 
+@pytest.mark.parametrize("classes, message", [
+    # the float's binary value is off the segment, 1/10 and 3/10 are on it
+    ([[(0, 0), (1, 3)], [(0.1, 0.3)]], "inexact coordinate 0.1 in point (0.1, 0.3)"),
+    # once an AttributeError inside the simplex
+    ([[(0.5, 0.5, 0.5)], [(1, 1, 1)]], "inexact coordinate 0.5 in point (0.5, 0.5, 0.5)"),
+    # once True: a bool is an int but no coordinate
+    ([[(True, False)], [(1, 0)]], "inexact coordinate True in point (True, False)"),
+])
+def test_hulls_intersect_refuses_inexact_coordinates(classes, message):
+    with pytest.raises(GeometryError) as info:
+        hulls_intersect(classes)
+    assert str(info.value) == message
+
+
+def test_hulls_intersect_takes_ints_and_fractions():
+    assert hulls_intersect([[(0, 0), (1, 3)], [(F(1, 10), F(3, 10))]])
+    assert not hulls_intersect([[(0, 0), (1, 3)], [(F(1, 10), F(3, 11))]])
+    assert hulls_intersect([[(0, 0, 0), (2, 2, 2)], [(F(1), 1, F(1))]])
+    assert not hulls_intersect([[(0, 0, 0), (2, 2, 2)], [(1, 1, F(3, 2))]])
+
+
 def test_hulls_intersect_point_in_triangle():
     tri = [point((0, 0)), point((4, 0)), point((0, 4))]
     assert hulls_intersect([[point((1, 1))], tri])

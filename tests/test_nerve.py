@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -12,8 +13,19 @@ import pytest
 
 import wordnerve
 import wordnerve.nerve as nerve_lib
-from wordnerve.encode import ChordDiagram, word_bipartite, word_from_chord_diagram
-from wordnerve.geometry import hulls_intersect, moment_point, point
+from wordnerve.encode import (
+    ChordDiagram,
+    bipartite_layout,
+    word_bipartite,
+    word_from_chord_diagram,
+)
+from wordnerve.geometry import (
+    _integer_copy,
+    hulls_intersect,
+    hyperplane_through_moment_points,
+    moment_point,
+    point,
+)
 from wordnerve.graphs import from_edge_list, is_triangle_free, one_skeleton
 from wordnerve.nerve import (
     ColoredConfig,
@@ -616,15 +628,25 @@ def test_curve_separator_strictly_separates_every_non_face_pair():
         cfg = realize_on_moment_curve(Word(tuple(seq)), d, params)
         if case % 3 == 0:
             cfg = shuffled(cfg, rng)
-        classes = cfg.classes()
+        # the integer form: points times the lcm of their denominators,
+        # which is far from 1 at rational parameters
+        scale, ints = _integer_copy(cfg.points)
+        classes = ColoredConfig(tuple(ints), cfg.colors).classes()
+        given = cfg.classes()
         for a, b in combinations(cfg.color_labels, 2):
             if oracles.dp_max_alternation(seq, a, b) >= d + 2:
                 continue
-            normal, offset = _curve_separator(cfg, _curve_order(cfg), a, b)
+            normal, offset2 = _curve_separator(cfg, _curve_order(cfg), ints, a, b)
+            assert type(offset2) is int and all(type(n) is int for n in normal)
             va = [sum(n * x for n, x in zip(normal, p)) for p in classes[a]]
             vb = [sum(n * x for n, x in zip(normal, p)) for p in classes[b]]
-            assert max(va) < offset < min(vb)
-            assert offset == (max(va) + min(vb)) / 2
+            assert 2 * max(va) < offset2 < 2 * min(vb)
+            assert offset2 == max(va) + min(vb)
+            # the same hyperplane strictly between the given classes, midway
+            va = [sum(n * x for n, x in zip(normal, p)) for p in given[a]]
+            vb = [sum(n * x for n, x in zip(normal, p)) for p in given[b]]
+            assert max(va) < F(offset2, 2 * scale) < min(vb)
+            assert F(offset2, 2 * scale) == (max(va) + min(vb)) / 2
             pairs += 1
     assert pairs > 300
 
@@ -660,8 +682,8 @@ def test_separations_match_the_lp_only_reference(monkeypatch):
     built = invalidated = 0
 
     class Counted(_Separations):
-        def __init__(self, config, before):
-            super().__init__(config, before)
+        def __init__(self, config, ints, before):
+            super().__init__(config, ints, before)
             made.append(self)
 
     rng = random.Random(40)
@@ -681,11 +703,143 @@ def test_separations_match_the_lp_only_reference(monkeypatch):
                         invalidated += c < x
                         assert sep.certs[x][c] is None
                         continue
-                    normal, offset = cert
-                    assert sep.certs[x][c] == (tuple(-n for n in normal), -offset)
+                    normal, offset2 = cert
+                    assert sep.certs[x][c] == (tuple(-n for n in normal), -offset2)
                     for p in sep.classes[c]:
-                        assert sum(n * v for n, v in zip(normal, p)) < offset
+                        assert 2 * sum(n * v for n, v in zip(normal, p)) < offset2
     assert built > 0 and invalidated > 0
+
+
+def routed(monkeypatch, run, scale):
+    """The colors of the extras or the error, and the hull tests run
+    through `nerve.hulls_intersect` in order.  A point of ints only is one
+    of the extension's integer copy, and is recorded divided by `scale`."""
+    tested = []
+    real = nerve_lib.hulls_intersect
+
+    def recorded(classes):
+        tested.append([
+            [p if any(type(x) is not int for x in p) else tuple(F(x, scale) for x in p)
+             for p in cls]
+            for cls in classes
+        ])
+        return real(classes)
+
+    monkeypatch.setattr(nerve_lib, "hulls_intersect", recorded)
+    try:
+        out = run().colors
+    except (DegenerateInputError, ExtensionError) as exc:
+        out = f"{type(exc).__name__}: {exc}"
+    finally:
+        monkeypatch.setattr(nerve_lib, "hulls_intersect", real)
+    return out, tested
+
+
+def denominators_lcm(points) -> int:
+    return math.lcm(*[x.denominator for p in points for x in p])
+
+
+def on_separator(rng, layout, d):
+    """A point with denominators up to 9 in all coordinates but one, on the
+    hyperplane that splits off a random u-color's blocks."""
+    j = rng.randint(1, len(layout.u_labels) - 1)
+    h = hyperplane_through_moment_points(nerve_lib._separator_params(layout, j), d)
+    k = next(i for i, a in enumerate(h.normal) if a)
+    p = [F(rng.randint(-90, 900), rng.randint(1, 9)) for _ in range(d)]
+    p[k] = 0
+    p[k] = F(h.offset - sum(a * x for a, x in zip(h.normal, p)), h.normal[k])
+    return tuple(p)
+
+
+def test_bipartite_extension_matches_the_fraction_route(monkeypatch):
+    """On one integer copy the bipartite extension colors every extra, runs
+    every hull test on the same points in the same order, and fails with
+    the same message as the route that decided on the given `Fraction`
+    points.  Extras have denominators up to 9; some are means of points of
+    one or two classes, where certificates fail and hull tests run, and
+    some lie exactly on a separator hyperplane."""
+    rng = random.Random(44)
+    outcomes = Counter()
+    for case in range(150):
+        d = case % 5 + 1
+        g, w, cfg, _ = random_bipartite_instance(rng, d)
+        layout = bipartite_layout(g)
+        extras = []
+        for _ in range(rng.randint(1, 7 if d < 4 else 4)):
+            roll = rng.random()
+            if roll < 0.4:
+                e = tuple(F(rng.randint(-2 * len(w) * 9, len(w) ** 2 * 9), rng.randint(1, 9))
+                          for _ in range(d))
+            elif roll < 0.9 or len(layout.u_labels) < 2:
+                pts = rng.sample(cfg.points, rng.randint(2, 3))
+                e = tuple(sum(p[i] for p in pts) / len(pts) + F(rng.randint(-9, 9), 9)
+                          for i in range(d))
+            else:
+                e = on_separator(rng, layout, d)
+            if e not in cfg.points and e not in extras:
+                extras.append(e)
+        scale = denominators_lcm(extras)
+        got = routed(monkeypatch, lambda: extend_coloring_bipartite(g, w, cfg, extras), scale)
+        expected = routed(
+            monkeypatch, lambda: oracles.extend_bipartite_fractions(g, w, cfg, extras), 1)
+        assert got == expected, (case, d, extras)
+        outcomes[isinstance(got[0], str), scale > 1] += 1
+    # colorings and rejections, nearly all on a copy scaled by more than 1
+    assert outcomes[False, True] > 100 and outcomes[True, True] > 5
+
+
+def test_planar_extension_matches_the_eager_line_search(monkeypatch):
+    """The planar extension tests the extras only on admissible lines; the
+    line it keeps, every color, every hull test and every error must be
+    those of the search that drops a line through an extra first.  Each
+    instance gets one extra on the line the search keeps without it, so
+    that line must give way to the next."""
+    rng = random.Random(45)
+    kept = []
+    real_lines = nerve_lib._support_lines
+
+    def recording(own, class_points):
+        for line in real_lines(own, class_points):
+            kept.append((len(class_points), line))
+            yield line
+
+    moved = 0
+    for case in range(300):
+        w = random_triangle_free_word(rng)
+        params = None
+        if case % 2:
+            pool = set()
+            while len(pool) < len(w):
+                pool.add(F(rng.randint(-60, 60), rng.randint(1, 9)))
+            params = sorted(pool)
+        cfg = realize_on_moment_curve(w, 2, params)
+        extras = random_general_position_extras(rng, cfg, rng.randint(0, 6))
+        kept.clear()
+        monkeypatch.setattr(nerve_lib, "_support_lines", recording)
+        extend_coloring_2d(cfg, extras)
+        monkeypatch.setattr(nerve_lib, "_support_lines", real_lines)
+        top = [line for size, line in kept if size == len(cfg.color_labels)]
+        if top:
+            (a, b), offset, _ = top[-1]
+            pts = list(cfg.points) + extras
+            scale = denominators_lcm(pts)
+            for _ in range(20):  # a point on the kept line, off every other
+                x = F(rng.randint(-90, 90), rng.randint(1, 9))
+                e = (x, (F(offset, scale) - a * x) / b) if b else (F(offset, scale * a), x)
+                if e not in pts and not any(
+                    (q[0] - p[0]) * (e[1] - p[1]) == (q[1] - p[1]) * (e[0] - p[0])
+                    for p, q in combinations(pts, 2)
+                ):
+                    extras.insert(rng.randint(0, len(extras)), e)
+                    moved += 1
+                    break
+        scale = denominators_lcm(list(cfg.points) + extras)
+        got = routed(monkeypatch, lambda: extend_coloring_2d(cfg, extras), scale)
+        monkeypatch.setattr(nerve_lib, "_assign_extras_2d", oracles.assign_extras_2d_eager)
+        expected = routed(monkeypatch, lambda: extend_coloring_2d(cfg, extras), scale)
+        monkeypatch.undo()
+        assert got == expected, (case, extras)
+    assert moved > 100
 
 
 def test_recheck_tests_only_candidates_that_could_be_gained(monkeypatch):
