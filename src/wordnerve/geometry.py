@@ -212,6 +212,10 @@ def gale_facets(r: int, d: int) -> list[tuple[int, ...]]:
     return facets
 
 
+def _dot(normal, q):
+    return sum(a * x for a, x in zip(normal, q))
+
+
 class Hyperplane(Record):
     """normal . q = offset, with the normal a primitive integer vector
     whose first nonzero entry is positive (deterministic serialization)."""
@@ -224,7 +228,7 @@ class Hyperplane(Record):
             raise GeometryError("hyperplane normal must be nonzero")
 
     def side(self, q: Point) -> int:
-        value = sum(a * x for a, x in zip(self.normal, q)) - self.offset
+        value = _dot(self.normal, q) - self.offset
         return (value > 0) - (value < 0)
 
 

@@ -20,11 +20,12 @@ extras, scaled by the lcm of all their coordinate denominators: each
 predicate is the sign of a homogeneous polynomial in the coordinates, or
 of an affine one whose constant is scaled too, and a positive scale keeps
 every such sign.  The re-check runs on the given points.  The planar
-extension searches support lines on the copy.  The bipartite one keeps
-each non-face pair apart with a fixed hyperplane midway between the pair,
-whose normal has its roots on the curve in the gaps between the pair's
-runs (Breen's criterion bounds them by d + 1), and runs a hull test only
-when an extra does not land strictly on its class's side of it.
+extension peels colors behind support lines on the copy, one per loop
+step.  The bipartite one keeps each non-face pair apart with a fixed
+hyperplane midway between the pair, whose normal has its roots on the
+curve in the gaps between the pair's runs (Breen's criterion bounds them
+by d + 1), and runs a hull test only when an extra does not land
+strictly on its class's side of it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .geometry import (
     Point,
     _check_exact,
     _check_general_position_2d,
+    _dot,
     _hull_2d,
     _integer_copy,
     _point_text,
@@ -91,10 +93,15 @@ class ColoredConfig(Record):
         return tuple(sorted(set(self.colors)))
 
     def classes(self) -> dict[str, list[Point]]:
-        out: dict[str, list[Point]] = {c: [] for c in self.color_labels}
-        for p, c in zip(self.points, self.colors):
-            out[c].append(p)
-        return out
+        return _group(self.points, self.colors)
+
+
+def _group(points, colors) -> dict[str, list]:
+    """The points of each color, in label order; nothing is validated."""
+    out: dict[str, list] = {c: [] for c in sorted(set(colors))}
+    for p, c in zip(points, colors):
+        out[c].append(p)
+    return out
 
 
 class NerveResult(Record):
@@ -289,25 +296,13 @@ def _support_lines(own: list[IntPoint], class_points: dict[str, list[IntPoint]])
             yield (-sign * dy, sign * dx), sign * extreme, values.count(extreme) >= 2
 
 
-def _assign_extras_2d(class_points: dict[str, list[IntPoint]],
-                      original: SimplicialComplex,
-                      extras: list[IntPoint]) -> dict[int, str]:
-    """Recursive planar extension on the remaining colors.
-
-    Returns extra-index -> color.  Mirrors the two-color base split and
-    the peel-one-color recursion: find a color and a support line whose
-    class side contains no class disjoint from it, give that side's extras
-    to the color, and recurse on the rest.  A line through an extra would
-    leave it no strict side, so it is skipped; most lines fail the
-    admissibility test first, so the extras are tested only after it.
-    Pair verdicts are read from the original nerve.
-    """
+def _peel_choices(class_points: dict[str, list[IntPoint]], original: SimplicialComplex,
+                  extras: list[IntPoint]):
+    """Yield each (color, normal, offset) that may be peeled, colors in
+    label order and lines in `_support_lines` order: no class disjoint
+    from the color (by the original nerve) on its side, a class cut only
+    across a chord, and no extra on the line, tested last."""
     colors = sorted(class_points)
-    if len(colors) == 1:
-        return {i: colors[0] for i in range(len(extras))}
-    if len(colors) == 2 and original.is_face(colors):
-        return {i: colors[1] for i in range(len(extras))}
-
     for color in colors:
         for (a, b), offset, chord in _support_lines(class_points[color], class_points):
             for other in colors:
@@ -320,15 +315,26 @@ def _assign_extras_2d(class_points: dict[str, list[IntPoint]],
                 if not inside and not chord and not all(v > offset for v in values):
                     break  # straddling is only safe across a chord
             else:
-                if any(a * q[0] + b * q[1] == offset for q in extras):
-                    continue
-                rest = {c: pts for c, pts in class_points.items() if c != color}
-                sub = _assign_extras_2d(rest, original, extras)
-                for i, q in enumerate(extras):
-                    if a * q[0] + b * q[1] < offset:
-                        sub[i] = color
-                return sub
-    raise ExtensionError("extension step failed: no admissible color/line pair")
+                if not any(a * q[0] + b * q[1] == offset for q in extras):
+                    yield color, (a, b), offset
+
+
+def _assign_extras_2d(class_points: dict[str, list[IntPoint]], original: SimplicialComplex,
+                      extras: list[IntPoint]) -> list[str]:
+    """The colors of the extras, in their order.  A loop peels the first
+    choice of `_peel_choices` off the remaining colors until one is left,
+    or two that form a face.  An extra takes the color of the first peeled
+    line with the extra strictly on its class side, else the last color."""
+    rest = dict(class_points)
+    peeled = []
+    while len(rest) > 2 or len(rest) == 2 and not original.is_face(rest):
+        choice = next(_peel_choices(rest, original, extras), None)
+        if choice is None:
+            raise ExtensionError("extension step failed: no admissible color/line pair")
+        peeled.append(choice)
+        del rest[choice[0]]
+    last = max(rest)
+    return [next((c for c, (a, b), k in peeled if a * q[0] + b * q[1] < k), last) for q in extras]
 
 
 def extend_coloring_2d(config: ColoredConfig, extras: list[Point]) -> ColoredConfig:
@@ -337,7 +343,7 @@ def extend_coloring_2d(config: ColoredConfig, extras: list[Point]) -> ColoredCon
     colored points not in convex position) are rejected, and the returned
     coloring is re-verified geometrically at max_dim=2.
 
-    Every predicate of the line search is the sign of a homogeneous
+    Every predicate of the peel loop is the sign of a homogeneous
     polynomial in the coordinates, so it runs on the copy of all points
     scaled by the lcm of their denominators that the general-position
     check returns: integers only, the same verdicts.  The nerve and its
@@ -353,11 +359,8 @@ def extend_coloring_2d(config: ColoredConfig, extras: list[Point]) -> ColoredCon
         raise DegenerateInputError("colored points are not in convex position")
 
     before = nerve(config, 2)
-    classes = ColoredConfig(tuple(ints[:n]), config.colors).classes()
-    assignment = _assign_extras_2d(classes, before.complex, ints[n:])
-    return _verified_extension(
-        config, before, extras, (assignment[i] for i in range(len(extras)))
-    )
+    colors = _assign_extras_2d(_group(ints[:n], config.colors), before.complex, ints[n:])
+    return _verified_extension(config, before, extras, colors)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +383,6 @@ def _separator_params(layout: BipartiteLayout, j: int) -> list[Fraction]:
         for idx in range(count):
             params.append(Fraction(gap) + Fraction(idx + 1, count + 1))
     return params
-
-
-def _dot(normal, p: Point):
-    return sum(a * x for a, x in zip(normal, p))
 
 
 def _curve_separator(config: ColoredConfig, order: list[int], ints: list[tuple[int, ...]],
@@ -441,7 +440,7 @@ class _Separations:
     def __init__(self, config: ColoredConfig, ints: list[tuple[int, ...]],
                  before: NerveResult):
         order = _curve_order(config)
-        self.classes = ColoredConfig(tuple(ints), config.colors).classes()
+        self.classes = _group(ints, config.colors)
         self.certs: dict[str, dict[str, tuple | None]] = {c: {} for c in self.classes}
         for a, b in combinations(config.color_labels, 2):
             if not before.complex.is_face((a, b)):

@@ -291,29 +291,6 @@ def _dfs(problem, node_limit: int, prefix: tuple[int, ...] = (), depth_cap: int 
             opened = True
 
 
-def _run_prefix_batch_impl(problem, node_limit, batch, stop_rank=None):
-    """Worker: DFS-complete each (rank, (prefix, shallow nodes)) in rank
-    order, under what the node limit leaves after the shallow nodes and this
-    worker's earlier prefixes (never less than the sequential DFS leaves), up
-    to the first witness or spent limit.  With a shared stop_rank, a rank
-    above it is not started, and a witness or spent limit lowers it to the
-    rank that found it.  Returns {rank: (witness, nodes, limit_hit)}."""
-    results = {}
-    spent = 0
-    for rank, (prefix, shallow) in batch:
-        if stop_rank is not None and rank > stop_rank.value:
-            break
-        results[rank] = found, nodes, limit_hit = _dfs(
-            problem, max(0, node_limit - shallow - spent), prefix)
-        spent += nodes
-        if found is not None or limit_hit:
-            if stop_rank is not None:
-                with stop_rank.get_lock():
-                    stop_rank.value = min(stop_rank.value, rank)
-            break
-    return results
-
-
 _pool_stop_rank = None  # in a pool worker: the stop rank its pool shares
 
 
@@ -322,8 +299,27 @@ def _join_pool(stop_rank):
     _pool_stop_rank = stop_rank
 
 
-def _run_pooled_batch(*args):
-    return _run_prefix_batch_impl(*args, _pool_stop_rank)
+def _run_prefix_batch(problem, node_limit, batch):
+    """DFS-complete each (rank, (prefix, shallow nodes)) in rank order,
+    under what the node limit leaves after the shallow nodes and this
+    batch's earlier prefixes (never less than the sequential DFS leaves),
+    up to the first witness or spent limit.  In a pool worker a rank above
+    `_pool_stop_rank` is not started, and a witness or spent limit lowers
+    it to the rank that found it.  Returns {rank: (witness, nodes, limit_hit)}."""
+    results = {}
+    spent = 0
+    for rank, (prefix, shallow) in batch:
+        if _pool_stop_rank is not None and rank > _pool_stop_rank.value:
+            break
+        results[rank] = found, nodes, limit_hit = _dfs(
+            problem, max(0, node_limit - shallow - spent), prefix)
+        spent += nodes
+        if found is not None or limit_hit:
+            if _pool_stop_rank is not None:
+                with _pool_stop_rank.get_lock():
+                    _pool_stop_rank.value = min(_pool_stop_rank.value, rank)
+            break
+    return results
 
 
 def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> SearchVerdict:
@@ -379,7 +375,7 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
     k = min(workers, len(ranked))
     batches = [ranked[w::k] for w in range(k)]
     if k <= 1:
-        parts = [_run_prefix_batch_impl(problem, limit, b) for b in batches]
+        parts = [_run_prefix_batch(problem, limit, b) for b in batches]
     else:
         # Imported on first use: multiprocessing and its dependencies add
         # about 2 MB of resident memory (CPython 3.11, Linux) to every
@@ -392,7 +388,7 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
         stop_rank = multiprocessing.Value("q", len(ranked))
         with ProcessPoolExecutor(max_workers=k, initializer=_join_pool,
                                  initargs=(stop_rank,)) as pool:
-            futures = [pool.submit(_run_pooled_batch, problem, limit, b) for b in batches]
+            futures = [pool.submit(_run_prefix_batch, problem, limit, b) for b in batches]
             parts = [f.result() for f in futures]
     results = {rank: r for part in parts for rank, r in part.items()}
 

@@ -796,9 +796,16 @@ def eager_support_lines(own, class_points, extras):
             yield (a, b), offset, values.count(extreme) >= 2
 
 
-def assign_extras_2d_eager(class_points, original: SimplicialComplex, extras) -> dict[int, str]:
+def assign_extras_2d_eager(class_points, original: SimplicialComplex, extras) -> list[str]:
     """`nerve._assign_extras_2d` over `eager_support_lines`: the lines
-    through an extra are dropped before the admissibility test."""
+    through an extra are dropped before the admissibility test.  The
+    recursion below returns extra-index -> color; the library's function
+    returns the colors as a list in extra order."""
+    colors = _assign_eager(class_points, original, extras)
+    return [colors[i] for i in range(len(extras))]
+
+
+def _assign_eager(class_points, original: SimplicialComplex, extras) -> dict[int, str]:
     colors = sorted(class_points)
     if len(colors) == 1:
         return {i: colors[0] for i in range(len(extras))}
@@ -818,7 +825,7 @@ def assign_extras_2d_eager(class_points, original: SimplicialComplex, extras) ->
                     break
             else:
                 rest = {c: pts for c, pts in class_points.items() if c != color}
-                sub = assign_extras_2d_eager(rest, original, extras)
+                sub = _assign_eager(rest, original, extras)
                 for i, q in enumerate(extras):
                     if a * q[0] + b * q[1] < offset:
                         sub[i] = color

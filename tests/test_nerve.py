@@ -457,6 +457,32 @@ def test_extend_2d_matches_reference_line_search():
         assert_extend_2d_matches_reference(cfg, extras)
 
 
+def test_planar_extension_peels_120_colors_under_a_recursion_limit_of_100():
+    """The peel loop keeps no Python frame per color.  A child interpreter
+    extends a 120-color realization over two extras with at most 100
+    frames, and gets the colors of the recursive reference search at the
+    default limit.  The labels are zero-padded, so label order is curve
+    order and each peel takes the first color it tries: the reference,
+    which builds every pairwise direction for each color it tries, then
+    takes seconds instead of half a minute."""
+    labels = tuple(f"c{i:03}" for i in range(120))
+    extras = [(F(1, 3), F(1, 7)), (F(60), F(7201, 2))]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    child = ("import sys\n"
+             "sys.setrecursionlimit(100)\n"
+             "from fractions import Fraction\n"
+             "from wordnerve.nerve import extend_coloring_2d, realize_on_moment_curve\n"
+             "from wordnerve.words import Word\n"
+             f"cfg = realize_on_moment_curve(Word({labels!r}), 2)\n"
+             f"print(*extend_coloring_2d(cfg, {extras!r}).colors[120:])\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    cfg = realize_on_moment_curve(Word(labels), 2)
+    expected = assign_extras_2d_reference(cfg.classes(), nerve(cfg, 2).complex, extras)
+    assert proc.stdout.split() == [expected[0], expected[1]] == ["c000", "c060"]
+
+
 def test_extend_2d_matches_reference_on_rational_inputs():
     """The line search runs on one integer-scaled copy of the points.  At
     random increasing rational parameters (negatives included) and with

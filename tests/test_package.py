@@ -88,3 +88,25 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 elif isinstance(node, ast.ImportFrom):
                     used.update(alias.name for alias in node.names)
     assert sorted(set(wordnerve.__all__) - used) == []
+
+
+def test_no_function_in_the_library_calls_itself():
+    """No function under `src/wordnerve` calls itself by name, as a plain
+    name or as a method of `self` or `cls`: a recursion keeps one Python
+    frame per level, and an input deep enough ends in `RecursionError`.
+    Deep work is a loop over an explicit list or stack instead."""
+    root = Path(__file__).parents[1]
+    found = []
+    for path in sorted(root.glob("src/wordnerve/*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if (isinstance(f, ast.Name) and f.id == fn.name
+                        or isinstance(f, ast.Attribute) and f.attr == fn.name
+                        and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")):
+                    found.append(f"{path.name}:{node.lineno} {fn.name}")
+    assert found == []
