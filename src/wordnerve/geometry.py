@@ -87,7 +87,8 @@ def _check_exact(p) -> None:
 
 def hulls_intersect(classes: list[list[Point]]) -> bool:
     """Do the convex hulls of all classes share a common point?  A planar
-    pair is decided by `_planar_pair_meets`, every other shape by `_hull_lp`.
+    pair is decided by `_planar_hulls_meet` on the hulls of its
+    `_integer_copy`, every other shape by `_hull_lp`.
     Coordinates are ints or Fractions; any other type is refused."""
     if not classes or any(len(c) == 0 for c in classes):
         raise GeometryError("every class must be nonempty")
@@ -101,17 +102,20 @@ def hulls_intersect(classes: list[list[Point]]) -> bool:
     if k == 1:
         return True
     if k == 2 and d == 2:
-        return _planar_pair_meets(*classes)
+        _, ints = _integer_copy(classes[0] + classes[1])
+        n = len(classes[0])
+        return _planar_hulls_meet(_hull_2d(ints[:n]), _hull_2d(ints[n:]))
     return _hull_lp(classes)
 
 
-def _planar_pair_meets(a: list[Point], b: list[Point]) -> bool:
-    """Convex polygons A and B are disjoint iff the outward normal of some
-    edge of one has the other strictly beyond that edge (Chazelle and
-    Dobkin 1987), or, when A - B is a point or a segment (both have at most
-    2 vertices), some q - p puts them strictly apart.  On `_integer_copy`."""
-    _, ints = _integer_copy(a + b)
-    ha, hb = _hull_2d(ints[: len(a)]), _hull_2d(ints[len(a) :])
+def _planar_hulls_meet(ha: list[Point], hb: list[Point]) -> bool:
+    """Do two convex polygons meet, each given by its `_hull_2d` vertices?
+    They are disjoint iff the outward normal of some edge of one has the
+    other strictly beyond that edge (Chazelle and Dobkin 1987), or, when
+    A - B is a point or a segment (both have at most 2 vertices), some
+    q - p puts them strictly apart.  Hulls of an integer copy keep every
+    product an int, so a caller that keeps one hull per class tests a
+    pair without rebuilding either."""
     for h, other in ((ha, hb), (hb, ha)):
         for p, q in zip(h, h[1:] + h[:1]):  # counterclockwise, so (dy, -dx) points out
             x, y = q[1] - p[1], p[0] - q[0]
@@ -297,16 +301,15 @@ def _hull_2d(points: list[Point]) -> list[Point]:
     return lower[:-1] + upper[:-1]
 
 
-def _check_general_position_2d(points: list[Point]) -> list[tuple[int, int]]:
+def _check_general_position_2d(points: list[Point], ints: list[tuple[int, ...]]) -> None:
     """Reject duplicates and name the lexicographically first collinear
     triple (i, j, k).  O(N^2): for each i, the later points on one line
     through points[i] share a primitive direction from it, and the first
-    two indices of a direction form its smallest pair.  The directions are
-    taken on the integer copy of `_integer_copy(points)`, which is
-    returned; the message shows the given points."""
-    if len(set(points)) != len(points):
+    two indices of a direction form its smallest pair.  Both tests run on
+    `ints`, the caller's `_integer_copy` of the points; the message shows
+    the given points."""
+    if len(set(ints)) != len(ints):
         raise GeometryError("duplicate points")
-    _, ints = _integer_copy(points)
     for i, (x, y) in enumerate(ints):
         first: dict[tuple[int, ...], int] = {}
         pairs = []
@@ -320,4 +323,3 @@ def _check_general_position_2d(points: list[Point]) -> list[tuple[int, int]]:
                 f"collinear triple at indices ({i}, {j}, {k}): "
                 + ", ".join(_point_text(points[m]) for m in (i, j, k))
             )
-    return ints

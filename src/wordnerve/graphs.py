@@ -41,6 +41,14 @@ class Record:
     def __post_init__(self):
         pass
 
+    @classmethod
+    def _unchecked(cls, *args):
+        """An instance of fields the caller already knows to be valid,
+        without `__post_init__`."""
+        self = object.__new__(cls)
+        vars(self).update(zip(cls._fields, args))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 

@@ -14,12 +14,17 @@ Both extension algorithms recolor extra points so that the nerve of the
 enlarged configuration is label-identical to the original.  Neither is
 trusted: every run re-checks the enlarged configuration afterwards
 and fails loudly on any difference.  The classes only grow, so no face
-can be lost; the re-check tests the candidates that could be gained.
-Both extensions decide on one integer copy of the configuration and the
-extras, scaled by the lcm of all their coordinate denominators: each
+can be lost; the re-check tests the candidates that could be gained,
+those holding a class that gained an extra.
+Each extension builds one integer copy of the configuration and the
+extras, scaled by the lcm of all their coordinate denominators, in
+`_coerce_extras`, which refuses repeated extras on its int tuples: each
 predicate is the sign of a homogeneous polynomial in the coordinates, or
 of an affine one whose constant is scaled too, and a positive scale keeps
-every such sign.  The re-check runs on the given points.  The planar
+every such sign.  The general-position check, every decision and the
+re-check run on that copy.  In the plane each class's hull is kept, one
+per class, and a pair test compares two hulls (`_planar_hulls_meet`), so
+no pair test rebuilds a copy or a hull.  The planar
 extension peels colors behind support lines on the copy, one per loop
 step.  The bipartite one keeps each non-face pair apart with a fixed
 hyperplane midway between the pair, whose normal has its roots on the
@@ -43,6 +48,7 @@ from .geometry import (
     _dot,
     _hull_2d,
     _integer_copy,
+    _planar_hulls_meet,
     _point_text,
     _primitive,
     hulls_intersect,
@@ -173,12 +179,17 @@ def nerve(config: ColoredConfig, max_dim: int) -> NerveResult:
     return NerveResult(SimplicialComplex(labels, frozenset(faces)))
 
 
-def _new_faces(faces, classes: dict[str, list[Point]], size: int) -> list[tuple[str, ...]]:
+def _new_faces(faces, classes: dict[str, list[Point]], size: int,
+               meets=None) -> list[tuple[str, ...]]:
     """The label sets of `size`, in label order, that are not in `faces`
-    while every subset one smaller is, and whose classes' hulls meet.
+    while every subset one smaller is, and whose classes' hulls meet: by
+    `hulls_intersect`, or by `meets(label_set)` when it is given.
 
     Each candidate is a face one smaller, sorted, plus a larger label, so
     the walk is bounded by the faces and not by the label sets of `size`."""
+    if meets is None:
+        def meets(combo):
+            return hulls_intersect([classes[c] for c in combo])
     labels = sorted(classes)
     rank = {c: i for i, c in enumerate(labels)}
     base = sorted(tuple(sorted(f)) for f in faces if len(f) == size - 1)
@@ -186,50 +197,86 @@ def _new_faces(faces, classes: dict[str, list[Point]], size: int) -> list[tuple[
         combo for f in base for combo in (f + (c,) for c in labels[rank[f[-1]] + 1 :])
         if frozenset(combo) not in faces
         and all(frozenset(combo[:i] + combo[i + 1 :]) in faces for i in range(size - 1))
-        and hulls_intersect([classes[c] for c in combo])
+        and meets(combo)
     ]
 
 
-def _coerce_extras(extras, config: ColoredConfig) -> list[Point]:
-    """The extras as exact points of the configuration's dimension, each
-    new: an extra given twice or equal to a configuration point is refused
-    before any extension work."""
+def _coerce_extras(extras, config: ColoredConfig):
+    """(extras, scale, ints): the extras as exact points of the
+    configuration's dimension, each new, and `_integer_copy` of the
+    configuration's points followed by them, the one integer copy an
+    extension decides and re-checks on.
+
+    An extra given twice or equal to a configuration point is refused by
+    its int tuple, before any extension work.  The errors are those of one
+    pass over the extras in order: an extra that is no point of the
+    dimension stops the coercion, and its error is raised after the
+    repeats among the extras before it."""
     d = config.dimension
-    taken = set(config.points)
     out: list[Point] = []
-    for p in map(point, extras):
-        if len(p) != d:
-            raise DegenerateInputError(f"extras must live in R^{d}")
-        if p in taken:
-            where = "a configuration point" if p in config.points else "given twice"
+    error = None
+    try:
+        for x in extras:
+            p = point(x)
+            if len(p) != d:
+                raise DegenerateInputError(f"extras must live in R^{d}")
+            out.append(p)
+    except GeometryError as exc:
+        error = exc
+    n = len(config.points)
+    scale, ints = _integer_copy(list(config.points) + out)
+    given = set(ints[:n])
+    taken = set(given)
+    for p, q in zip(out, ints[n:]):
+        if q in taken:
+            where = "a configuration point" if q in given else "given twice"
             raise DegenerateInputError(f"extra {_point_text(p)} is {where}")
-        taken.add(p)
-        out.append(p)
-    return out
+        taken.add(q)
+    if error is not None:
+        raise error
+    return out, scale, ints
 
 
-def _verified_extension(config: ColoredConfig, before: NerveResult,
-                        extras: list[Point], new_colors) -> ColoredConfig:
+def _verified_extension(config: ColoredConfig, before: NerveResult, extras: list[Point],
+                        ints: list[tuple[int, ...]], new_colors) -> ColoredConfig:
     """The configuration grown by the colored extras, after checking by
     hull tests that its nerve (up to triangles) is the original one.
+    `ints` is the extension's one integer copy (`_coerce_extras`) of the
+    configuration's points followed by the extras; every hull test runs
+    on it, and the grown configuration is built from points that are
+    already known to be distinct, so no point is hashed again.
 
     The original points are a prefix of the grown configuration and the
     extras take original labels, so every face of `before` stays a face.
-    The hull tests therefore run only on the candidates that could be gained:
-    non-faces of size 2 and 3 of `before` whose proper subsets are faces.
-    The candidates that meet are then exactly the faces gained.
+    The hull tests therefore run only on the candidates that could be
+    gained: non-faces of size 2 and 3 of `before` whose proper subsets are
+    faces and which hold a class that gained an extra (the others keep
+    their points and so their verdict).  The candidates that meet are then
+    exactly the faces gained.  In the plane each class's hull is built
+    once and every pair test compares two hulls (`_planar_hulls_meet`);
+    triples, and pairs in other dimensions, go to `hulls_intersect`.
 
     The extensions only guarantee the pair verdicts.  A hollow triangle
     (three classes that meet pairwise but share no point) can fill in as
     its classes grow; when only triangles are gained, the input is
     rejected with the least of them named.  A gained pair or an extra with
     a new label is an internal error."""
-    extended = ColoredConfig(config.points + tuple(extras), config.colors + tuple(new_colors))
+    colors = config.colors + tuple(new_colors)
     k = before.complex
-    classes = extended.classes()
+    classes = _group(ints, colors)
     if set(classes) != set(k.vertices):
         raise ExtensionError("extension changed the nerve")
-    met = _new_faces(k.faces, classes, 2) + _new_faces(k.faces, classes, 3)
+    grown = set(new_colors)
+    hulls = {c: _hull_2d(p) for c, p in classes.items()} if config.dimension == 2 else None
+
+    def meets(combo):
+        if grown.isdisjoint(combo):
+            return False
+        if hulls is not None and len(combo) == 2:
+            return _planar_hulls_meet(hulls[combo[0]], hulls[combo[1]])
+        return hulls_intersect([classes[c] for c in combo])
+
+    met = _new_faces(k.faces, classes, 2, meets) + _new_faces(k.faces, classes, 3, meets)
     if any(len(combo) == 2 for combo in met):
         raise ExtensionError("extension changed the nerve")
     if met:
@@ -239,7 +286,7 @@ def _verified_extension(config: ColoredConfig, before: NerveResult,
             "classes meet pairwise but share no point, and only pair "
             "verdicts are kept"
         )
-    return extended
+    return ColoredConfig._unchecked(config.points + tuple(extras), colors)
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +392,23 @@ def extend_coloring_2d(config: ColoredConfig, extras: list[Point]) -> ColoredCon
 
     Every predicate of the peel loop is the sign of a homogeneous
     polynomial in the coordinates, so it runs on the copy of all points
-    scaled by the lcm of their denominators that the general-position
-    check returns: integers only, the same verdicts.  The nerve and its
-    re-verification use the given points.  A hollow triangle that fills in
-    is rejected (see `_verified_extension`).
+    scaled by the lcm of their denominators that `_coerce_extras` builds:
+    integers only, the same verdicts.  The general-position check and the
+    re-verification run on that copy too; the original nerve uses the
+    given points.  A hollow triangle that fills in is rejected (see
+    `_verified_extension`).
     """
     if config.dimension != 2:
         raise DegenerateInputError("planar extension needs a 2D configuration")
-    extras = _coerce_extras(extras, config)
+    extras, _, ints = _coerce_extras(extras, config)
     n = len(config.points)
-    ints = _check_general_position_2d(list(config.points) + extras)
+    _check_general_position_2d(list(config.points) + extras, ints)
     if n >= 3 and len(_hull_2d(ints[:n])) != n:
         raise DegenerateInputError("colored points are not in convex position")
 
     before = nerve(config, 2)
     colors = _assign_extras_2d(_group(ints[:n], config.colors), before.complex, ints[n:])
-    return _verified_extension(config, before, extras, colors)
+    return _verified_extension(config, before, extras, ints, colors)
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +483,20 @@ class _Separations:
     the cost of one integer dot product.  Any other extra runs a hull test,
     and a placement that passes it retires the pair's certificate to None:
     a hull-test verdict from then on.
+
+    `classes[c]` holds the points of class c, or in the plane its hull:
+    there the grown hull is `_hull_2d(hull + [e])`, and each pair test
+    compares two kept hulls (`_planar_hulls_meet`), so no placement
+    rebuilds a hull of a class it does not grow.
     """
 
     def __init__(self, config: ColoredConfig, ints: list[tuple[int, ...]],
                  before: NerveResult):
         order = _curve_order(config)
+        self.planar = config.dimension == 2
         self.classes = _group(ints, config.colors)
+        if self.planar:
+            self.classes = {c: _hull_2d(p) for c, p in self.classes.items()}
         self.certs: dict[str, dict[str, tuple | None]] = {c: {} for c in self.classes}
         for a, b in combinations(config.color_labels, 2):
             if not before.complex.is_face((a, b)):
@@ -457,7 +513,11 @@ class _Separations:
             x for x, cert in certs.items() if cert is None or not 2 * _dot(cert[0], e) < cert[1]
         ]
         grown = self.classes[c] + [e]
-        if any(hulls_intersect([grown, self.classes[x]]) for x in unsure):
+        if self.planar:
+            grown = _hull_2d(grown)
+            if any(_planar_hulls_meet(grown, self.classes[x]) for x in unsure):
+                return False
+        elif any(hulls_intersect([grown, self.classes[x]]) for x in unsure):
             return False
         self.classes[c] = grown
         for x in unsure:
@@ -481,7 +541,7 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
     Every decision runs on one integer copy of the configuration and the
     extras, scaled by the lcm of all their coordinate denominators
     (`_integer_copy`); each hyperplane's offset is scaled with them.
-    Messages name the given points, and the result is re-checked on them
+    Messages name the given points.  The result is re-checked on the copy
     by `_verified_extension`: a filled hollow triangle is an input error,
     any other change of the nerve an internal error.
     """
@@ -494,12 +554,11 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
             "the separator construction does not cover them"
         )
     d = layout.d
-    expected = realize_on_moment_curve(w, d)
-    if config.points != expected.points or config.colors != expected.colors:
+    curve = tuple(tuple(t**k for k in range(1, d + 1)) for t in range(1, len(w) + 1))
+    if config.points != curve or config.colors != w.letters:
         raise DegenerateInputError("configuration is not the moment-curve realization of the word")
-    extras = _coerce_extras(extras, config)
+    extras, scale, ints = _coerce_extras(extras, config)
     n = len(config.points)
-    scale, ints = _integer_copy(list(config.points) + extras)
 
     m = len(layout.u_labels)
     hyperplanes: list[tuple[str, Hyperplane, int]] = []
@@ -555,4 +614,4 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
         else:
             raise ExtensionError(
                 f"extension step failed: no safe color for extra {_point_text(e)}")
-    return _verified_extension(config, before, extras, assignment)
+    return _verified_extension(config, before, extras, ints, assignment)

@@ -117,16 +117,16 @@ def nerve_lp(config: ColoredConfig, max_dim: int) -> NerveResult:
     return NerveResult(SimplicialComplex(labels, frozenset(faces)))
 
 
-def new_faces_reference(faces, classes: dict[str, list[Point]],
-                        size: int) -> list[tuple[str, ...]]:
+def new_faces_reference(faces, classes: dict[str, list[Point]], size: int,
+                        meets=None) -> list[tuple[str, ...]]:
     """`nerve._new_faces` by walking every label set of `size` in label
     order: the sets not in `faces` whose subsets one smaller all are, and
-    whose classes' hulls meet."""
+    whose classes' hulls meet, by `meets(label_set)` when it is given."""
     return [
         combo for combo in combinations(sorted(classes), size)
         if frozenset(combo) not in faces
         and all(frozenset(combo[:i] + combo[i + 1 :]) in faces for i in range(size))
-        and hulls_intersect([classes[c] for c in combo])
+        and (meets(combo) if meets else hulls_intersect([classes[c] for c in combo]))
     ]
 
 
@@ -836,8 +836,28 @@ def _assign_eager(class_points, original: SimplicialComplex, extras) -> dict[int
 # The bipartite extension before it decided on one integer copy: separator
 # sides, curve-gap certificates and placements on the given `Fraction`
 # points, each certificate offset a `Fraction` midpoint.  Hull tests go
-# through `wordnerve.nerve.hulls_intersect`, looked up at each call, so a
-# test that patches that binding sees them.
+# through `wordnerve.nerve.hulls_intersect`, or in the plane through
+# `wordnerve.nerve._planar_hulls_meet` on hulls built for the test, each
+# looked up at the call, so a test that patches those bindings sees them.
+
+
+def coerce_extras_reference(extras, config: ColoredConfig) -> list[Point]:
+    """`nerve._coerce_extras` before it built the integer copy: the extras
+    coerced one by one, each refused in turn when it is no point of the
+    configuration's dimension, given twice or a configuration point, by
+    comparing `Fraction` points."""
+    d = config.dimension
+    taken = set(config.points)
+    out: list[Point] = []
+    for p in map(geometry_lib.point, extras):
+        if len(p) != d:
+            raise DegenerateInputError(f"extras must live in R^{d}")
+        if p in taken:
+            where = "a configuration point" if p in config.points else "given twice"
+            raise DegenerateInputError(f"extra {_point_text(p)} is {where}")
+        taken.add(p)
+        out.append(p)
+    return out
 
 
 def _dot(normal, p):
@@ -883,7 +903,12 @@ class FractionSeparations:
         certs = self.certs[c]
         unsure = [x for x, cert in certs.items() if cert is None or not _dot(cert[0], e) < cert[1]]
         grown = self.classes[c] + [e]
-        if any(nerve_lib.hulls_intersect([grown, self.classes[x]]) for x in unsure):
+        if len(e) == 2:
+            meets = any(nerve_lib._planar_hulls_meet(_hull_2d(grown), _hull_2d(self.classes[x]))
+                        for x in unsure)
+        else:
+            meets = any(nerve_lib.hulls_intersect([grown, self.classes[x]]) for x in unsure)
+        if meets:
             return False
         self.classes[c] = grown
         for x in unsure:
@@ -894,7 +919,8 @@ class FractionSeparations:
 def extend_bipartite_fractions(g, w: Word, config: ColoredConfig, extras) -> ColoredConfig:
     """`nerve.extend_coloring_bipartite` with every decision on the given
     points: the same colors, hull tests in the same order on the same
-    points, and the same errors."""
+    points, and the same errors.  Only the re-check, the library's, runs
+    on the integer copy."""
     layout = bipartite_layout(g)
     if layout.word != w:
         raise DegenerateInputError("word does not match the bipartite encoding of the graph")
@@ -907,7 +933,7 @@ def extend_bipartite_fractions(g, w: Word, config: ColoredConfig, extras) -> Col
     expected = nerve_lib.realize_on_moment_curve(w, d)
     if config.points != expected.points or config.colors != expected.colors:
         raise DegenerateInputError("configuration is not the moment-curve realization of the word")
-    extras = nerve_lib._coerce_extras(extras, config)
+    extras = coerce_extras_reference(extras, config)
 
     m = len(layout.u_labels)
     hyperplanes = []
@@ -954,4 +980,5 @@ def extend_bipartite_fractions(g, w: Word, config: ColoredConfig, extras) -> Col
         else:
             raise ExtensionError(
                 f"extension step failed: no safe color for extra {_point_text(e)}")
-    return nerve_lib._verified_extension(config, before, extras, assignment)
+    _, ints = geometry_lib._integer_copy(list(config.points) + extras)
+    return nerve_lib._verified_extension(config, before, extras, ints, assignment)

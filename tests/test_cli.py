@@ -406,23 +406,26 @@ def test_extend_planar_hollow_triangle_is_an_input_error(tmp_path, capsys):
 
 
 def test_internal_error_has_one_prefix(capsys, monkeypatch):
-    # the hull test reports one non-face pair as meeting once its classes
-    # hold extras, which only the re-check of the extended configuration sees
+    # the planar pair test reports one non-face pair as meeting once one of
+    # its classes holds an extra, which only the re-check of the extended
+    # configuration sees; the pair is told by the extension's colors on its
+    # integer copy
     config = formats.config_from_doc(json.loads((DATA / "planar_config.json").read_text()))
-    color_of = dict(zip(config.points, config.colors))
+    extras, _ = formats.points_from_doc(json.loads((DATA / "planar_extras.json").read_text()))
+    grown = nerve_lib.extend_coloring_2d(config, extras)
+    _, ints = geometry_lib._integer_copy(grown.points)
+    color_of = dict(zip(ints, grown.colors))
+    gained = set(grown.colors[len(config.points):])
     apart = next(
         {a, b} for a, b in combinations(config.color_labels, 2)
-        if not nerve_lib.nerve(config, 2).complex.is_face((a, b))
+        if {a, b} & gained and not nerve_lib.nerve(config, 2).complex.is_face((a, b))
     )
-    real = nerve_lib.hulls_intersect
+    real = nerve_lib._planar_hulls_meet
 
-    def one_pair_meets(classes):
-        extended = any(p not in color_of for cls in classes for p in cls)
-        if extended and {color_of[cls[0]] for cls in classes} == apart:
-            return True
-        return real(classes)
+    def one_pair_meets(ha, hb):
+        return {color_of[ha[0]], color_of[hb[0]]} == apart or real(ha, hb)
 
-    monkeypatch.setattr(nerve_lib, "hulls_intersect", one_pair_meets)
+    monkeypatch.setattr(nerve_lib, "_planar_hulls_meet", one_pair_meets)
     code, out, err = run(capsys, *golden_argv("planar"))
     assert code == 4
     assert out == ""
@@ -438,9 +441,10 @@ def test_internal_error_has_one_prefix(capsys, monkeypatch):
 def test_extend_rejects_repeated_extras_before_any_hull_test(
         tmp_path, capsys, monkeypatch, name, points, message):
     calls = []
-    real = nerve_lib.hulls_intersect
-    monkeypatch.setattr(nerve_lib, "hulls_intersect",
-                        lambda classes: calls.append(1) or real(classes))
+    for test in ("hulls_intersect", "_planar_hulls_meet"):
+        real = getattr(nerve_lib, test)
+        monkeypatch.setattr(nerve_lib, test,
+                            lambda *args, real=real: calls.append(1) or real(*args))
     ef = write(tmp_path, "extras.json", formats.dump_json({"dimension": 2, "points": points}))
     argv = golden_argv(name)
     argv[2] = ef
@@ -448,6 +452,18 @@ def test_extend_rejects_repeated_extras_before_any_hull_test(
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("planar", "repeated"), ("planar", "config_point"), ("planar", "collinear"),
+    ("bipartite", "repeated"), ("bipartite", "config_point"),
+])
+def test_extend_refused_extras_match_the_golden_stderr(capsys, name, bad):
+    argv = golden_argv(name)
+    argv[2] = str(DATA / f"{bad}_extras.json")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (DATA / f"{bad}_stderr.txt").read_text()
 
 
 def test_extend_dimension_mismatch(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from wordnerve.geometry import (
     GeometryError,
     _check_general_position_2d,
+    _integer_copy,
     breen_intersect,
     gale_facets,
     hulls_intersect,
@@ -294,11 +295,15 @@ def general_position_error(check, points) -> str | None:
     return None
 
 
+def check_on_integer_copy(points):
+    _check_general_position_2d(points, _integer_copy(points)[1])
+
+
 def test_general_position_names_the_first_collinear_triple():
     # from point 0, slope 1 repeats at (2, 3) before slope 0 repeats at
     # (1, 4); the lexicographically first triple is still (0, 1, 4)
     pts = [point(p) for p in ((0, 0), (1, 0), (1, 1), (2, 2), (5, 0))]
-    message = general_position_error(_check_general_position_2d, pts)
+    message = general_position_error(check_on_integer_copy, pts)
     assert message == "collinear triple at indices (0, 1, 4): (0, 0), (1, 0), (5, 0)"
     assert message == general_position_error(check_general_position_2d_cubic, pts)
 
@@ -318,6 +323,6 @@ def test_general_position_matches_triple_scan():
             for _ in range(rng.randint(0, 9))
         ]
         expected = general_position_error(check_general_position_2d_cubic, pts)
-        assert general_position_error(_check_general_position_2d, pts) == expected
+        assert general_position_error(check_on_integer_copy, pts) == expected
         errors += expected is not None
     assert 400 < errors < 1600

@@ -1,6 +1,7 @@
 import builtins
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -237,6 +238,70 @@ def planar_pairs(draw):
 @given(planar_pairs())
 def test_planar_pairs_match_lp(pair):
     assert hulls_intersect(pair) == geometry._hull_lp(pair)
+
+
+def random_planar_class(rng) -> tuple[str, list[tuple[Fraction, Fraction]]]:
+    """A class of the kind named first: a single point, a segment, three to
+    five points on one line, or a cloud of three to six points.
+    Coordinates are small, with denominators up to 4, so shared points,
+    touching hulls and shared lines are common."""
+    def coordinate():
+        return F(rng.randint(-8, 8), rng.randint(1, 4))
+
+    kind = rng.choice(("point", "segment", "collinear", "cloud"))
+    if kind == "collinear":
+        base, step = (coordinate(), coordinate()), (rng.randint(-3, 3), rng.randint(1, 3))
+        ts = rng.sample(range(-4, 5), rng.randint(3, 5))
+        return kind, [(base[0] + F(t * step[0], 2), base[1] + F(t * step[1], 2)) for t in ts]
+    size = {"point": 1, "segment": 2, "cloud": rng.randint(3, 6)}[kind]
+    return kind, [(coordinate(), coordinate()) for _ in range(size)]
+
+
+def test_planar_hulls_meet_on_kept_hulls_matches_the_lp():
+    """As in an extension, each round takes one integer copy of a few
+    classes and of extras, keeps one hull per class and grows a class by
+    one extra at a time as `_hull_2d(hull + [e])`; after every step each
+    pair verdict of `_planar_hulls_meet` on the kept hulls is the LP's on
+    the given points."""
+    rng = random.Random(47)
+    seen = Counter()
+    for _ in range(80):
+        kinds, classes = zip(*[random_planar_class(rng) for _ in range(rng.randint(2, 5))])
+        extras = [(rng.randrange(len(classes)), (F(rng.randint(-8, 8), rng.randint(1, 4)),
+                                                 F(rng.randint(-8, 8), rng.randint(1, 4))))
+                  for _ in range(rng.randint(0, 3))]
+        _, ints = geometry._integer_copy([p for c in classes for p in c] + [e for _, e in extras])
+        ints = iter(ints)
+        hulls = [geometry._hull_2d([next(ints) for _ in c]) for c in classes]
+        given = [list(c) for c in classes]
+        for step in range(len(extras) + 1):
+            if step:
+                k, e = extras[step - 1]
+                hulls[k] = geometry._hull_2d(hulls[k] + [next(ints)])
+                given[k].append(e)
+            for i, j in combinations(range(len(classes)), 2):
+                verdict = geometry._planar_hulls_meet(hulls[i], hulls[j])
+                assert verdict == geometry._hull_lp([given[i], given[j]]), (given[i], given[j])
+                seen[verdict] += 1
+                seen.update({kinds[i], kinds[j]})
+    assert sum(seen[v] for v in (True, False)) >= 500
+    assert min(seen[v] for v in (True, False)) > 100
+    assert min(seen[kind] for kind in ("point", "segment", "collinear", "cloud")) > 100
+
+
+def test_a_kept_hull_grows_as_the_hull_of_all_points():
+    # the hull of hull + [e] is the hull of points + [e], vertex for vertex
+    # and in the same order: inner, boundary, repeated and outer extras,
+    # over single points, segments, collinear classes and clouds
+    rng = random.Random(48)
+    for _ in range(1000):
+        _, points = random_planar_class(rng)
+        hull = geometry._hull_2d(points)
+        e = rng.choice([(F(rng.randint(-8, 8), rng.randint(1, 4)),
+                         F(rng.randint(-8, 8), rng.randint(1, 4))),
+                        rng.choice(points),
+                        tuple(sum(p[c] for p in points) / len(points) for c in (0, 1))])
+        assert geometry._hull_2d(hull + [e]) == geometry._hull_2d(points + [e])
 
 
 # -- triple systems of moment-curve words ------------------------------------

@@ -269,13 +269,14 @@ def test_breen_pair_layer_matches_lp():
 
 
 def count_hull_tests(monkeypatch, module, name="hulls_intersect") -> Counter:
-    """Count the module's calls of the hull test `name` by number of classes."""
+    """Count the module's calls of the hull test `name` by number of
+    classes: a list of classes, or one hull per class as arguments."""
     calls: Counter = Counter()
     real = getattr(module, name)
 
-    def counted(classes):
-        calls[len(classes)] += 1
-        return real(classes)
+    def counted(*args):
+        calls[len(args) if len(args) > 1 else len(args[0])] += 1
+        return real(*args)
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -736,28 +737,37 @@ def test_separations_match_the_lp_only_reference(monkeypatch):
     assert built > 0 and invalidated > 0
 
 
+HULL_TESTS = ("hulls_intersect", "_planar_hulls_meet")
+
+
 def routed(monkeypatch, run, scale):
     """The colors of the extras or the error, and the hull tests run
-    through `nerve.hulls_intersect` in order.  A point of ints only is one
-    of the extension's integer copy, and is recorded divided by `scale`."""
+    through `nerve.hulls_intersect` (on classes) and
+    `nerve._planar_hulls_meet` (on two hulls) in order, each under its
+    name.  A point of ints only is one of the extension's integer copy,
+    and is recorded divided by `scale`."""
     tested = []
-    real = nerve_lib.hulls_intersect
+    reals = {name: getattr(nerve_lib, name) for name in HULL_TESTS}
 
-    def recorded(classes):
-        tested.append([
-            [p if any(type(x) is not int for x in p) else tuple(F(x, scale) for x in p)
-             for p in cls]
-            for cls in classes
-        ])
-        return real(classes)
+    def recording(name):
+        def recorded(*args):
+            tested.append((name, [
+                [p if any(type(x) is not int for x in p) else tuple(F(x, scale) for x in p)
+                 for p in cls]
+                for cls in (args if len(args) > 1 else args[0])
+            ]))
+            return reals[name](*args)
+        return recorded
 
-    monkeypatch.setattr(nerve_lib, "hulls_intersect", recorded)
+    for name in HULL_TESTS:
+        monkeypatch.setattr(nerve_lib, name, recording(name))
     try:
         out = run().colors
     except (DegenerateInputError, ExtensionError) as exc:
         out = f"{type(exc).__name__}: {exc}"
     finally:
-        monkeypatch.setattr(nerve_lib, "hulls_intersect", real)
+        for name, real in reals.items():
+            monkeypatch.setattr(nerve_lib, name, real)
     return out, tested
 
 
@@ -781,9 +791,11 @@ def test_bipartite_extension_matches_the_fraction_route(monkeypatch):
     """On one integer copy the bipartite extension colors every extra, runs
     every hull test on the same points in the same order, and fails with
     the same message as the route that decided on the given `Fraction`
-    points.  Extras have denominators up to 9; some are means of points of
-    one or two classes, where certificates fail and hull tests run, and
-    some lie exactly on a separator hyperplane."""
+    points.  In the plane both routes test pairs by
+    `_planar_hulls_meet`, the library on the hulls it keeps, the route on
+    hulls it builds for the test.  Extras have denominators up to 9; some
+    are means of points of one or two classes, where certificates fail and
+    hull tests run, and some lie exactly on a separator hyperplane."""
     rng = random.Random(44)
     outcomes = Counter()
     for case in range(150):
@@ -807,7 +819,7 @@ def test_bipartite_extension_matches_the_fraction_route(monkeypatch):
         scale = denominators_lcm(extras)
         got = routed(monkeypatch, lambda: extend_coloring_bipartite(g, w, cfg, extras), scale)
         expected = routed(
-            monkeypatch, lambda: oracles.extend_bipartite_fractions(g, w, cfg, extras), 1)
+            monkeypatch, lambda: oracles.extend_bipartite_fractions(g, w, cfg, extras), scale)
         assert got == expected, (case, d, extras)
         outcomes[isinstance(got[0], str), scale > 1] += 1
     # colorings and rejections, nearly all on a copy scaled by more than 1
@@ -869,8 +881,9 @@ def test_planar_extension_matches_the_eager_line_search(monkeypatch):
 
 
 def test_recheck_tests_only_candidates_that_could_be_gained(monkeypatch):
-    # classes only grow, so the LP runs on the non-faces of the original
-    # nerve whose proper subsets are faces, and never on one of its faces
+    # classes only grow, so the hull tests run on the non-faces of the
+    # original nerve whose proper subsets are faces and which hold a class
+    # that gained an extra, and never on one of its faces
     rng = random.Random(41)
     extended = []
     for d in (1, 2, 2, 3):
@@ -881,34 +894,113 @@ def test_recheck_tests_only_candidates_that_could_be_gained(monkeypatch):
         extras = random_general_position_extras(rng, cfg, 6)
         extended.append((cfg, extend_coloring_2d(cfg, extras)))
     tested = []
-    real = nerve_lib.hulls_intersect
-    monkeypatch.setattr(
-        nerve_lib, "hulls_intersect", lambda classes: tested.append(classes) or real(classes)
-    )
-    total = 0
+    for name in HULL_TESTS:
+        real = getattr(nerve_lib, name)
+        monkeypatch.setattr(nerve_lib, name, lambda *args, real=real: (
+            tested.append(args if len(args) > 1 else args[0]) or real(*args)))
+    total = skipped = 0
     for cfg, ext in extended:
         n = len(cfg.points)
         k = nerve(cfg, 2).complex
+        _, ints = _integer_copy(ext.points)
         tested.clear()
         result = nerve_lib.NerveResult(k)
-        assert _verified_extension(cfg, result, ext.points[n:], ext.colors[n:]) == ext
-        color_of = dict(zip(cfg.points, cfg.colors))
+        assert _verified_extension(cfg, result, ext.points[n:], ints, ext.colors[n:]) == ext
+        color_of = dict(zip(ints, ext.colors))
         faces = sorted(sorted(color_of[cls[0]] for cls in classes) for classes in tested)
-        assert faces == sorted(
+        grown = set(ext.colors[n:])
+        candidates = [
             sorted(combo) for size in (2, 3) for combo in combinations(k.vertices, size)
             if not k.is_face(combo)
             and all(k.is_face(combo[:i] + combo[i + 1:]) for i in range(size))
-        )
+        ]
+        assert faces == sorted(combo for combo in candidates if grown & set(combo))
         assert not any(k.is_face(face) for face in faces)
         total += len(faces)
-    assert total > 0
+        skipped += len(candidates) - len(faces)
+    assert total > 0 and skipped > 0
+
+
+def test_recheck_of_one_grown_class_makes_one_pair_test_per_other_class(monkeypatch):
+    """300 single-point classes on the curve have no face but the
+    singletons, so all 44,850 pairs are candidates; one extra grows one
+    class, and only the 299 pairs holding it can meet."""
+    cfg = realize_on_moment_curve(Word(tuple(f"c{i:03d}" for i in range(300))), 2)
+    before = nerve(cfg, 2)
+    extras, _, ints = nerve_lib._coerce_extras([(F(1, 3), F(1, 7))], cfg)
+    pairs = count_hull_tests(monkeypatch, nerve_lib, "_planar_hulls_meet")
+    lps = count_hull_tests(monkeypatch, nerve_lib)
+    ext = _verified_extension(cfg, before, extras, ints, ["c000"])
+    assert ext.colors == cfg.colors + ("c000",)
+    assert pairs == {2: 299} and not lps
+    pairs.clear()
+    assert extend_coloring_2d(cfg, extras) == ext
+    assert pairs == {2: 299} and not lps
+
+
+def spelled(rng, x):
+    """The rational x as a Fraction, an int when it is whole, or a
+    "p/q" string not always in lowest terms ("2/4" for 1/2)."""
+    k = rng.randint(1, 3)
+    return rng.choice([x, f"{x.numerator * k}/{x.denominator * k}"]
+                      + ([int(x)] if x.denominator == 1 else []))
+
+
+def test_coerce_extras_raises_what_the_one_pass_reference_raises():
+    """Seeded mixes of new extras, repeats (often spelled otherwise),
+    configuration points, points of the wrong dimension and bad
+    coordinates: `_coerce_extras` returns the reference's points and the
+    integer copy of the configuration and them, or raises the error the
+    reference raises, class and message.  The reference refuses each
+    extra in turn; the library refuses repeats on the integer copy after
+    coercing, so a repeat that comes before a bad extra must still win."""
+    rng = random.Random(49)
+    outcomes = Counter()
+    for case in range(600):
+        d = case % 3 + 1
+        letters = [f"c{rng.randrange(3)}" for _ in range(rng.randint(2, 8))]
+        params = sorted(rng.sample(range(-20, 20), len(letters)))
+        cfg = realize_on_moment_curve(Word(tuple(letters)), d, [F(t, 2) for t in params])
+        extras, kinds = [], []
+        for _ in range(rng.randint(0, 6)):
+            roll = rng.random()
+            if roll < 0.4:
+                kind, p = "new", [F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(d)]
+            elif roll < 0.6 and "new" in kinds:
+                kind, p = "repeat", point(rng.choice(
+                    [e for e, k in zip(extras, kinds) if k == "new"]))
+            elif roll < 0.75:
+                kind, p = "taken", rng.choice(cfg.points)
+            elif roll < 0.88:
+                kind, p = "bad", [F(1)] * rng.choice([n for n in (0, d - 1, d + 1) if n != d])
+            else:
+                kind, p = "bad", [F(1)] * d
+                p[rng.randrange(d)] = rng.choice(["x", 1.5, True, "1e3", "1/0", None])
+            extras.append([spelled(rng, x) if isinstance(x, Fraction) else x for x in p])
+            kinds.append(kind)
+        try:
+            expected = oracles.coerce_extras_reference(extras, cfg)
+        except DegenerateInputError as exc:
+            expected = type(exc), str(exc)
+        try:
+            got = nerve_lib._coerce_extras(extras, cfg)
+        except DegenerateInputError as exc:
+            assert (type(exc), str(exc)) == expected, (case, extras)
+            repeat = str(exc).startswith("extra ")
+            outcomes["no point" if not repeat else "twice" if "twice" in str(exc) else "taken"] += 1
+            outcomes["repeat before a bad extra"] += repeat and "bad" in kinds
+        else:
+            assert got == (expected, *_integer_copy(list(cfg.points) + expected)), (case, extras)
+            outcomes["coerced"] += 1
+    assert len(outcomes) == 5 and min(outcomes.values()) > 25
 
 
 def test_recheck_refuses_an_extra_with_a_new_label():
     cfg = realize_on_moment_curve(word("abab"), 2)
     before = nerve(cfg, 2)
     with pytest.raises(ExtensionError, match="extension changed the nerve"):
-        _verified_extension(cfg, before, [(F(9), F(-1))], ["z"])
+        _verified_extension(cfg, before, [(F(9), F(-1))], _integer_copy(cfg.points + ((9, -1),))[1],
+                            ["z"])
 
 
 # -- face candidates ----------------------------------------------------------
@@ -921,9 +1013,9 @@ def test_face_candidates_match_the_combinations_reference(monkeypatch):
     real = nerve_lib._new_faces
     calls = []
 
-    def checked(faces, classes, size):
-        out = real(faces, classes, size)
-        assert out == oracles.new_faces_reference(faces, classes, size)
+    def checked(faces, classes, size, meets=None):
+        out = real(faces, classes, size, meets)
+        assert out == oracles.new_faces_reference(faces, classes, size, meets)
         calls.append(len(out))
         return out
 
@@ -949,9 +1041,10 @@ def test_face_candidates_match_the_combinations_reference(monkeypatch):
             if mean not in cfg.points and mean not in extras:
                 extras.append(mean)
         colors = [rng.choice(cfg.color_labels) for _ in extras]
+        _, ints = _integer_copy(list(cfg.points) + extras)
         calls.clear()
         try:
-            _verified_extension(cfg, before, extras, colors)
+            _verified_extension(cfg, before, extras, ints, colors)
         except (ExtensionError, DegenerateInputError):
             pass  # a gained face: the candidates were checked on the way
         in_recheck += calls
