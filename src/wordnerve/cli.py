@@ -175,14 +175,15 @@ def _selftest(seed: int) -> list[tuple[str, bool]]:
     import random
 
     from .encode import word_any_graph
-    from .geometry import _hull_lp, breen_intersect, hulls_intersect, moment_point
+    from .geometry import (_hull_2d, _planar_hulls_meet, breen_intersect, hulls_intersect,
+                           moment_point)
     from .oracles import brute_max_alternation, facet_oracle
 
     rng = random.Random(seed)
     checks: list[tuple[str, bool]] = []
 
     ok = True
-    for _ in range(60):  # Breen's criterion against the hull test and exact LP feasibility
+    for _ in range(60):  # Breen's criterion, the LP and, in the plane, separating axes
         r = rng.randint(2, 7)
         d = rng.randint(1, 4)
         params = sorted(rng.sample(range(1, 40), r))
@@ -191,7 +192,9 @@ def _selftest(seed: int) -> list[tuple[str, bool]]:
         a = [t for t in params if t in marked]
         b = [t for t in params if t not in marked]
         pair = [[moment_point(t, d) for t in a], [moment_point(t, d) for t in b]]
-        ok = ok and breen_intersect(a, b, d) == hulls_intersect(pair) == _hull_lp(pair)
+        verdict = breen_intersect(a, b, d)
+        ok = ok and hulls_intersect(pair) == verdict
+        ok = ok and (d != 2 or _planar_hulls_meet(*map(_hull_2d, pair)) == verdict)
     checks.append(("breen-vs-feasibility", ok))
 
     ok = all(

@@ -4,8 +4,8 @@ Points are tuples of Fraction coordinates, all in a fixed dimension d.
 The moment curve sends a parameter t to (t, t^2, ..., t^d); configurations
 of distinct parameters are vertices of a cyclic polytope.  Facet structure
 (Gale's evenness condition), Radon-type hull intersections (Breen's
-alternation criterion, separating axes for planar pairs, exact LP
-feasibility), hyperplanes spanned by d curve points and a quadratic 2D
+alternation criterion, separating axes for two planar hulls, and exact LP
+feasibility, the exported `hulls_intersect`, for any shape), hyperplanes spanned by d curve points and a quadratic 2D
 general-position check live here.
 
 x(t) lies on the hyperplane n . x = c exactly when t is a root of
@@ -86,10 +86,11 @@ def _check_exact(p) -> None:
 
 
 def hulls_intersect(classes: list[list[Point]]) -> bool:
-    """Do the convex hulls of all classes share a common point?  A planar
-    pair is decided by `_planar_hulls_meet` on the hulls of its
-    `_integer_copy`, every other shape by `_hull_lp`.
-    Coordinates are ints or Fractions; any other type is refused."""
+    """Do the convex hulls of all classes share a common point?  Exact LP
+    feasibility (`_hull_lp`), whatever the shape: the reference that the
+    separating-axis route for planar pairs (`_planar_hulls_meet`) is
+    tested against.  Coordinates are ints or Fractions; any other type is
+    refused."""
     if not classes or any(len(c) == 0 for c in classes):
         raise GeometryError("every class must be nonempty")
     d = len(classes[0][0])
@@ -98,14 +99,7 @@ def hulls_intersect(classes: list[list[Point]]) -> bool:
             if len(p) != d:
                 raise GeometryError("all points must share one dimension")
             _check_exact(p)
-    k = len(classes)
-    if k == 1:
-        return True
-    if k == 2 and d == 2:
-        _, ints = _integer_copy(classes[0] + classes[1])
-        n = len(classes[0])
-        return _planar_hulls_meet(_hull_2d(ints[:n]), _hull_2d(ints[n:]))
-    return _hull_lp(classes)
+    return len(classes) == 1 or _hull_lp(classes)
 
 
 def _planar_hulls_meet(ha: list[Point], hb: list[Point]) -> bool:
@@ -114,8 +108,8 @@ def _planar_hulls_meet(ha: list[Point], hb: list[Point]) -> bool:
     other strictly beyond that edge (Chazelle and Dobkin 1987), or, when
     A - B is a point or a segment (both have at most 2 vertices), some
     q - p puts them strictly apart.  Hulls of an integer copy keep every
-    product an int, so a caller that keeps one hull per class tests a
-    pair without rebuilding either."""
+    product an int, so a caller that keeps one hull per class
+    (`nerve._kept`) tests a pair without rebuilding either."""
     for h, other in ((ha, hb), (hb, ha)):
         for p, q in zip(h, h[1:] + h[:1]):  # counterclockwise, so (dy, -dx) points out
             x, y = q[1] - p[1], p[0] - q[0]

@@ -7,8 +7,13 @@ the coloring has the color labels as vertices and a face for every set of
 classes whose convex hulls share a common point; faces are only evaluated
 up to a requested dimension and never extrapolated beyond it.  When every
 point is on the moment curve, its parameter is its first coordinate and
-Breen's run count settles the pairs.  Every other face is an exact
-`hulls_intersect` verdict: separating axes for a planar pair, else an LP.
+Breen's run count settles the pairs.  Every other face is an exact hull
+verdict, and `_meets` makes each one, in the nerve, the extensions and
+their re-check alike: two classes in the plane by separating axes on their
+hulls (`_planar_hulls_meet`), every other shape by the LP
+`hulls_intersect`.  `_kept` keeps each class as those tests need it, its
+`_hull_2d` hull in the plane and its points otherwise; off the curve the
+nerve keeps them on one integer copy of the points.
 
 Both extension algorithms recolor extra points so that the nerve of the
 enlarged configuration is label-identical to the original.  Neither is
@@ -22,9 +27,8 @@ extras, scaled by the lcm of all their coordinate denominators, in
 predicate is the sign of a homogeneous polynomial in the coordinates, or
 of an affine one whose constant is scaled too, and a positive scale keeps
 every such sign.  The general-position check, every decision and the
-re-check run on that copy.  In the plane each class's hull is kept, one
-per class, and a pair test compares two hulls (`_planar_hulls_meet`), so
-no pair test rebuilds a copy or a hull.  The planar
+re-check run on that copy, one kept class (`_kept`) per color, so no
+pair test rebuilds a copy or a hull.  The planar
 extension peels colors behind support lines on the copy, one per loop
 step.  The bipartite one keeps each non-face pair apart with a fixed
 hyperplane midway between the pair, whose normal has its roots on the
@@ -153,8 +157,10 @@ def nerve(config: ColoredConfig, max_dim: int) -> NerveResult:
     only tested when all its subsets one smaller are already faces.
 
     On the moment curve the pairs come from Breen's criterion: two classes
-    meet iff their colors, read in parameter order, make at least d+2 runs.
-    Every other face is an exact `hulls_intersect` verdict.
+    meet iff their colors, read in parameter order, make at least d+2 runs,
+    and only triples and up reach `_meets`, on the given points.  Off the
+    curve every face is a `_meets` verdict on the classes kept (`_kept`) on
+    one integer copy of the points.
 
     For a realized word only the 1-skeleton is a function of the word.
     Higher faces depend on the chosen curve parameters: the same word can
@@ -162,35 +168,51 @@ def nerve(config: ColoredConfig, max_dim: int) -> NerveResult:
     """
     if max_dim < 1:
         raise DegenerateInputError("max_dim must be >= 1")
-    classes = config.classes()
     labels = config.color_labels
     faces: set[frozenset[str]] = {frozenset([c]) for c in labels}
-    first = 2
     order = _curve_order(config)
     if order is not None:
         seq = [config.colors[i] for i in order]
         faces.update(map(frozenset, _intersecting_pairs(seq, config.dimension)))
-        first = 3
+        kept, first = config.classes(), 3
+    else:
+        _, ints = _integer_copy(config.points)
+        kept, first = {c: _kept(p) for c, p in _group(ints, config.colors).items()}, 2
+
+    def meets(combo):
+        return _meets([kept[c] for c in combo])
+
     for size in range(first, max_dim + 2):
-        met = _new_faces(faces, classes, size)
+        met = _new_faces(faces, labels, size, meets)
         if not met:
             break
         faces.update(map(frozenset, met))
     return NerveResult(SimplicialComplex(labels, frozenset(faces)))
 
 
-def _new_faces(faces, classes: dict[str, list[Point]], size: int,
-               meets=None) -> list[tuple[str, ...]]:
+def _kept(points: list) -> list:
+    """A class as the hull tests keep it: its `_hull_2d` hull in the plane,
+    where `_meets` compares two hulls, else its points."""
+    return _hull_2d(points) if len(points[0]) == 2 else points
+
+
+def _meets(kept: list[list]) -> bool:
+    """Do the hulls of these classes share a point?  Two classes in the
+    plane must be kept by `_kept`, as hulls, and are decided by separating
+    axes (`_planar_hulls_meet`); every other shape goes to the LP
+    `hulls_intersect`, which takes hull vertices and points alike."""
+    if len(kept) == 2 and len(kept[0][0]) == 2:
+        return _planar_hulls_meet(*kept)
+    return hulls_intersect(kept)
+
+
+def _new_faces(faces, labels, size: int, meets) -> list[tuple[str, ...]]:
     """The label sets of `size`, in label order, that are not in `faces`
-    while every subset one smaller is, and whose classes' hulls meet: by
-    `hulls_intersect`, or by `meets(label_set)` when it is given.
+    while every subset one smaller is, and for which `meets(label_set)`
+    holds.  `labels` are the vertices, in sorted order.
 
     Each candidate is a face one smaller, sorted, plus a larger label, so
     the walk is bounded by the faces and not by the label sets of `size`."""
-    if meets is None:
-        def meets(combo):
-            return hulls_intersect([classes[c] for c in combo])
-    labels = sorted(classes)
     rank = {c: i for i, c in enumerate(labels)}
     base = sorted(tuple(sorted(f)) for f in faces if len(f) == size - 1)
     return [
@@ -207,33 +229,26 @@ def _coerce_extras(extras, config: ColoredConfig):
     configuration's points followed by them, the one integer copy an
     extension decides and re-checks on.
 
-    An extra given twice or equal to a configuration point is refused by
-    its int tuple, before any extension work.  The errors are those of one
-    pass over the extras in order: an extra that is no point of the
-    dimension stops the coercion, and its error is raised after the
-    repeats among the extras before it."""
+    One pass over the extras in order refuses the first that is no point
+    of the dimension, given twice or equal to a configuration point,
+    before any extension work.  Points are compared by their coordinates'
+    `as_integer_ratio()` pairs, which are in lowest terms, so no
+    `Fraction` is hashed."""
     d = config.dimension
-    out: list[Point] = []
-    error = None
-    try:
-        for x in extras:
-            p = point(x)
-            if len(p) != d:
-                raise DegenerateInputError(f"extras must live in R^{d}")
-            out.append(p)
-    except GeometryError as exc:
-        error = exc
-    n = len(config.points)
-    scale, ints = _integer_copy(list(config.points) + out)
-    given = set(ints[:n])
+    given = {tuple(x.as_integer_ratio() for x in p) for p in config.points}
     taken = set(given)
-    for p, q in zip(out, ints[n:]):
-        if q in taken:
-            where = "a configuration point" if q in given else "given twice"
+    out: list[Point] = []
+    for x in extras:
+        p = point(x)
+        if len(p) != d:
+            raise DegenerateInputError(f"extras must live in R^{d}")
+        key = tuple(c.as_integer_ratio() for c in p)
+        if key in taken:
+            where = "a configuration point" if key in given else "given twice"
             raise DegenerateInputError(f"extra {_point_text(p)} is {where}")
-        taken.add(q)
-    if error is not None:
-        raise error
+        taken.add(key)
+        out.append(p)
+    scale, ints = _integer_copy(list(config.points) + out)
     return out, scale, ints
 
 
@@ -252,9 +267,8 @@ def _verified_extension(config: ColoredConfig, before: NerveResult, extras: list
     gained: non-faces of size 2 and 3 of `before` whose proper subsets are
     faces and which hold a class that gained an extra (the others keep
     their points and so their verdict).  The candidates that meet are then
-    exactly the faces gained.  In the plane each class's hull is built
-    once and every pair test compares two hulls (`_planar_hulls_meet`);
-    triples, and pairs in other dimensions, go to `hulls_intersect`.
+    exactly the faces gained.  Each class is kept once (`_kept`) and every
+    verdict is `_meets`.
 
     The extensions only guarantee the pair verdicts.  A hollow triangle
     (three classes that meet pairwise but share no point) can fill in as
@@ -263,20 +277,16 @@ def _verified_extension(config: ColoredConfig, before: NerveResult, extras: list
     a new label is an internal error."""
     colors = config.colors + tuple(new_colors)
     k = before.complex
-    classes = _group(ints, colors)
-    if set(classes) != set(k.vertices):
+    kept = {c: _kept(p) for c, p in _group(ints, colors).items()}
+    if set(kept) != set(k.vertices):
         raise ExtensionError("extension changed the nerve")
     grown = set(new_colors)
-    hulls = {c: _hull_2d(p) for c, p in classes.items()} if config.dimension == 2 else None
 
     def meets(combo):
-        if grown.isdisjoint(combo):
-            return False
-        if hulls is not None and len(combo) == 2:
-            return _planar_hulls_meet(hulls[combo[0]], hulls[combo[1]])
-        return hulls_intersect([classes[c] for c in combo])
+        return not grown.isdisjoint(combo) and _meets([kept[c] for c in combo])
 
-    met = _new_faces(k.faces, classes, 2, meets) + _new_faces(k.faces, classes, 3, meets)
+    labels = sorted(kept)
+    met = _new_faces(k.faces, labels, 2, meets) + _new_faces(k.faces, labels, 3, meets)
     if any(len(combo) == 2 for combo in met):
         raise ExtensionError("extension changed the nerve")
     if met:
@@ -484,19 +494,15 @@ class _Separations:
     and a placement that passes it retires the pair's certificate to None:
     a hull-test verdict from then on.
 
-    `classes[c]` holds the points of class c, or in the plane its hull:
-    there the grown hull is `_hull_2d(hull + [e])`, and each pair test
-    compares two kept hulls (`_planar_hulls_meet`), so no placement
+    `classes[c]` holds class c kept by `_kept`, its hull in the plane, and
+    a placement keeps the grown class the same way, so no placement
     rebuilds a hull of a class it does not grow.
     """
 
     def __init__(self, config: ColoredConfig, ints: list[tuple[int, ...]],
                  before: NerveResult):
         order = _curve_order(config)
-        self.planar = config.dimension == 2
-        self.classes = _group(ints, config.colors)
-        if self.planar:
-            self.classes = {c: _hull_2d(p) for c, p in self.classes.items()}
+        self.classes = {c: _kept(p) for c, p in _group(ints, config.colors).items()}
         self.certs: dict[str, dict[str, tuple | None]] = {c: {} for c in self.classes}
         for a, b in combinations(config.color_labels, 2):
             if not before.complex.is_face((a, b)):
@@ -512,12 +518,8 @@ class _Separations:
         unsure = [
             x for x, cert in certs.items() if cert is None or not 2 * _dot(cert[0], e) < cert[1]
         ]
-        grown = self.classes[c] + [e]
-        if self.planar:
-            grown = _hull_2d(grown)
-            if any(_planar_hulls_meet(grown, self.classes[x]) for x in unsure):
-                return False
-        elif any(hulls_intersect([grown, self.classes[x]]) for x in unsure):
+        grown = _kept(self.classes[c] + [e])
+        if any(_meets([grown, self.classes[x]]) for x in unsure):
             return False
         self.classes[c] = grown
         for x in unsure:

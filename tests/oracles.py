@@ -24,7 +24,6 @@ from wordnerve.geometry import (
     _hull_2d,
     _hull_lp,
     _point_text,
-    hulls_intersect,
     hyperplane_through_moment_points,
     rational,
 )
@@ -117,16 +116,15 @@ def nerve_lp(config: ColoredConfig, max_dim: int) -> NerveResult:
     return NerveResult(SimplicialComplex(labels, frozenset(faces)))
 
 
-def new_faces_reference(faces, classes: dict[str, list[Point]], size: int,
-                        meets=None) -> list[tuple[str, ...]]:
+def new_faces_reference(faces, labels, size: int, meets) -> list[tuple[str, ...]]:
     """`nerve._new_faces` by walking every label set of `size` in label
     order: the sets not in `faces` whose subsets one smaller all are, and
-    whose classes' hulls meet, by `meets(label_set)` when it is given."""
+    for which `meets(label_set)` holds."""
     return [
-        combo for combo in combinations(sorted(classes), size)
+        combo for combo in combinations(sorted(labels), size)
         if frozenset(combo) not in faces
         and all(frozenset(combo[:i] + combo[i + 1 :]) in faces for i in range(size))
-        and (meets(combo) if meets else hulls_intersect([classes[c] for c in combo]))
+        and meets(combo)
     ]
 
 
@@ -842,10 +840,10 @@ def _assign_eager(class_points, original: SimplicialComplex, extras) -> dict[int
 
 
 def coerce_extras_reference(extras, config: ColoredConfig) -> list[Point]:
-    """`nerve._coerce_extras` before it built the integer copy: the extras
-    coerced one by one, each refused in turn when it is no point of the
+    """`nerve._coerce_extras` without the integer copy: the extras coerced
+    one by one, each refused in turn when it is no point of the
     configuration's dimension, given twice or a configuration point, by
-    comparing `Fraction` points."""
+    comparing `Fraction` points rather than their integer ratios."""
     d = config.dimension
     taken = set(config.points)
     out: list[Point] = []

@@ -319,7 +319,7 @@ def test_extend_bipartite_on_hyperplane_extra(tmp_path, capsys):
 
 def golden_argv(name):
     argv = ["extend", str(DATA / f"{name}_config.json"), str(DATA / f"{name}_extras.json")]
-    if name == "planar":
+    if name.startswith("planar"):
         return argv + ["--mode", "planar"]
     return argv + ["--mode", "bipartite", "--graph", str(DATA / f"{name}_graph.txt")]
 
@@ -342,23 +342,30 @@ def test_extend_bipartite_separator_faults_exit_4(monkeypatch, capsys, offset, r
     assert (code, out, err) == (4, "", f"internal error: {reason}\n")
 
 
-@pytest.mark.parametrize("name", ["planar", "bipartite", "bipartite3", "bipartite4"])
+@pytest.mark.parametrize("name", [
+    "planar", "planar_off_curve", "bipartite", "bipartite3", "bipartite4",
+])
 def test_extend_golden_stdout(capsys, name):
-    # rational coordinates (planar), K2,3 minus an edge (bipartite, d = 2),
-    # a 6-cycle with a pendant edge (bipartite3, d = 3: separators from
-    # cubics) and an 8-cycle with a chord under extras whose denominators
-    # 1..7 make an integer copy scaled by 420 (bipartite4, d = 4)
+    # rational coordinates (planar), points (t/3, t^2/9 + 1) off the curve,
+    # so that the nerve tests every pair (planar_off_curve), K2,3 minus an
+    # edge (bipartite, d = 2), a 6-cycle with a pendant edge (bipartite3,
+    # d = 3: separators from cubics) and an 8-cycle with a chord under
+    # extras whose denominators 1..7 make an integer copy scaled by 420
+    # (bipartite4, d = 4)
     code, out, err = run(capsys, *golden_argv(name))
     assert (code, err) == (0, "")
     assert out == (DATA / f"{name}_stdout.txt").read_text()
 
 
 @pytest.mark.parametrize("name, reaches_lp", [
-    ("planar", False), ("bipartite", False), ("bipartite3", True), ("bipartite4", True),
+    ("planar", False), ("planar_off_curve", False), ("bipartite", False),
+    ("bipartite3", True), ("bipartite4", True),
 ])
 def test_extend_golden_lp_route(capsys, monkeypatch, name, reaches_lp):
-    # planar pairs are decided by separating axes, so only the d = 3 and
-    # d = 4 goldens reach the simplex; their stdout stays the golden one
+    # planar pairs are decided by separating axes, in the nerve off the
+    # curve too, and the planar goldens are triangle-free, so only the
+    # d = 3 and d = 4 goldens reach the simplex; their stdout stays the
+    # golden one
     calls = []
     real = geometry_lib.feasible_eq_nonneg
     monkeypatch.setattr(geometry_lib, "feasible_eq_nonneg",
@@ -519,8 +526,9 @@ def test_selftest(capsys):
 
 
 def test_selftest_reaches_the_lp_on_planar_pairs(capsys, monkeypatch):
-    # planar pairs take the separating-axis route in `hulls_intersect`, so
-    # only a check that also calls the LP sees an LP that is wrong on them
+    # the library decides planar pairs by separating axes, so selftest must
+    # still run the LP, `hulls_intersect`, on them to see an LP that is
+    # wrong there
     real = geometry_lib._hull_lp
 
     def flipped(classes):
@@ -530,6 +538,16 @@ def test_selftest_reaches_the_lp_on_planar_pairs(capsys, monkeypatch):
         return verdict
 
     monkeypatch.setattr(geometry_lib, "_hull_lp", flipped)
+    code, out, _ = run(capsys, "selftest", "--seed", "0")
+    assert code == 4
+    assert "FAIL breen-vs-feasibility\n" in out
+
+
+def test_selftest_checks_the_separating_axes(capsys, monkeypatch):
+    # `hulls_intersect` no longer reaches the separating axes, so selftest
+    # runs them itself on the planar pairs
+    real = geometry_lib._planar_hulls_meet
+    monkeypatch.setattr(geometry_lib, "_planar_hulls_meet", lambda ha, hb: not real(ha, hb))
     code, out, _ = run(capsys, "selftest", "--seed", "0")
     assert code == 4
     assert "FAIL breen-vs-feasibility\n" in out

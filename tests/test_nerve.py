@@ -290,16 +290,47 @@ def test_curve_configurations_skip_the_pair_lp(monkeypatch):
     assert lib[2] == 0 and ref[2] > 0
     assert lib[3] == ref[3] > 0
 
-    # one coordinate off the curve: the LP settles every pair again
+    # one coordinate off the curve: every pair is tested again, by
+    # separating axes on two kept hulls, and the triples run the LP
     p = cfg.points[5]
     off = ColoredConfig(
         cfg.points[:5] + ((p[0], p[1] + F(1, 1000)),) + cfg.points[6:], cfg.colors
     )
     assert _curve_order(off) is None
+    pairs = count_hull_tests(monkeypatch, nerve_lib, "_planar_hulls_meet")
     lib.clear()
     ref.clear()
     assert nerve(off, 2).complex == nerve_lp(off, 2).complex
-    assert lib == ref and lib[2] > 0
+    assert pairs == {2: ref[2]} and ref[2] > 0
+    assert lib == {3: ref[3]} and ref[3] > 0
+
+
+def test_off_curve_nerves_match_the_lp_oracle(monkeypatch):
+    """Seeded configurations off the curve at d = 2..4 (at d = 1 every
+    point is a curve point): the faces of `nerve` up to triangles are
+    those of the LP oracle.  In the plane many classes have interior
+    points, so the pairs compare two kept hulls and the triples run the LP
+    on hull vertices, fewer points than the classes hold."""
+    rng = random.Random(50)
+    triples = count_hull_tests(monkeypatch, nerve_lib)
+    seen = Counter()
+    for case in range(150):
+        d = case % 3 + 2
+        k = rng.randint(2, 4)
+        n = rng.randint(4 * d, 8 * d)
+        pts: set = set()
+        while len(pts) < n:
+            pts.add(tuple(F(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(d)))
+        colors = [f"c{i}" for i in range(k)] + [f"c{rng.randrange(k)}" for _ in range(n - k)]
+        cfg = ColoredConfig(tuple(sorted(pts)), tuple(colors))
+        assert _curve_order(cfg) is None
+        triples.clear()
+        assert nerve(cfg, 2).complex == nerve_lp(cfg, 2).complex, case
+        if triples[3]:
+            seen[d] += 1
+            seen["plane, interior points"] += d == 2 and any(
+                len(nerve_lib._hull_2d(c)) < len(c) for c in cfg.classes().values())
+    assert min(seen[d] for d in (2, 3, 4)) > 10 and seen["plane, interior points"] > 10
 
 
 def test_curve_nerve_takes_any_color_label():
@@ -951,9 +982,9 @@ def test_coerce_extras_raises_what_the_one_pass_reference_raises():
     configuration points, points of the wrong dimension and bad
     coordinates: `_coerce_extras` returns the reference's points and the
     integer copy of the configuration and them, or raises the error the
-    reference raises, class and message.  The reference refuses each
-    extra in turn; the library refuses repeats on the integer copy after
-    coercing, so a repeat that comes before a bad extra must still win."""
+    reference raises, class and message.  Both refuse each extra in turn,
+    so a repeat that comes before a bad extra wins, also over an extra
+    that is not even iterable (a `TypeError`)."""
     rng = random.Random(49)
     outcomes = Counter()
     for case in range(600):
@@ -973,26 +1004,31 @@ def test_coerce_extras_raises_what_the_one_pass_reference_raises():
                 kind, p = "taken", rng.choice(cfg.points)
             elif roll < 0.88:
                 kind, p = "bad", [F(1)] * rng.choice([n for n in (0, d - 1, d + 1) if n != d])
-            else:
+            elif roll < 0.95:
                 kind, p = "bad", [F(1)] * d
                 p[rng.randrange(d)] = rng.choice(["x", 1.5, True, "1e3", "1/0", None])
+            else:
+                extras.append(rng.choice([5, None, F(1, 2)]))
+                kinds.append("not iterable")
+                continue
             extras.append([spelled(rng, x) if isinstance(x, Fraction) else x for x in p])
             kinds.append(kind)
         try:
             expected = oracles.coerce_extras_reference(extras, cfg)
-        except DegenerateInputError as exc:
+        except (DegenerateInputError, TypeError) as exc:
             expected = type(exc), str(exc)
         try:
             got = nerve_lib._coerce_extras(extras, cfg)
-        except DegenerateInputError as exc:
+        except (DegenerateInputError, TypeError) as exc:
             assert (type(exc), str(exc)) == expected, (case, extras)
             repeat = str(exc).startswith("extra ")
             outcomes["no point" if not repeat else "twice" if "twice" in str(exc) else "taken"] += 1
             outcomes["repeat before a bad extra"] += repeat and "bad" in kinds
+            outcomes["repeat before a non-iterable extra"] += repeat and "not iterable" in kinds
         else:
             assert got == (expected, *_integer_copy(list(cfg.points) + expected)), (case, extras)
             outcomes["coerced"] += 1
-    assert len(outcomes) == 5 and min(outcomes.values()) > 25
+    assert len(outcomes) == 6 and min(outcomes.values()) > 25
 
 
 def test_recheck_refuses_an_extra_with_a_new_label():
@@ -1013,9 +1049,9 @@ def test_face_candidates_match_the_combinations_reference(monkeypatch):
     real = nerve_lib._new_faces
     calls = []
 
-    def checked(faces, classes, size, meets=None):
-        out = real(faces, classes, size, meets)
-        assert out == oracles.new_faces_reference(faces, classes, size, meets)
+    def checked(faces, labels, size, meets):
+        out = real(faces, labels, size, meets)
+        assert out == oracles.new_faces_reference(faces, labels, size, meets)
         calls.append(len(out))
         return out
 
@@ -1055,13 +1091,13 @@ def test_face_candidates_match_the_combinations_reference(monkeypatch):
 def test_face_candidates_do_not_walk_every_label_set():
     """2,000 labels whose only faces are singletons have no candidate of
     size 3; walking the C(2000, 3), about 1.3e9, label sets to find that
-    out would take far past the timeout."""
+    out would take far past the timeout, even with a predicate that never
+    tests a hull."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    child = ("from fractions import Fraction\n"
-             "from wordnerve.nerve import _new_faces\n"
+    child = ("from wordnerve.nerve import _new_faces\n"
              "labels = [f'c{i}' for i in range(2000)]\n"
-             "classes = {c: [(Fraction(i),)] for i, c in enumerate(labels)}\n"
-             "print(_new_faces({frozenset([c]) for c in labels}, classes, 3))\n")
+             "faces = {frozenset([c]) for c in labels}\n"
+             "print(_new_faces(faces, labels, 3, lambda combo: True))\n")
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                           timeout=30, env={**os.environ, "PYTHONPATH": path})
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
