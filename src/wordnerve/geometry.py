@@ -68,13 +68,17 @@ def _point_text(p: Point) -> str:
 
 def moment_point(t, d: int) -> Point:
     """(t, t^2, ..., t^d) exactly.  With t = n/q in lowest terms, t^k is
-    n^k / q^k, also in lowest terms, so it is built from integer powers."""
+    n^k / q^k, also in lowest terms, so it is built from integer powers,
+    each one multiplication on from the last."""
     if d < 1:
         raise GeometryError("dimension must be >= 1")
     n, q = rational(t).as_integer_ratio()
-    if q == 1:
-        return tuple([Fraction(n**k) for k in range(1, d + 1)])
-    return tuple([Fraction(n**k, q**k) for k in range(1, d + 1)])
+    nk, qk, coords = 1, 1, []
+    for _ in range(d):
+        nk *= n
+        qk *= q
+        coords.append(Fraction(nk) if q == 1 else Fraction(nk, qk))
+    return tuple(coords)
 
 
 def _check_exact(p) -> None:

@@ -7,38 +7,38 @@ the coloring has the color labels as vertices and a face for every set of
 classes whose convex hulls share a common point; faces are only evaluated
 up to a requested dimension and never extrapolated beyond it.  When every
 point is on the moment curve, its parameter is its first coordinate and
-Breen's run count settles the pairs.  Every other face is an exact hull
-verdict, and `_meets` makes each one, in the nerve, the extensions and
-their re-check alike: two classes in the plane by separating axes on their
-hulls (`_planar_hulls_meet`), every other shape by the LP
-`hulls_intersect`.  `_kept` keeps each class as those tests need it, its
-`_hull_2d` hull in the plane and its points otherwise; off the curve the
-nerve keeps them on one integer copy of the points.
+Breen's run count settles the pairs.  One layered walk, `_new_faces`,
+finds every other face, each an exact hull verdict of `_meets`, in the
+nerve and the extensions' re-check alike: two classes in the plane by
+separating axes on their hulls (`_planar_hulls_meet`), every other shape
+by the LP `hulls_intersect`.  `_kept_classes` keeps each class as those
+tests need it, its `_hull_2d` hull in the plane and its points otherwise;
+off the curve the nerve keeps them on one integer copy of the points.
 
 Both extension algorithms recolor extra points so that the nerve of the
 enlarged configuration is label-identical to the original.  Neither is
-trusted: every run re-checks the enlarged configuration afterwards
-and fails loudly on any difference.  The classes only grow, so no face
-can be lost; the re-check tests the candidates that could be gained,
-those holding a class that gained an extra.
-Each extension builds one integer copy of the configuration and the
-extras, scaled by the lcm of all their coordinate denominators, in
-`_coerce_extras`, which refuses repeated extras on its int tuples: each
-predicate is the sign of a homogeneous polynomial in the coordinates, or
-of an affine one whose constant is scaled too, and a positive scale keeps
-every such sign.  The general-position check, every decision and the
-re-check run on that copy, one kept class (`_kept`) per color, so no
-pair test rebuilds a copy or a hull.  The planar
-extension peels colors behind support lines on the copy, one per loop
-step.  The bipartite one keeps each non-face pair apart with a fixed
-hyperplane midway between the pair, whose normal has its roots on the
-curve in the gaps between the pair's runs (Breen's criterion bounds them
-by d + 1), and runs a hull test only when an extra does not land
-strictly on its class's side of it.
+trusted: every run re-checks the enlarged configuration and fails loudly
+on any difference.  The classes only grow, so no face can be lost; the
+re-check resumes the nerve's walk from the original faces, building only
+candidates that hold a class that gained an extra.  Each extension
+builds one integer copy of the configuration and the extras, scaled by
+the lcm of all their coordinate denominators, in `_coerce_extras`, which
+refuses repeated extras on its int tuples: each predicate is the sign of
+a homogeneous polynomial in the coordinates, or of an affine one whose
+constant is scaled too, and a positive scale keeps every such sign.  The
+general-position check, every decision and the re-check run on that
+copy, one kept class per color, so no pair test rebuilds a copy or a
+hull.  The planar extension peels colors behind support lines on the
+copy, one per loop step.  The bipartite one keeps each non-face pair
+apart with a fixed hyperplane midway between the pair, whose normal has
+its roots on the curve in the gaps between the pair's runs (Breen's
+criterion bounds them by d + 1), and runs a hull test only when an extra
+does not land strictly on its class's side of it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -84,6 +84,8 @@ class ColoredConfig(Record):
         if not self.points:
             raise DegenerateInputError("configuration must be nonempty")
         d = len(self.points[0])
+        if not d:
+            raise DegenerateInputError("points need at least one coordinate")
         for p in self.points:
             if len(p) != d:
                 raise DegenerateInputError("mixed point dimensions")
@@ -153,14 +155,15 @@ def _curve_order(config: ColoredConfig) -> list[int] | None:
 
 
 def nerve(config: ColoredConfig, max_dim: int) -> NerveResult:
-    """Faces of size <= max_dim+1, found layer by layer: a candidate set is
-    only tested when all its subsets one smaller are already faces.
+    """Faces of size <= max_dim+1, found by one layered walk (`_new_faces`):
+    a candidate set is only tested when all its subsets one smaller are
+    already faces.
 
     On the moment curve the pairs come from Breen's criterion: two classes
     meet iff their colors, read in parameter order, make at least d+2 runs,
-    and only triples and up reach `_meets`, on the given points.  Off the
-    curve every face is a `_meets` verdict on the classes kept (`_kept`) on
-    one integer copy of the points.
+    and the walk starts at triples, on the given points.  Off the curve it
+    starts at pairs, on the classes kept (`_kept_classes`) on one integer
+    copy of the points.
 
     For a realized word only the 1-skeleton is a function of the word.
     Higher faces depend on the chosen curve parameters: the same word can
@@ -169,24 +172,15 @@ def nerve(config: ColoredConfig, max_dim: int) -> NerveResult:
     if max_dim < 1:
         raise DegenerateInputError("max_dim must be >= 1")
     labels = config.color_labels
-    faces: set[frozenset[str]] = {frozenset([c]) for c in labels}
+    faces = {frozenset([c]) for c in labels}
     order = _curve_order(config)
     if order is not None:
         seq = [config.colors[i] for i in order]
         faces.update(map(frozenset, _intersecting_pairs(seq, config.dimension)))
         kept, first = config.classes(), 3
     else:
-        _, ints = _integer_copy(config.points)
-        kept, first = {c: _kept(p) for c, p in _group(ints, config.colors).items()}, 2
-
-    def meets(combo):
-        return _meets([kept[c] for c in combo])
-
-    for size in range(first, max_dim + 2):
-        met = _new_faces(faces, labels, size, meets)
-        if not met:
-            break
-        faces.update(map(frozenset, met))
+        kept, first = _kept_classes(_integer_copy(config.points)[1], config.colors), 2
+    faces.update(map(frozenset, _new_faces(faces, labels, range(first, max_dim + 2), kept)))
     return NerveResult(SimplicialComplex(labels, frozenset(faces)))
 
 
@@ -194,6 +188,11 @@ def _kept(points: list) -> list:
     """A class as the hull tests keep it: its `_hull_2d` hull in the plane,
     where `_meets` compares two hulls, else its points."""
     return _hull_2d(points) if len(points[0]) == 2 else points
+
+
+def _kept_classes(points, colors) -> dict[str, list]:
+    """Each color's class kept by `_kept`, in label order."""
+    return {c: _kept(p) for c, p in _group(points, colors).items()}
 
 
 def _meets(kept: list[list]) -> bool:
@@ -206,21 +205,33 @@ def _meets(kept: list[list]) -> bool:
     return hulls_intersect(kept)
 
 
-def _new_faces(faces, labels, size: int, meets) -> list[tuple[str, ...]]:
-    """The label sets of `size`, in label order, that are not in `faces`
-    while every subset one smaller is, and for which `meets(label_set)`
-    holds.  `labels` are the vertices, in sorted order.
-
-    Each candidate is a face one smaller, sorted, plus a larger label, so
-    the walk is bounded by the faces and not by the label sets of `size`."""
+def _new_faces(faces, labels, sizes, kept, grown=None) -> list[tuple[str, ...]]:
+    """The faces gained over `faces`, layer by layer over `sizes`, each
+    layer joining the faces before the next: label sets, in label order,
+    not faces while every subset one smaller is, whose classes `kept[c]`
+    meet (`_meets`).  A candidate is a face one smaller, sorted, plus a
+    larger label of the sorted `labels`, so the walk is bounded by the
+    faces, not the label sets, and stops at a size with no face one
+    smaller.  Given the set `grown`, only candidates holding a grown label
+    are built: a face with none takes only the larger grown labels."""
+    faces, gained = set(faces), []
     rank = {c: i for i, c in enumerate(labels)}
-    base = sorted(tuple(sorted(f)) for f in faces if len(f) == size - 1)
-    return [
-        combo for f in base for combo in (f + (c,) for c in labels[rank[f[-1]] + 1 :])
-        if frozenset(combo) not in faces
-        and all(frozenset(combo[:i] + combo[i + 1 :]) in faces for i in range(size - 1))
-        and meets(combo)
-    ]
+    grown_sorted = sorted(grown or ())
+    for size in sizes:
+        base = sorted(tuple(sorted(f)) for f in faces if len(f) == size - 1)
+        if not base:
+            break
+        met = [
+            combo for f in base for combo in (f + (c,) for c in (
+                labels[rank[f[-1]] + 1 :] if grown is None or not grown.isdisjoint(f)
+                else grown_sorted[bisect_right(grown_sorted, f[-1]) :]))
+            if frozenset(combo) not in faces
+            and all(frozenset(combo[:i] + combo[i + 1 :]) in faces for i in range(size - 1))
+            and _meets([kept[c] for c in combo])
+        ]
+        faces.update(map(frozenset, met))
+        gained += met
+    return gained
 
 
 def _coerce_extras(extras, config: ColoredConfig):
@@ -262,13 +273,10 @@ def _verified_extension(config: ColoredConfig, before: NerveResult, extras: list
     already known to be distinct, so no point is hashed again.
 
     The original points are a prefix of the grown configuration and the
-    extras take original labels, so every face of `before` stays a face.
-    The hull tests therefore run only on the candidates that could be
-    gained: non-faces of size 2 and 3 of `before` whose proper subsets are
-    faces and which hold a class that gained an extra (the others keep
-    their points and so their verdict).  The candidates that meet are then
-    exactly the faces gained.  Each class is kept once (`_kept`) and every
-    verdict is `_meets`.
+    extras take original labels, so every face of `before` stays a face,
+    and the re-check resumes the nerve's walk (`_new_faces`) from them over
+    sizes 2 and 3 on the classes kept afresh from `ints`, building only
+    candidates that hold a grown class: the others keep their verdict.
 
     The extensions only guarantee the pair verdicts.  A hollow triangle
     (three classes that meet pairwise but share no point) can fill in as
@@ -276,23 +284,15 @@ def _verified_extension(config: ColoredConfig, before: NerveResult, extras: list
     rejected with the least of them named.  A gained pair or an extra with
     a new label is an internal error."""
     colors = config.colors + tuple(new_colors)
-    k = before.complex
-    kept = {c: _kept(p) for c, p in _group(ints, colors).items()}
-    if set(kept) != set(k.vertices):
+    kept = _kept_classes(ints, colors)
+    if set(kept) != set(before.complex.vertices):
         raise ExtensionError("extension changed the nerve")
-    grown = set(new_colors)
-
-    def meets(combo):
-        return not grown.isdisjoint(combo) and _meets([kept[c] for c in combo])
-
-    labels = sorted(kept)
-    met = _new_faces(k.faces, labels, 2, meets) + _new_faces(k.faces, labels, 3, meets)
+    met = _new_faces(before.complex.faces, list(kept), (2, 3), kept, set(new_colors))
     if any(len(combo) == 2 for combo in met):
         raise ExtensionError("extension changed the nerve")
     if met:
-        filled = min(sorted(combo) for combo in met)
         raise DegenerateInputError(
-            f"the extension fills the hollow triangle {' '.join(filled)}: its "
+            f"the extension fills the hollow triangle {' '.join(min(met))}: its "
             "classes meet pairwise but share no point, and only pair "
             "verdicts are kept"
         )
@@ -502,7 +502,7 @@ class _Separations:
     def __init__(self, config: ColoredConfig, ints: list[tuple[int, ...]],
                  before: NerveResult):
         order = _curve_order(config)
-        self.classes = {c: _kept(p) for c, p in _group(ints, config.colors).items()}
+        self.classes = _kept_classes(ints, config.colors)
         self.certs: dict[str, dict[str, tuple | None]] = {c: {} for c in self.classes}
         for a, b in combinations(config.color_labels, 2):
             if not before.complex.is_face((a, b)):

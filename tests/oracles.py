@@ -116,16 +116,24 @@ def nerve_lp(config: ColoredConfig, max_dim: int) -> NerveResult:
     return NerveResult(SimplicialComplex(labels, frozenset(faces)))
 
 
-def new_faces_reference(faces, labels, size: int, meets) -> list[tuple[str, ...]]:
-    """`nerve._new_faces` by walking every label set of `size` in label
-    order: the sets not in `faces` whose subsets one smaller all are, and
-    for which `meets(label_set)` holds."""
-    return [
-        combo for combo in combinations(sorted(labels), size)
-        if frozenset(combo) not in faces
-        and all(frozenset(combo[:i] + combo[i + 1 :]) in faces for i in range(size))
-        and meets(combo)
-    ]
+def new_faces_reference(faces, labels, sizes, kept, grown=None) -> list[tuple[str, ...]]:
+    """`nerve._new_faces` by walking every label set of each size in
+    `sizes`, in label order: the sets not among the faces whose subsets one
+    smaller all are, that hold a label of `grown` when it is given, and
+    whose classes `kept[c]` meet by `nerve._meets`.  Each layer joins the
+    faces before the next."""
+    faces, gained = set(faces), []
+    for size in sizes:
+        met = [
+            combo for combo in combinations(sorted(labels), size)
+            if frozenset(combo) not in faces
+            and all(frozenset(combo[:i] + combo[i + 1 :]) in faces for i in range(size))
+            and (grown is None or not grown.isdisjoint(combo))
+            and nerve_lib._meets([kept[c] for c in combo])
+        ]
+        faces.update(map(frozenset, met))
+        gained += met
+    return gained
 
 
 def gale_facets_scan(r: int, d: int) -> list[tuple[int, ...]]:

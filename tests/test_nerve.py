@@ -13,6 +13,7 @@ import pytest
 
 import wordnerve
 import wordnerve.nerve as nerve_lib
+from wordnerve import formats
 from wordnerve.encode import (
     ChordDiagram,
     bipartite_layout,
@@ -107,6 +108,16 @@ def test_config_refuses_inexact_coordinates():
         nerve(ColoredConfig(((0.1, 0.1 * 0.1, 0.1**3), (0.2, 0.04, 0.008)), ("a", "b")), 2)
     ints = ColoredConfig(((1, 1), (2, 4), (3, 9)), ("a", "b", "a"))  # the planar copies
     assert _curve_order(ints) == [0, 1, 2]
+
+
+def test_config_refuses_points_without_coordinates():
+    # a point of R^0 has no first coordinate for `_curve_order` to read: it
+    # is refused where the configuration is built, from code or from a file
+    with pytest.raises(DegenerateInputError, match="at least one coordinate"):
+        ColoredConfig(((),), ("a",))
+    doc = {"dimension": 0, "points": [[]], "colors": ["a"]}
+    with pytest.raises(DegenerateInputError, match="at least one coordinate"):
+        formats.config_from_doc(doc)
 
 
 def test_curve_order_matches_fraction_products():
@@ -1042,22 +1053,37 @@ def test_recheck_refuses_an_extra_with_a_new_label():
 # -- face candidates ----------------------------------------------------------
 
 
+class _Reads(dict):
+    """A kept-class map that logs each label read, so the classes every
+    hull test reads, and their order, can be compared."""
+
+    def __init__(self, kept, log):
+        super().__init__(kept)
+        self.log = log
+
+    def __getitem__(self, label):
+        self.log.append(label)
+        return super().__getitem__(label)
+
+
 def test_face_candidates_match_the_combinations_reference(monkeypatch):
     # candidates grow from the faces one smaller: the sets, their order and
-    # so every hull test must be those of walking all label sets of a size,
-    # in the layers of `nerve` and in the re-check of grown classes
+    # so every hull test must be those of walking all label sets of each
+    # size, in the one walk of `nerve` and of the re-check of grown classes
     real = nerve_lib._new_faces
     calls = []
 
-    def checked(faces, labels, size, meets):
-        out = real(faces, labels, size, meets)
-        assert out == oracles.new_faces_reference(faces, labels, size, meets)
+    def checked(faces, labels, sizes, kept, grown=None):
+        walked, brute = [], []
+        out = real(faces, labels, sizes, _Reads(kept, walked), grown)
+        assert out == oracles.new_faces_reference(faces, labels, sizes, _Reads(kept, brute), grown)
+        assert walked == brute
         calls.append(len(out))
         return out
 
     monkeypatch.setattr(nerve_lib, "_new_faces", checked)
-    rng = random.Random(43)
-    in_nerve, in_recheck = [], []
+    rng, pick = random.Random(43), random.Random(44)  # pick draws the grown sets
+    in_nerve, in_recheck, in_draws = [], [], []
     for case in range(300):
         k = rng.randint(2, 7)
         seq = [f"c{rng.randrange(k)}" for _ in range(rng.randint(k, 16))]
@@ -1084,20 +1110,53 @@ def test_face_candidates_match_the_combinations_reference(monkeypatch):
         except (ExtensionError, DegenerateInputError):
             pass  # a gained face: the candidates were checked on the way
         in_recheck += calls
-    assert len(in_nerve) > 250 and sum(in_nerve) > 200
-    assert len(in_recheck) == 600 and sum(in_recheck) > 150
+        grown = set(pick.sample(cfg.color_labels, pick.randint(0, len(cfg.color_labels))))
+        kept = nerve_lib._kept_classes(ints[: len(cfg.points)], cfg.colors)
+        in_draws.append(len(checked(before.complex.faces, cfg.color_labels, (2, 3), kept, grown)))
+    assert len(in_nerve) == 300 and sum(in_nerve) > 200
+    assert len(in_recheck) == 300 and sum(in_recheck) > 150
+    assert sum(in_draws) == 0  # the classes kept their points: no face is gained
 
 
 def test_face_candidates_do_not_walk_every_label_set():
     """2,000 labels whose only faces are singletons have no candidate of
     size 3; walking the C(2000, 3), about 1.3e9, label sets to find that
-    out would take far past the timeout, even with a predicate that never
-    tests a hull."""
+    out would take far past the timeout, even before any hull test."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     child = ("from wordnerve.nerve import _new_faces\n"
              "labels = [f'c{i}' for i in range(2000)]\n"
              "faces = {frozenset([c]) for c in labels}\n"
-             "print(_new_faces(faces, labels, 3, lambda combo: True))\n")
+             "print(_new_faces(faces, labels, (3,), dict.fromkeys(labels)))\n")
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                           timeout=30, env={**os.environ, "PYTHONPATH": path})
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_recheck_builds_candidates_linear_in_the_colors(monkeypatch):
+    """The one-point colors c0000 ... c1099 on the curve at d = 2 meet in
+    no pair, and one extra joins c0000.  The re-check builds only the 1,099
+    pairs that hold c0000, not all C(1100, 2) = 604,450 pairs: each
+    candidate costs a frozenset or two to look up among the faces, so the
+    frozensets built count the candidates."""
+    n = 1100
+    cfg = realize_on_moment_curve(Word(tuple(f"c{i:04d}" for i in range(n))), 2)
+    before = nerve(cfg, 2)
+    extras = [(F(0), F(1))]
+    _, ints = _integer_copy(list(cfg.points) + extras)
+    built = Counter()
+
+    def counted(*args):
+        built["frozenset"] += 1
+        return frozenset(*args)
+
+    def meets(kept):
+        built["hull test"] += 1
+        return real_meets(kept)
+
+    real_meets = nerve_lib._meets
+    monkeypatch.setattr(nerve_lib, "frozenset", counted, raising=False)
+    monkeypatch.setattr(nerve_lib, "_meets", meets)
+    grown = _verified_extension(cfg, before, extras, ints, ["c0000"])
+    assert grown.colors == cfg.colors + ("c0000",)
+    assert built["hull test"] == n - 1
+    assert built["frozenset"] < 3 * n, built
