@@ -1,9 +1,26 @@
-"""Independent brute-force oracles used only by the tests (the ones
-`wordnerve selftest` also runs live in `wordnerve.oracles`).
+"""Independent references used only by the tests (the ones
+`wordnerve selftest` also runs live are in `wordnerve.oracles`).
 
-Each oracle recomputes a quantity through a different route than the
-library (dynamic programming, exhaustive enumeration, LP membership),
-so agreement is evidence rather than tautology.
+Each reference recomputes a quantity through a different route than the
+library (dynamic programming, exhaustive enumeration, LP membership, the
+state or arithmetic a refactor replaced), so agreement is evidence rather
+than tautology.  One reference answers each question:
+
+- run counts: `dp_max_alternation`; alternating pairs: `strictly_alternates`;
+- bipartiteness: `has_odd_cycle_bruteforce`;
+- general position: `check_general_position_2d_cubic`;
+- nerve: `nerve_lp`; face walk: `new_faces_reference`;
+- Gale facets: `gale_facets_scan`; orientation: `det`;
+- automorphisms: `automorphisms_bruteforce`;
+- search: `StepEnumeration`, whole trees through `sequential_search`;
+- LP verdict: `feasible_eq_nonneg_fraction`; LP pivots: `feasible_eq_nonneg_full`;
+- moment points: `moment_point_products`; curve order: `curve_order_products`;
+- planar colors: `assign_extras_2d_reference`;
+- bipartite colors and hull tests: `extend_bipartite_fractions`;
+- extra refusals: `coerce_extras_reference`.
+
+A replaced route stays only while it catches a mutant that no remaining
+reference catches.
 """
 
 from __future__ import annotations
@@ -11,14 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 
 import wordnerve.geometry as geometry_lib
 import wordnerve.nerve as nerve_lib
 from wordnerve.encode import bipartite_layout
 from wordnerve.geometry import (
     GeometryError,
-    Hyperplane,
     Point,
     _cross,
     _hull_2d,
@@ -164,10 +180,13 @@ def automorphisms_bruteforce(g) -> set[tuple[int, ...]]:
 
 class StepEnumeration:
     """The search's DFS as it was before `wordnerve.search` flattened it
-    into one loop: one method per step, over the same tree in the same
-    order.  Mutable DFS state over letter indices 0..n-1: last[x] is the
-    word position of x's last copy or -1, alt[x][y] the run count of the
-    pair.  Appending x opens a run of {x, y} iff last[x] <= last[y]."""
+    into one loop and moved to per-letter last positions: one method per
+    step, over the same tree in the same order, on a state that shares
+    nothing with `search._dfs`.  It keeps the run-end matrix over letter
+    indices 0..n-1: endl[x][y] is whichever of x and y came last (-1 before
+    both) and alt[x][y] the run count of the pair.  Appending x opens a run
+    of {x, y} iff endl[x][y] != x, and returns an undo list of
+    (y, old_alt, old_end)."""
 
     def __init__(self, n: int, adj: list[list[bool]], d: int, budget,
                  auts: list[tuple[int, ...]]):
@@ -180,7 +199,7 @@ class StepEnumeration:
 
         self.word: list[int] = []
         self.alt = [[0] * n for _ in range(n)]
-        self.last = [-1] * n
+        self.endl = [[-1] * n for _ in range(n)]
         self.counts = [0] * n
         self.introduced = 0
         self.total_deficit = sum(
@@ -195,22 +214,26 @@ class StepEnumeration:
         self.limit_hit = False
 
     def _useful(self, x: int) -> bool:
-        adj_x, alt_x, last, lx = self.adj[x], self.alt[x], self.last, self.last[x]
+        adj_x, alt_x, end_x = self.adj[x], self.alt[x], self.endl[x]
         for y in range(self.n):
-            if adj_x[y] and alt_x[y] < self.target and lx < last[y]:
+            if adj_x[y] and alt_x[y] < self.target and end_x[y] != x:
                 return True
         return False
 
     def _append(self, x: int):
-        """Apply letter x; return (ok, lx), lx being x's previous last position."""
+        """Apply letter x; return (ok, undo) where undo restores state."""
+        changed: list[tuple[int, int, int]] = []  # (y, old_alt, old_end)
         ok = True
         target = self.target
-        adj_x, alt_x, last, lx = self.adj[x], self.alt[x], self.last, self.last[x]
         for y in range(self.n):
-            if y != x and lx <= last[y]:
-                new_alt = alt_x[y] + 1
-                alt_x[y] = self.alt[y][x] = new_alt
-                if adj_x[y]:
+            if y == x:
+                continue
+            if self.endl[x][y] != x:
+                changed.append((y, self.alt[x][y], self.endl[x][y]))
+                new_alt = self.alt[x][y] + 1
+                self.alt[x][y] = self.alt[y][x] = new_alt
+                self.endl[x][y] = self.endl[y][x] = x
+                if self.adj[x][y]:
                     if new_alt <= target:
                         self.total_deficit -= 1
                         if new_alt == target:
@@ -218,33 +241,32 @@ class StepEnumeration:
                             self.deficient_deg[y] -= 1
                 elif new_alt >= target:
                     ok = False  # non-edge became d-intersecting; hopeless
-        if lx < 0:
+        new_letter = self.counts[x] == 0
+        self.counts[x] += 1
+        if new_letter:
             self.introduced += 1
             self.stab_stack.append([p for p in self.stab_stack[-1] if p[x] == x])
-        self.counts[x] += 1
-        last[x] = len(self.word)
         self.word.append(x)
         self.nodes += 1
-        return ok, lx
+        return ok, (x, changed, new_letter)
 
-    def _undo(self, lx: int):
-        """Pop x; undo is LIFO, so its previous last position lx finds its pairs."""
-        x = self.word.pop()
-        if lx < 0:
+    def _undo(self, undo):
+        x, changed, new_letter = undo
+        self.word.pop()
+        if new_letter:
             self.stab_stack.pop()
             self.introduced -= 1
         self.counts[x] -= 1
-        adj_x, alt_x, last, target = self.adj[x], self.alt[x], self.last, self.target
-        last[x] = lx
-        for y in range(self.n):
-            if y != x and lx <= last[y]:
-                runs = alt_x[y]
-                if adj_x[y] and runs <= target:
+        target = self.target
+        for y, old_alt, old_end in changed:
+            if self.adj[x][y]:
+                if self.alt[x][y] <= target:
                     self.total_deficit += 1
-                    if runs == target:
+                    if self.alt[x][y] == target:
                         self.deficient_deg[x] += 1
                         self.deficient_deg[y] += 1
-                alt_x[y] = self.alt[y][x] = runs - 1
+            self.alt[x][y] = self.alt[y][x] = old_alt
+            self.endl[x][y] = self.endl[y][x] = old_end
 
     def _candidates(self):
         n, counts, word = self.n, self.counts, self.word
@@ -333,81 +355,16 @@ class StepEnumeration:
         self.nodes -= len(prefix)  # replays are bookkeeping, not exploration
 
 
-def sequential_search(g, d: int, budget, enumeration=StepEnumeration) -> SearchVerdict:
-    """The search as one plain DFS over the whole tree, with no prefix
-    split: the verdict every `jobs` value of `find_general_word` must
-    return, node count included.  `enumeration` picks the DFS state class."""
+def sequential_search(g, d: int, budget) -> SearchVerdict:
+    """The search as one plain `StepEnumeration` DFS over the whole tree,
+    with no prefix split: the verdict every `jobs` value of
+    `find_general_word` must return, node count included."""
     letters, adj = _problem_arrays(g)
-    enum = enumeration(len(letters), adj, d, budget, automorphisms(g))
+    enum = StepEnumeration(len(letters), adj, d, budget, automorphisms(g))
     enum.dfs()
     if enum.found is not None:
         return SearchVerdict(FOUND, Word(tuple(letters[i] for i in enum.found)), enum.nodes)
     return SearchVerdict(NODE_LIMIT if enum.limit_hit else NOT_FOUND, None, enum.nodes)
-
-
-class EndMatrixEnumeration(StepEnumeration):
-    """The DFS state `wordnerve.search` replaced by per-letter last
-    positions: endl[x][y] is whichever of x and y came last (-1 before
-    both), and each append returns an undo list of (y, old_alt, old_end)."""
-
-    def __init__(self, n, adj, d, budget, auts):
-        super().__init__(n, adj, d, budget, auts)
-        self.endl = [[-1] * n for _ in range(n)]
-
-    def _useful(self, x: int) -> bool:
-        adj_x, alt_x, end_x = self.adj[x], self.alt[x], self.endl[x]
-        for y in range(self.n):
-            if adj_x[y] and alt_x[y] < self.target and end_x[y] != x:
-                return True
-        return False
-
-    def _append(self, x: int):
-        """Apply letter x; return (ok, undo) where undo restores state."""
-        changed: list[tuple[int, int, int]] = []  # (y, old_alt, old_end)
-        ok = True
-        target = self.target
-        for y in range(self.n):
-            if y == x:
-                continue
-            if self.endl[x][y] != x:
-                changed.append((y, self.alt[x][y], self.endl[x][y]))
-                new_alt = self.alt[x][y] + 1
-                self.alt[x][y] = self.alt[y][x] = new_alt
-                self.endl[x][y] = self.endl[y][x] = x
-                if self.adj[x][y]:
-                    if new_alt <= target:
-                        self.total_deficit -= 1
-                        if new_alt == target:
-                            self.deficient_deg[x] -= 1
-                            self.deficient_deg[y] -= 1
-                elif new_alt >= target:
-                    ok = False  # non-edge became d-intersecting; hopeless
-        new_letter = self.counts[x] == 0
-        self.counts[x] += 1
-        if new_letter:
-            self.introduced += 1
-            self.stab_stack.append([p for p in self.stab_stack[-1] if p[x] == x])
-        self.word.append(x)
-        self.nodes += 1
-        return ok, (x, changed, new_letter)
-
-    def _undo(self, undo):
-        x, changed, new_letter = undo
-        self.word.pop()
-        if new_letter:
-            self.stab_stack.pop()
-            self.introduced -= 1
-        self.counts[x] -= 1
-        target = self.target
-        for y, old_alt, old_end in changed:
-            if self.adj[x][y]:
-                if self.alt[x][y] <= target:
-                    self.total_deficit += 1
-                    if self.alt[x][y] == target:
-                        self.deficient_deg[x] += 1
-                        self.deficient_deg[y] += 1
-            self.alt[x][y] = self.alt[y][x] = old_alt
-            self.endl[x][y] = self.endl[y][x] = old_end
 
 
 ZERO = Fraction(0)
@@ -434,31 +391,6 @@ def det(matrix: list[list[Fraction]]) -> Fraction:
                 f = m[r][col] / pivot
                 m[r] = [a - f * b for a, b in zip(m[r], m[col])]
     return sign * result
-
-
-def hyperplane_through_points(points: list[Point]) -> Hyperplane:
-    """The hyperplane spanned by d affinely independent points in R^d,
-    with normal from cofactor expansion of the lifted determinant (the
-    route `wordnerve.geometry` replaced by the polynomial prod (q t - p)
-    for curve points)."""
-    d = len(points[0])
-    if len(points) != d:
-        raise GeometryError(f"a hyperplane in R^{d} needs exactly {d} points")
-    # Row j of M is (1, p_j); solve for (c0, n) with n . p_j + c0 = 0 via
-    # cofactors of the (d+1)-column system [1 | coords].
-    cof = []
-    for col in range(d + 1):
-        minor = []
-        for p in points:
-            row = [ONE] + list(p)
-            minor.append(row[:col] + row[col + 1 :])
-        sign = -1 if col % 2 else 1
-        cof.append(sign * det(minor))
-    normal = cof[1:]
-    if all(a == 0 for a in normal):
-        raise GeometryError("points do not span a hyperplane")
-    *ints, offset = _primitive(normal + [-cof[0]])
-    return Hyperplane(tuple(ints), offset)
 
 
 def feasible_eq_nonneg_fraction(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
@@ -747,95 +679,6 @@ def assign_extras_2d_reference(class_points: dict[str, list[Point]],
                 if line.value(q) < 0:
                     sub[i] = color
             return sub
-    raise ExtensionError("extension step failed: no admissible color/line pair")
-
-
-class LPSeparations:
-    """`nerve._Separations` without certificates: a placement is tested
-    by one LP per non-face pair of the grown class (the `safe` check the
-    curve-gap certificates replaced).  It takes the same integer copy of
-    the points as the library's class."""
-
-    def __init__(self, config: ColoredConfig, ints, before: NerveResult):
-        self.classes = ColoredConfig(tuple(ints), config.colors).classes()
-        self.before = before.complex
-
-    def place(self, c: str, e: Point) -> bool:
-        grown = self.classes[c] + [e]
-        if any(
-            not self.before.is_face((c, x)) and _hull_lp([grown, self.classes[x]])
-            for x in self.classes
-            if x != c
-        ):
-            return False
-        self.classes[c] = grown
-        return True
-
-
-# The planar line search before the extras were tested only on admissible
-# lines: every candidate line is first tested against every extra.
-
-
-def eager_support_lines(own, class_points, extras):
-    """`nerve._support_lines` with the extras tested inside the generator:
-    a line through an extra is never yielded."""
-    hull = _hull_2d(own)
-    points = [q for c in sorted(class_points) for q in class_points[c]]
-    directions = chain(
-        ((b[0] - a[0], b[1] - a[1]) for a, b in zip(hull, hull[1:] + hull[:1]) if a != b),
-        _FIXED_DIRECTIONS,
-        (v for a, b in combinations(points, 2)
-         for v in ((b[0] - a[0], b[1] - a[1]), (a[1] - b[1], b[0] - a[0]))),
-    )
-    seen: set[tuple[int, ...]] = set()
-    for direction in directions:
-        dx, dy = primitive = geometry_lib._primitive(direction)
-        if primitive in seen:
-            continue
-        seen.add(primitive)
-        values = [dx * p[1] - dy * p[0] for p in own]
-        for sign, extreme in ((1, max(values)), (-1, min(values))):
-            a, b = -sign * dy, sign * dx
-            offset = sign * extreme
-            if any(a * q[0] + b * q[1] == offset for q in extras):
-                continue
-            yield (a, b), offset, values.count(extreme) >= 2
-
-
-def assign_extras_2d_eager(class_points, original: SimplicialComplex, extras) -> list[str]:
-    """`nerve._assign_extras_2d` over `eager_support_lines`: the lines
-    through an extra are dropped before the admissibility test.  The
-    recursion below returns extra-index -> color; the library's function
-    returns the colors as a list in extra order."""
-    colors = _assign_eager(class_points, original, extras)
-    return [colors[i] for i in range(len(extras))]
-
-
-def _assign_eager(class_points, original: SimplicialComplex, extras) -> dict[int, str]:
-    colors = sorted(class_points)
-    if len(colors) == 1:
-        return {i: colors[0] for i in range(len(extras))}
-    if len(colors) == 2 and original.is_face(colors):
-        return {i: colors[1] for i in range(len(extras))}
-    for color in colors:
-        for (a, b), offset, chord in eager_support_lines(class_points[color], class_points,
-                                                         extras):
-            for other in colors:
-                if other == color:
-                    continue
-                values = [a * q[0] + b * q[1] for q in class_points[other]]
-                inside = all(v < offset for v in values)
-                if inside and not original.is_face((color, other)):
-                    break
-                if not inside and not chord and not all(v > offset for v in values):
-                    break
-            else:
-                rest = {c: pts for c, pts in class_points.items() if c != color}
-                sub = _assign_eager(rest, original, extras)
-                for i, q in enumerate(extras):
-                    if a * q[0] + b * q[1] < offset:
-                        sub[i] = color
-                return sub
     raise ExtensionError("extension step failed: no admissible color/line pair")
 
 

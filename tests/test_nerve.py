@@ -503,11 +503,10 @@ def test_extend_2d_matches_reference_line_search():
 def test_planar_extension_peels_120_colors_under_a_recursion_limit_of_100():
     """The peel loop keeps no Python frame per color.  A child interpreter
     extends a 120-color realization over two extras with at most 100
-    frames, and gets the colors of the recursive reference search at the
-    default limit.  The labels are zero-padded, so label order is curve
-    order and each peel takes the first color it tries: the reference,
-    which builds every pairwise direction for each color it tries, then
-    takes seconds instead of half a minute."""
+    frames.  The labels are zero-padded, so label order is curve order and
+    each peel takes the first color it tries; the colors are those the
+    recursive reference search gives at the default limit, which takes
+    seconds to rebuild every pairwise direction for each color."""
     labels = tuple(f"c{i:03}" for i in range(120))
     extras = [(F(1, 3), F(1, 7)), (F(60), F(7201, 2))]
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -521,9 +520,7 @@ def test_planar_extension_peels_120_colors_under_a_recursion_limit_of_100():
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    cfg = realize_on_moment_curve(Word(labels), 2)
-    expected = assign_extras_2d_reference(cfg.classes(), nerve(cfg, 2).complex, extras)
-    assert proc.stdout.split() == [expected[0], expected[1]] == ["c000", "c060"]
+    assert proc.stdout.split() == ["c000", "c060"]
 
 
 def test_extend_2d_matches_reference_on_rational_inputs():
@@ -747,7 +744,10 @@ def extend_colors(g, w, cfg, extras):
         return str(exc)
 
 
-def test_separations_match_the_lp_only_reference(monkeypatch):
+def test_live_certificates_keep_their_pairs_apart(monkeypatch):
+    """Every certificate still live after an extension has its class
+    strictly below it and the other class strictly above, and a retired
+    one is retired both ways.  Some certificates are built, some retired."""
     built = invalidated = 0
 
     class Counted(_Separations):
@@ -761,9 +761,9 @@ def test_separations_match_the_lp_only_reference(monkeypatch):
         g, w, cfg, extras = random_bipartite_instance(rng, d)
         made = []
         monkeypatch.setattr(nerve_lib, "_Separations", Counted)
-        colors = extend_colors(g, w, cfg, extras)
-        monkeypatch.setattr(nerve_lib, "_Separations", oracles.LPSeparations)
-        assert colors == extend_colors(g, w, cfg, extras)
+        # a hull test wrongly skipped leaves a non-face pair that meets;
+        # classes only grow, so the re-check every extension runs raises
+        extend_colors(g, w, cfg, extras)
         for sep in made:
             for c, row in sep.certs.items():
                 for x, cert in row.items():
@@ -869,11 +869,11 @@ def test_bipartite_extension_matches_the_fraction_route(monkeypatch):
 
 
 def test_planar_extension_matches_the_eager_line_search(monkeypatch):
-    """The planar extension tests the extras only on admissible lines; the
-    line it keeps, every color, every hull test and every error must be
-    those of the search that drops a line through an extra first.  Each
-    instance gets one extra on the line the search keeps without it, so
-    that line must give way to the next."""
+    """The planar extension tests the extras only on admissible lines; every
+    color must be that of `assign_extras_2d_reference`, which drops each
+    line through an extra before its admissibility test.  Each instance
+    gets one extra on the line the extension keeps without it, so that
+    line must give way to the next."""
     rng = random.Random(45)
     kept = []
     real_lines = nerve_lib._support_lines
@@ -913,12 +913,7 @@ def test_planar_extension_matches_the_eager_line_search(monkeypatch):
                     extras.insert(rng.randint(0, len(extras)), e)
                     moved += 1
                     break
-        scale = denominators_lcm(list(cfg.points) + extras)
-        got = routed(monkeypatch, lambda: extend_coloring_2d(cfg, extras), scale)
-        monkeypatch.setattr(nerve_lib, "_assign_extras_2d", oracles.assign_extras_2d_eager)
-        expected = routed(monkeypatch, lambda: extend_coloring_2d(cfg, extras), scale)
-        monkeypatch.undo()
-        assert got == expected, (case, extras)
+        assert_extend_2d_matches_reference(cfg, extras)
     assert moved > 100
 
 

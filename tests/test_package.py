@@ -110,3 +110,30 @@ def test_no_function_in_the_library_calls_itself():
                         and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")):
                     found.append(f"{path.name}:{node.lineno} {fn.name}")
     assert found == []
+
+
+def test_every_test_oracle_has_a_caller():
+    """Each top-level function and class of `tests/oracles.py` is read by
+    some test file, or by another definition of `tests/oracles.py`, as a
+    name or an attribute, so no reference outlives its last test.  A
+    definition that reads its own name does not count."""
+    tests = Path(__file__).parent
+    oracles = tests / "oracles.py"
+    used = set()
+    for path in sorted(tests.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            owner = getattr(top, "name", None) if path == oracles else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    used.add(name)
+    defined = [
+        top.name for top in ast.parse(oracles.read_text(), str(oracles)).body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+    ]
+    assert [name for name in defined if name not in used] == []

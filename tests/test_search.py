@@ -25,12 +25,7 @@ from wordnerve.search import (
 )
 from wordnerve.words import Word, induced_graph_general, max_alternation
 
-from .oracles import (
-    EndMatrixEnumeration,
-    StepEnumeration,
-    automorphisms_bruteforce,
-    sequential_search,
-)
+from .oracles import StepEnumeration, automorphisms_bruteforce, sequential_search
 
 
 def cycle(n):
@@ -353,8 +348,9 @@ def test_every_jobs_value_returns_the_sequential_verdict(monkeypatch):
 
 
 def test_last_positions_match_end_matrix_reference():
-    """The per-letter state returns the run-end matrix's verdict, witness
-    and node count included, on every draw."""
+    """The search on per-letter last positions returns the verdict, witness
+    and node count included, of `StepEnumeration` on its run-end matrix, a
+    state it shares nothing with, on every draw."""
     rng = random.Random(25)
     outcomes = set()
     for draw in range(300):
@@ -366,7 +362,7 @@ def test_last_positions_match_end_matrix_reference():
         # a spent limit of 300,000 costs seconds, so only every 60th draw has it
         limit = 300_000 if draw % 60 == 0 else rng.choice((1, 3, 10, 100, 1_000, 10_000, 30_000))
         budget = SearchBudget(rng.randint(1, 4), rng.randint(n, 16), limit)
-        expected = sequential_search(g, d, budget, EndMatrixEnumeration)
+        expected = sequential_search(g, d, budget)
         outcomes.add(expected.outcome)
         assert find_general_word(g, d, budget) == expected, (g, d, budget)
     assert outcomes == {FOUND, NOT_FOUND, NODE_LIMIT}
