@@ -67,17 +67,19 @@ def _point_text(p: Point) -> str:
 
 
 def moment_point(t, d: int) -> Point:
-    """(t, t^2, ..., t^d) exactly.  With t = n/q in lowest terms, t^k is
-    n^k / q^k, also in lowest terms, so it is built from integer powers,
-    each one multiplication on from the last."""
+    """(t, t^2, ..., t^d) exactly, each power one multiplication on from
+    the last.  An integer t multiplies ints.  A fractional t multiplies
+    Fractions: `t^k * t` reduces by the small gcds of t's numerator and
+    denominator with the other's, where `Fraction(n^k, q^k)` would take the
+    gcd of two big coprime integers."""
     if d < 1:
         raise GeometryError("dimension must be >= 1")
-    n, q = rational(t).as_integer_ratio()
-    nk, qk, coords = 1, 1, []
+    t = rational(t)
+    base = t.numerator if t.denominator == 1 else t
+    tk, coords = 1, []
     for _ in range(d):
-        nk *= n
-        qk *= q
-        coords.append(Fraction(nk) if q == 1 else Fraction(nk, qk))
+        tk *= base
+        coords.append(Fraction(tk))
     return tuple(coords)
 
 
@@ -312,7 +314,11 @@ def _check_general_position_2d(points: list[Point], ints: list[tuple[int, ...]])
         first: dict[tuple[int, ...], int] = {}
         pairs = []
         for k in range(i + 1, len(ints)):
-            j = first.setdefault(_primitive((ints[k][0] - x, ints[k][1] - y)), k)
+            dx, dy = ints[k][0] - x, ints[k][1] - y
+            g = math.gcd(dx, dy)  # `_primitive`'s key, inlined: this loop is quadratic
+            if dx < 0 or dx == 0 and dy < 0:
+                g = -g
+            j = first.setdefault((dx // g, dy // g), k)
             if j != k:
                 pairs.append((j, k))
         if pairs:

@@ -342,30 +342,29 @@ def test_extend_bipartite_separator_faults_exit_4(monkeypatch, capsys, offset, r
     assert (code, out, err) == (4, "", f"internal error: {reason}\n")
 
 
-@pytest.mark.parametrize("name", [
-    "planar", "planar_off_curve", "bipartite", "bipartite3", "bipartite4",
-])
+# Each golden `extend` fixture, and whether its extension reaches the
+# simplex: rational coordinates (planar), points (t/3, t^2/9 + 1) off the
+# curve, so that the nerve tests every pair (planar_off_curve), K2,3 minus
+# an edge (bipartite, d = 2), a 6-cycle with a pendant edge (bipartite3,
+# d = 3: separators from cubics) and an 8-cycle with a chord under extras
+# whose denominators 1..7 make an integer copy scaled by 420 (bipartite4,
+# d = 4).  Planar pairs are decided by separating axes, in the nerve off
+# the curve too, and the planar goldens are triangle-free, so only the
+# d = 3 and d = 4 goldens reach the simplex.
+GOLDENS = {"planar": False, "planar_off_curve": False, "bipartite": False,
+           "bipartite3": True, "bipartite4": True}
+
+
+@pytest.mark.parametrize("name", GOLDENS)
 def test_extend_golden_stdout(capsys, name):
-    # rational coordinates (planar), points (t/3, t^2/9 + 1) off the curve,
-    # so that the nerve tests every pair (planar_off_curve), K2,3 minus an
-    # edge (bipartite, d = 2), a 6-cycle with a pendant edge (bipartite3,
-    # d = 3: separators from cubics) and an 8-cycle with a chord under
-    # extras whose denominators 1..7 make an integer copy scaled by 420
-    # (bipartite4, d = 4)
     code, out, err = run(capsys, *golden_argv(name))
     assert (code, err) == (0, "")
     assert out == (DATA / f"{name}_stdout.txt").read_text()
 
 
-@pytest.mark.parametrize("name, reaches_lp", [
-    ("planar", False), ("planar_off_curve", False), ("bipartite", False),
-    ("bipartite3", True), ("bipartite4", True),
-])
+@pytest.mark.parametrize("name, reaches_lp", GOLDENS.items())
 def test_extend_golden_lp_route(capsys, monkeypatch, name, reaches_lp):
-    # planar pairs are decided by separating axes, in the nerve off the
-    # curve too, and the planar goldens are triangle-free, so only the
-    # d = 3 and d = 4 goldens reach the simplex; their stdout stays the
-    # golden one
+    # the same run with the simplex watched: its stdout stays the golden one
     calls = []
     real = geometry_lib.feasible_eq_nonneg
     monkeypatch.setattr(geometry_lib, "feasible_eq_nonneg",

@@ -5,7 +5,9 @@ already imported the whole package, so a handler whose deferred import is
 broken would still pass there.  Here each subcommand runs in a new
 interpreter under `-X dev -W error`.  Its stdout and exit code must equal
 the in-process run (or the golden file), and the `wordnerve` modules it
-loads are pinned: a subcommand loads only what it runs.
+loads are pinned: a subcommand loads only what it runs.  Two subcommands
+also run with the CLI module as `__main__`, the entry `python -m
+wordnerve.cli` takes.
 """
 
 import json
@@ -22,16 +24,21 @@ from wordnerve.cli import main
 DATA = Path(__file__).parent / "data"
 SRC = str(Path(wordnerve.__file__).parents[1])
 
-# Runs the CLI, then names on the last line of stderr every module it
+# Runs the CLI from `main` or, as `python -m wordnerve.cli` does, as the
+# module `__main__`; then names on the last line of stderr every module it
 # loaded beyond those the interpreter loaded by itself.
 CHILD = (
     "import sys\n"
     "before = set(sys.modules)\n"
-    "from wordnerve.cli import main\n"
-    "code = main()\n"
-    "sys.stderr.write('\\nloaded: ' + ' '.join(sorted(set(sys.modules) - before)) + '\\n')\n"
-    "sys.exit(code)\n"
+    "try:\n"
+    "    {}\n"
+    "finally:\n"
+    "    sys.stderr.write('\\nloaded: ' + ' '.join(sorted(set(sys.modules) - before)) + '\\n')\n"
 )
+MAIN = "from wordnerve.cli import main; sys.exit(main())"
+# `alter_sys` puts the module in `sys.modules['__main__']`, where the
+# handlers look up their deferred bindings, as under `-m`.
+DASH_M = "import runpy; runpy.run_module('wordnerve.cli', run_name='__main__', alter_sys=True)"
 
 BASE = {"wordnerve", "wordnerve.cli", "wordnerve.formats", "wordnerve.graphs", "wordnerve.words"}
 GEOMETRY = {"wordnerve.geometry", "wordnerve.lp"}
@@ -41,9 +48,10 @@ W5_GRAPH = "1 2\n2 3\n3 4\n4 5\n1 5\n1 6\n2 6\n3 6\n4 6\n5 6\n"
 CHORDS = json.dumps({"kind": "chord-diagram", "slots": ["a", "b", "a", "c", "b", "c"]})
 
 
-def fresh(argv):
+def fresh(argv, entry=MAIN):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", CHILD, *argv],
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c",
+                           CHILD.format(entry), *argv],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
     last = proc.stderr.rstrip("\n").rpartition("\n")[2]
@@ -80,9 +88,17 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("files, argv, extra, golden", [c[1:] for c in CASES],
-                         ids=[c[0] for c in CASES])
-def test_subcommand_in_a_fresh_interpreter(tmp_path, capsys, files, argv, extra, golden):
+# The subcommands that reach the deferred bindings of the CLI module,
+# also run with the CLI as `__main__`, where `wordnerve.cli` is not loaded.
+DASH_M_CASES = [c for c in CASES if c[0] in ("realize", "extend-planar")]
+
+
+@pytest.mark.parametrize(
+    "files, argv, extra, golden, entry",
+    [(*c[1:], MAIN) for c in CASES]
+    + [(*c[1:], DASH_M) for c in DASH_M_CASES],
+    ids=[c[0] for c in CASES] + [f"{c[0]}-as-main" for c in DASH_M_CASES])
+def test_subcommand_in_a_fresh_interpreter(tmp_path, capsys, files, argv, extra, golden, entry):
     paths = {name: tmp_path / name for name in files}
     for name, text in files.items():
         paths[name].write_text(text)
@@ -91,8 +107,9 @@ def test_subcommand_in_a_fresh_interpreter(tmp_path, capsys, files, argv, extra,
         paths["SVG"] = tmp_path / svg_name
         return [str(paths[a]) if a in paths else a for a in argv]
 
-    code, out, loaded = fresh(resolved("fresh.svg"))
-    assert {m for m in loaded if m.startswith("wordnerve")} == BASE | extra
+    code, out, loaded = fresh(resolved("fresh.svg"), entry)
+    base = BASE - {"wordnerve.cli"} if entry == DASH_M else BASE
+    assert {m for m in loaded if m.startswith("wordnerve")} == base | extra
     assert "dataclasses" not in loaded
     if golden:
         assert (code, out) == (0, (DATA / golden).read_text())

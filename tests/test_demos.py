@@ -1,5 +1,7 @@
-"""Each demo, run without arguments in a fresh interpreter, prints the
-bytes of its golden file `tests/data/demo_<name>.txt`."""
+"""Each demo, run without arguments in a fresh interpreter under `-X dev
+-W error`, and under `-O` when the tests run under it, prints the bytes of
+its golden file `tests/data/demo_<name>.txt`: a warning fails the demo,
+and so does output that depends on `assert` or `__debug__`."""
 
 import os
 import subprocess
@@ -24,7 +26,10 @@ def test_every_demo_has_a_golden():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
 def test_demo_stdout_matches_golden(demo):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+    flags = ["-X", "dev", "-W", "error"]
+    if sys.flags.optimize:
+        flags.append("-O")
+    proc = subprocess.run([sys.executable, *flags, str(demo)], capture_output=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (DATA / f"demo_{demo.stem}.txt").read_bytes()

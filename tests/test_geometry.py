@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,15 @@ def test_moment_point_matches_fraction_products():
             assert p == moment_point_products(t, d)
             assert all(type(x) is F for x in p)
     assert moment_point("-3/7", 3) == moment_point_products(F(-3, 7), 3)
+
+
+def test_moment_point_at_a_fraction_is_near_linear_in_d():
+    # built as Fraction(7^k, 3^k), each coordinate took a gcd of two big
+    # coprime integers: 0.45-0.57 s of CPU at d = 5000
+    start = time.process_time()
+    p = moment_point(F(7, 3), 5000)
+    assert time.process_time() - start < 0.2
+    assert p == moment_point_products(F(7, 3), 5000)
 
 
 def test_orientation_moment_points_positive():
@@ -306,12 +316,19 @@ def check_on_integer_copy(points):
 
 
 def test_general_position_names_the_first_collinear_triple():
-    # from point 0, slope 1 repeats at (2, 3) before slope 0 repeats at
-    # (1, 4); the lexicographically first triple is still (0, 1, 4)
-    pts = [point(p) for p in ((0, 0), (1, 0), (1, 1), (2, 2), (5, 0))]
-    message = general_position_error(check_on_integer_copy, pts)
-    assert message == "collinear triple at indices (0, 1, 4): (0, 0), (1, 0), (5, 0)"
-    assert message == general_position_error(check_general_position_2d_cubic, pts)
+    for coords, triple in [
+        # from point 0, slope 1 repeats at (2, 3) before slope 0 repeats at
+        # (1, 4); the lexicographically first triple is still (0, 1, 4)
+        (((0, 0), (1, 0), (1, 1), (2, 2), (5, 0)), "(0, 1, 4): (0, 0), (1, 0), (5, 0)"),
+        # the later points lie on both sides of point 0, on a sloped line
+        # and on a vertical one: opposite directions share one key
+        (((1, 1), (0, 0), (2, 2)), "(0, 1, 2): (1, 1), (0, 0), (2, 2)"),
+        (((0, 1), (0, 0), (0, 2)), "(0, 1, 2): (0, 1), (0, 0), (0, 2)"),
+    ]:
+        pts = [point(p) for p in coords]
+        message = general_position_error(check_on_integer_copy, pts)
+        assert message == f"collinear triple at indices {triple}"
+        assert message == general_position_error(check_general_position_2d_cubic, pts)
 
 
 def test_general_position_matches_triple_scan():

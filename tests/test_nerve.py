@@ -500,27 +500,31 @@ def test_extend_2d_matches_reference_line_search():
         assert_extend_2d_matches_reference(cfg, extras)
 
 
-def test_planar_extension_peels_120_colors_under_a_recursion_limit_of_100():
+def test_planar_extension_peels_120_colors_under_a_recursion_limit_of_100(tmp_path):
     """The peel loop keeps no Python frame per color.  A child interpreter
-    extends a 120-color realization over two extras with at most 100
-    frames.  The labels are zero-padded, so label order is curve order and
-    each peel takes the first color it tries; the colors are those the
-    recursive reference search gives at the default limit, which takes
-    seconds to rebuild every pairwise direction for each color."""
-    labels = tuple(f"c{i:03}" for i in range(120))
-    extras = [(F(1, 3), F(1, 7)), (F(60), F(7201, 2))]
+    under `-X dev -W error` runs `extend --mode planar` on a 120-color
+    realization and two extras with at most 100 frames.  The labels are
+    zero-padded, so label order is curve order and each peel takes the
+    first color it tries; the colors are those the recursive reference
+    search gives at the default limit, which takes seconds to rebuild
+    every pairwise direction for each color."""
+    cfg = realize_on_moment_curve(Word(tuple(f"c{i:03}" for i in range(120))), 2)
+    config, extras, extended = (tmp_path / f"{name}.json"
+                                for name in ("config", "extras", "extended"))
+    config.write_text(formats.dump_json(formats.config_to_doc(cfg)))
+    extras.write_text(formats.dump_json({"dimension": 2,
+                                         "points": [["1/3", "1/7"], ["60", "7201/2"]]}))
+    argv = ["extend", str(config), str(extras), "--mode", "planar", "--output", str(extended)]
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     child = ("import sys\n"
              "sys.setrecursionlimit(100)\n"
-             "from fractions import Fraction\n"
-             "from wordnerve.nerve import extend_coloring_2d, realize_on_moment_curve\n"
-             "from wordnerve.words import Word\n"
-             f"cfg = realize_on_moment_curve(Word({labels!r}), 2)\n"
-             f"print(*extend_coloring_2d(cfg, {extras!r}).colors[120:])\n")
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
-                          timeout=60, env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["c000", "c060"]
+             "from wordnerve.cli import main\n"
+             f"sys.exit(main({argv!r}))\n")
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", child],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert formats.load_json(extended.read_text())["colors"][120:] == ["c000", "c060"]
 
 
 def test_extend_2d_matches_reference_on_rational_inputs():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import types
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
@@ -137,3 +138,30 @@ def test_every_test_oracle_has_a_caller():
         if isinstance(top, (ast.FunctionDef, ast.ClassDef))
     ]
     assert [name for name in defined if name not in used] == []
+
+
+def test_every_file_in_tests_data_is_named_by_a_test():
+    """Each file in `tests/data` is named in a test file: by a string, by a
+    `glob` pattern, or by an f-string with one field that some string of
+    the same file fills, as `f"{name}_stdout.txt"` over the names a test
+    iterates.  A golden that no test reads fails here."""
+    tests = Path(__file__).parent
+    named, globs = set(), []
+    for path in sorted(tests.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        strings = {node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        named |= strings
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr):
+                parts = node.values
+                if sum(isinstance(part, ast.FormattedValue) for part in parts) == 1:
+                    named |= {"".join(s if isinstance(part, ast.FormattedValue) else part.value
+                                      for part in parts) for s in strings}
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "glob" and node.args
+                  and isinstance(node.args[0], ast.Constant)):
+                globs.append(node.args[0].value)
+    unread = [p.name for p in sorted((tests / "data").iterdir())
+              if p.name not in named and not any(fnmatchcase(p.name, g) for g in globs)]
+    assert unread == []
