@@ -11,9 +11,11 @@ Breen's run count settles the pairs.  One layered walk, `_new_faces`,
 finds every other face, each an exact hull verdict of `_meets`, in the
 nerve and the extensions' re-check alike: two classes in the plane by
 separating axes on their hulls (`_planar_hulls_meet`), every other shape
-by the LP `hulls_intersect`.  `_kept_classes` keeps each class as those
-tests need it, its `_hull_2d` hull in the plane and its points otherwise;
-off the curve the nerve keeps them on one integer copy of the points.
+by the LP `hulls_intersect`.  The nerve decides on one integer copy of
+the points (`_integer_copy`), so every LP it builds has int entries.  On
+the curve the walk starts at triples, whose classes are the copy's
+points; off it, at pairs, and `_kept_classes` keeps each class as those
+tests need it, its `_hull_2d` hull in the plane and its points otherwise.
 
 Both extension algorithms recolor extra points so that the nerve of the
 enlarged configuration is label-identical to the original.  Neither is
@@ -161,9 +163,9 @@ def nerve(config: ColoredConfig, max_dim: int) -> NerveResult:
 
     On the moment curve the pairs come from Breen's criterion: two classes
     meet iff their colors, read in parameter order, make at least d+2 runs,
-    and the walk starts at triples, on the given points.  Off the curve it
-    starts at pairs, on the classes kept (`_kept_classes`) on one integer
-    copy of the points.
+    and the walk starts at triples, on one integer copy of the points
+    (`_integer_copy`).  Off the curve it starts at pairs, on the classes
+    kept (`_kept_classes`) on that copy.
 
     For a realized word only the 1-skeleton is a function of the word.
     Higher faces depend on the chosen curve parameters: the same word can
@@ -174,12 +176,13 @@ def nerve(config: ColoredConfig, max_dim: int) -> NerveResult:
     labels = config.color_labels
     faces = {frozenset([c]) for c in labels}
     order = _curve_order(config)
+    ints = _integer_copy(config.points)[1]
     if order is not None:
         seq = [config.colors[i] for i in order]
         faces.update(map(frozenset, _intersecting_pairs(seq, config.dimension)))
-        kept, first = config.classes(), 3
+        kept, first = _group(ints, config.colors), 3
     else:
-        kept, first = _kept_classes(_integer_copy(config.points)[1], config.colors), 2
+        kept, first = _kept_classes(ints, config.colors), 2
     faces.update(map(frozenset, _new_faces(faces, labels, range(first, max_dim + 2), kept)))
     return NerveResult(SimplicialComplex(labels, frozenset(faces)))
 

@@ -484,10 +484,11 @@ def curve_order_products(config: ColoredConfig) -> list[int] | None:
 
 
 def feasible_eq_nonneg_full(rows: list[list[Fraction | int]], rhs: list[Fraction | int]) -> bool:
-    """`wordnerve.lp.feasible_eq_nonneg` on the full integer tableau [A | b]:
-    the basic structural columns stay in it and every pivot rewrites them
-    (the solver `wordnerve.lp` replaced by a tableau of nonbasic columns).
-    Same pricing, ratio test and Bareiss update, so the same pivots."""
+    """`wordnerve.lp.feasible_eq_nonneg` on the full integer tableau [A | b]
+    as lists of ints, one per entry: every pivot rewrites each entry
+    (the solver `wordnerve.lp` replaced, first by a tableau of nonbasic
+    columns, then by one packed int per row).  Same pricing, ratio test
+    and Bareiss update, so the same pivots."""
     m = len(rows)
     if len(rhs) != m:
         raise ValueError(f"rhs has {len(rhs)} entries for {m} rows")

@@ -119,11 +119,15 @@ def systems(draw):
     columns; entries mix ints and Fractions.  A third of the draws are
     degenerate: small entries, columns that repeat or negate an earlier
     column, and a mostly zero rhs, the shape on which Dantzig's rule
-    alone can cycle."""
+    alone can cycle.  A sixth mix small ints with +-10**40, whose minors
+    need lanes of thousands of bits."""
     m = draw(st.integers(1, 6))
     n = draw(st.integers(1, 8))
-    degenerate = draw(st.integers(0, 2)) == 0
-    entries = st.sampled_from([-1, 0, 0, 1, 2]) if degenerate else rationals
+    kind = draw(st.integers(0, 5))
+    degenerate = kind < 2
+    entries = (st.sampled_from([-1, 0, 0, 1, 2]) if degenerate
+               else st.sampled_from([-10**40, -1, 0, 1, 2, 10**40]) if kind == 5
+               else rationals)
     rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
     for j in range(1, n if degenerate else 0):
         sign = draw(st.sampled_from([0, 1, -1]))
@@ -340,8 +344,8 @@ def curve_words(count, seed=1):
 
 def triple_systems(words):
     """Every (rows, rhs) that `nerve(config, 2)` passes the LP solver on the
-    moment-curve realizations of `words`: triple tests only, since the pairs
-    follow Breen's criterion."""
+    moment-curve realizations of `words`, each (word, d) or (word, d,
+    params): triple tests only, since the pairs follow Breen's criterion."""
     systems = []
 
     def spy(rows, rhs):
@@ -349,8 +353,8 @@ def triple_systems(words):
         return feasible_eq_nonneg(rows, rhs)
 
     with mock.patch.object(geometry, "feasible_eq_nonneg", spy):
-        for w, d in words:
-            nerve(realize_on_moment_curve(w, d), 2)
+        for w, d, *params in words:
+            nerve(realize_on_moment_curve(w, d, *params), 2)
     return systems
 
 
@@ -366,14 +370,33 @@ def test_curve_triple_systems_match_fraction_simplex(curve_triples):
         assert feasible_eq_nonneg(rows, rhs) == _oracle(rows, rhs)
 
 
-# -- the tableau of nonbasic columns against the full tableau -----------------
+def fractional_curve_words(count, seed=2):
+    """`curve_words` realized at increasing parameters p/q with q <= 7."""
+    rng = random.Random(seed)
+    for w, d in curve_words(count, seed):
+        pool = set()
+        while len(pool) < len(w):
+            pool.add(F(rng.randint(-60, 60), rng.randint(1, 7)))
+        yield w, d, sorted(pool)
+
+
+def test_curve_triple_systems_are_ints(curve_triples):
+    # the nerve builds the curve's triples on one integer copy of the points
+    fractional = triple_systems(fractional_curve_words(30))
+    assert len(fractional) > 20
+    for rows, rhs in curve_triples + fractional:
+        assert all(type(a) is int for a in rhs)
+        assert all(type(a) is int for row in rows for a in row)
+
+
+# -- the packed tableau against the full tableau of lists --------------------
 
 
 def same_pivots(rows, rhs):
     """Both tableaux make the same pivots and reach the same verdict.  Each
     solver prices through `min` in its module, once per pivot and once to
     stop; the price read is the least reduced cost while one is negative,
-    then 0.  The condensed solver must read the full tableau's prices, in
+    then 0.  The packed solver must read the full tableau's prices, in
     order, and fails at the first pivot that differs.  Returns the count."""
     prices = []
 
@@ -405,13 +428,22 @@ def test_curve_triple_systems_pivot_as_the_full_tableau(curve_triples):
 @DIFF
 @given(systems())
 @example(([[1, 1], [2, 2], [1, 0]], [1, 2, 1], True))
-# Here a returning variable's column put back by position rather than by
-# index, or with the sign of T[i][s] kept, changes the pivots.
+# Variables here leave the basis and enter again; a tableau of nonbasic
+# columns that put such a column back at the wrong place or sign pivoted apart.
 @example(([[2, 2, 2, 0, -1, 1], [1, 1, 2, 0, 1, 0], [1, 0, 0, 0, -1, 0], [-1, -1, -1, 1, 0, 2]],
           [0, 0, 0, 1], True))
 def test_systems_pivot_as_the_full_tableau(system):
     rows, rhs, _ = system
     same_pivots(rows, rhs)
+
+
+def hull_system(classes):
+    """The (rows, rhs) that `_hull_lp` passes the LP solver."""
+    systems = []
+    with mock.patch.object(geometry, "feasible_eq_nonneg", lambda *s: systems.append(s)):
+        geometry._hull_lp(classes)
+    [system] = systems
+    return system
 
 
 # A seed-1 benchmark triple at d = 4 (11 rows, 12 columns) whose pivots stay
@@ -420,10 +452,7 @@ BLAND_TRIPLE = [[1, 4, 8, 10], [3, 7, 13, 19], [2, 6, 12, 16]]
 
 
 def test_degenerate_triple_reaches_the_bland_fallback(monkeypatch):
-    systems = []
-    with mock.patch.object(geometry, "feasible_eq_nonneg", lambda *s: systems.append(s)):
-        geometry._hull_lp([[moment_point(t, 4) for t in cls] for cls in BLAND_TRIPLE])
-    [(rows, rhs)] = systems
+    rows, rhs = hull_system([[moment_point(t, 4) for t in cls] for cls in BLAND_TRIPLE])
     scans = []
 
     def bland_scan(eligible):  # `next` is called only by the Bland branch
@@ -434,6 +463,84 @@ def test_degenerate_triple_reaches_the_bland_fallback(monkeypatch):
     assert not feasible_eq_nonneg(rows, rhs)
     assert scans
     assert not _oracle(rows, rhs)
+    # Bland's scan runs over every structural column, the basic ones too
+    assert same_pivots(rows, rhs) > 2 * len(rows)
+
+
+# -- lane widths: tableau entries near Hadamard's bound -------------------------
+
+
+def sylvester(k):
+    """The 2**k x 2**k Sylvester Hadamard matrix: +-1 entries, orthogonal
+    rows, so its determinant meets Hadamard's bound."""
+    h = [[1]]
+    for _ in range(k):
+        h = [row + row for row in h] + [row + [-a for a in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("scale", [1, 10**12, F(1, 10**30)])
+@pytest.mark.parametrize("x", [[1] * 8, list(range(1, 9)), [1, 0, 2, 0, 0, 3, 1, 0],
+                               [1] * 7 + [-1], [0] * 8])
+def test_hadamard_systems_pivot_as_the_full_tableau(scale, x):
+    """H x = b on the 8 x 8 Sylvester matrix H times `scale`.  H is
+    invertible, so the system is feasible iff x >= 0; for x > 0 the
+    optimal basis holds all 8 columns, and D reaches det(H * scale) =
+    8**4 * scale**8, which is Hadamard's bound on H * scale."""
+    rows = [[scale * a for a in row] for row in sylvester(3)]
+    rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    assert feasible_eq_nonneg(rows, rhs) == _oracle(rows, rhs) == (min(x) >= 0)
+    pivots = same_pivots(rows, rhs)
+    if min(x) > 0:
+        assert pivots >= 8
+
+
+def big_curve_triples(seed=29):
+    """Three classes of 2d + 4 curve points at d = 6, 7, 8, colored 0, 1, 2
+    in turn with one adjacent pair swapped: integer parameters up to
+    10**6, then fractional ones p/q with |p| <= 10**6 and q <= 7."""
+    rng = random.Random(seed)
+    for d in (6, 7, 8):
+        for fractional in (False, True):
+            n = 2 * d + 4
+            if fractional:
+                pool = set()
+                while len(pool) < n:
+                    pool.add(F(rng.randint(-10**6, 10**6), rng.randint(1, 7)))
+            else:
+                pool = rng.sample(range(1, 10**6 + 1), n)
+            colors = [i % 3 for i in range(n)]
+            i = rng.randrange(n - 1)
+            colors[i], colors[i + 1] = colors[i + 1], colors[i]
+            params = sorted(pool)
+            yield hull_system([[moment_point(t, d) for t, c in zip(params, colors) if c == k]
+                               for k in range(3)])
+
+
+def test_big_curve_triples_pivot_as_the_full_tableau():
+    verdicts = set()
+    for rows, rhs in big_curve_triples():
+        verdict = feasible_eq_nonneg(rows, rhs)
+        assert verdict == _oracle(rows, rhs)
+        assert same_pivots(rows, rhs) > len(rows)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("rows, rhs, feasible", [
+    ([[]], [0], True),                           # n = 0
+    ([[], []], [0, 1], False),
+    ([[], []], [0, -1], False),
+    ([[0, 0], [0, 0]], [0, 0], True),            # all-zero rows
+    ([[0, 0], [1, 1]], [0, 2], True),
+    ([[0, 0], [1, 1]], [3, 2], False),
+    ([[-1, 1]], [-3], True),                     # negative rhs: x = (3, 0)
+    ([[1, 1], [1, -1]], [-1, 0], False),
+    ([[1, -1, 0], [0, 0, 0], [2, 0, -1]], [-2, 0, -5], True),
+])
+def test_small_systems_pivot_as_the_full_tableau(rows, rhs, feasible):
+    assert feasible_eq_nonneg(rows, rhs) == _oracle(rows, rhs) == feasible
+    same_pivots(rows, rhs)
 
 
 def test_curve_triangles_golden():
