@@ -23,17 +23,18 @@ Completeness-preserving cuts:
 `find_general_word` builds the problem once (`_problem`: neighbour lists,
 d + 2, the copy and length bounds and the non-identity automorphisms).
 Every DFS runs over it as `_dfs`, which returns (witness or None, nodes,
-limit_hit): the prefix cut, the in-process batch and the pool batches.
-The enumeration tree can be split at a prefix depth across worker
-processes, which share one stop rank so that no prefix ranked after a
-witness starts; the parent adds up the prefixes' node counts in sequential
-order, so every worker count returns the sequential verdict, node count
-included.
+limit_hit): the prefix cut and each prefix's completion.  The tree can be
+split at a prefix depth over processes, the caller among them.  Each takes
+the lowest untaken prefix rank from one shared counter until the ranks pass
+a shared stop rank, which a witness or spent limit lowers and a running DFS
+polls.  The caller adds up the node counts in sequential order, so every
+process count returns the sequential verdict, node count included.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext, suppress
 
 from .graphs import Graph, Record
 from .words import Word, induced_graph_general
@@ -41,6 +42,7 @@ from .words import Word, induced_graph_general
 FOUND = "found"
 NOT_FOUND = "not_found_within_budget"
 NODE_LIMIT = "node_limit_exceeded"
+_POLL = 1024  # DFS nodes between two reads of the shared stop rank
 
 
 class SearchError(ValueError):
@@ -158,12 +160,13 @@ def _problem(g: Graph, d: int, budget: SearchBudget):
 
 
 def _dfs(problem, node_limit: int, prefix: tuple[int, ...] = (), depth_cap: int | None = None,
-         prefix_sink: list[tuple[tuple[int, ...], int]] | None = None):
+         prefix_sink: list[tuple[tuple[int, ...], int]] | None = None, ranks=None, rank: int = 0):
     """Exhaust the subtree below `prefix`, a word this search enumerated
     (neither a witness nor pruned), whose letters are replayed but not
     counted as nodes, and return (witness or None, nodes, limit_hit).  A
     word at depth_cap goes to prefix_sink with the node count so far
-    instead of being expanded.
+    instead of being expanded.  Given `ranks` (next rank, stop rank), it
+    abandons the prefix, of rank `rank`, once the stop rank is below it.
 
     The state is over letter indices: last[x] is the word position of x's
     last copy or -1, and alt[x][y] the run count of the pair; appending x
@@ -182,6 +185,7 @@ def _dfs(problem, node_limit: int, prefix: tuple[int, ...] = (), depth_cap: int 
     introduced = 0
     stabs = [auts]
     nodes = -len(prefix)
+    check = node_limit if ranks is None else min(node_limit, nodes + _POLL)
     its: list = []
     lxs: list[int] = []
     x = -1  # the word's last letter whenever a word is opened
@@ -258,8 +262,10 @@ def _dfs(problem, node_limit: int, prefix: tuple[int, ...] = (), depth_cap: int 
                     alt_x[y] = alt[y][x] = alt_x[y] - 1
             opened = False
             continue
-        if nodes >= node_limit:
-            return None, nodes, True
+        if nodes >= check:
+            if nodes >= node_limit or ranks[1] < rank:
+                return None, nodes, nodes >= node_limit
+            check = min(node_limit, nodes + _POLL)
         nodes += 1
         lx, alt_x = last[x], alt[x]
         opened = False
@@ -291,35 +297,38 @@ def _dfs(problem, node_limit: int, prefix: tuple[int, ...] = (), depth_cap: int 
             opened = True
 
 
-_pool_stop_rank = None  # in a pool worker: the stop rank its pool shares
-
-
-def _join_pool(stop_rank):
-    global _pool_stop_rank
-    _pool_stop_rank = stop_rank
-
-
-def _run_prefix_batch(problem, node_limit, batch):
-    """DFS-complete each (rank, (prefix, shallow nodes)) in rank order,
-    under what the node limit leaves after the shallow nodes and this
-    batch's earlier prefixes (never less than the sequential DFS leaves),
-    up to the first witness or spent limit.  In a pool worker a rank above
-    `_pool_stop_rank` is not started, and a witness or spent limit lowers
-    it to the rank that found it.  Returns {rank: (witness, nodes, limit_hit)}."""
-    results = {}
-    spent = 0
-    for rank, (prefix, shallow) in batch:
-        if _pool_stop_rank is not None and rank > _pool_stop_rank.value:
-            break
+def _run_prefixes(problem, node_limit, prefixes, ranks):
+    """Until the ranks run out or pass the stop rank, which a witness or spent
+    limit lowers, take the lowest untaken rank from `ranks` (next rank, stop
+    rank; a list in a lone process) and DFS-complete its (prefix, shallow
+    nodes) under the limit less the shallow nodes and this process's earlier,
+    lower ranks.  Returns {rank: (witness, nodes, limit_hit)}."""
+    lock = ranks.get_lock() if hasattr(ranks, "get_lock") else nullcontext()
+    results, spent = {}, 0
+    while True:
+        with lock:
+            rank = ranks[0]
+            if rank == len(prefixes) or rank > ranks[1]:
+                return results
+            ranks[0] = rank + 1
+        prefix, shallow = prefixes[rank]
         results[rank] = found, nodes, limit_hit = _dfs(
-            problem, max(0, node_limit - shallow - spent), prefix)
+            problem, max(0, node_limit - shallow - spent), prefix, ranks=ranks, rank=rank)
         spent += nodes
         if found is not None or limit_hit:
-            if _pool_stop_rank is not None:
-                with _pool_stop_rank.get_lock():
-                    _pool_stop_rank.value = min(_pool_stop_rank.value, rank)
-            break
-    return results
+            with lock:
+                ranks[1] = min(ranks[1], rank)
+
+
+def _search_child(problem, node_limit, prefixes, ranks, pipe):
+    """Send the caller this child's `_run_prefixes` dict, or what it raised."""
+    pipe[0].close()  # a forked child inherits it: only the caller may hold it
+    try:
+        result = _run_prefixes(problem, node_limit, prefixes, ranks)
+    except Exception as exc:
+        result = exc
+    with suppress(OSError):  # the caller has failed and closed its end
+        pipe[1].send(result)
 
 
 def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> SearchVerdict:
@@ -327,9 +336,9 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
 
     A found witness is re-verified through the independent induced-graph
     path before being returned.  The prefix tree is split over at most
-    min(jobs, CPUs) processes; for every jobs value the verdict, witness
-    and node count are the single-process DFS's, so the node count never
-    exceeds the node limit.
+    min(jobs, CPUs) processes, the caller included; for every jobs value
+    the verdict, witness and node count are the single-process DFS's, so
+    the node count never exceeds the node limit.
     """
     if d < 1:
         raise SearchError("d must be a positive integer")
@@ -356,10 +365,10 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
         return SearchVerdict(FOUND, w, nodes)
 
     # Enumerate the canonical prefixes at the cut, each with the sequential
-    # node count up to and including it.  With one worker the cut is at
+    # node count up to and including it.  With one process the cut is at
     # depth 0: the one prefix is the empty word and its DFS is the whole
     # search.  Otherwise the cut deepens from depth 2 while the prefixes
-    # grow and number fewer than 8 per worker.  A witness or spent limit no
+    # grow and number fewer than 8 per process.  A witness or spent limit no
     # deeper than the cut ends the enumeration, after every prefix emitted
     # before it.
     workers = min(jobs, usable_cpus())
@@ -371,32 +380,43 @@ def find_general_word(g: Graph, d: int, budget: SearchBudget, jobs: int = 1) -> 
                 or cut[0] is not None or cut[2]):
             break
         depth, previous = depth + 1, len(prefixes)
-    ranked = list(enumerate(prefixes))
-    k = min(workers, len(ranked))
-    batches = [ranked[w::k] for w in range(k)]
+    k = min(workers, len(prefixes))
     if k <= 1:
-        parts = [_run_prefix_batch(problem, limit, b) for b in batches]
+        results = _run_prefixes(problem, limit, prefixes, [0, len(prefixes)])
     else:
-        # Imported on first use: multiprocessing and its dependencies add
-        # about 2 MB of resident memory (CPython 3.11, Linux) to every
-        # process that imports wordnerve.
+        # Imported on first use: it costs 2 MB resident (CPython 3.11, Linux).
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        # The stop rank reaches the workers as they start, through initargs:
-        # fork inheritance alone would miss it under spawn or forkserver.
-        stop_rank = multiprocessing.Value("q", len(ranked))
-        with ProcessPoolExecutor(max_workers=k, initializer=_join_pool,
-                                 initargs=(stop_rank,)) as pool:
-            futures = [pool.submit(_run_prefix_batch, problem, limit, b) for b in batches]
-            parts = [f.result() for f in futures]
-    results = {rank: r for part in parts for rank, r in part.items()}
+        ranks = multiprocessing.Array("q", [0, len(prefixes)])  # an argument: spawn works
+        children, conns = [], []
+        try:
+            for _ in range(k - 1):
+                conn, send_end = pipe = multiprocessing.Pipe(duplex=False)
+                conns.append(conn)
+                children.append(multiprocessing.Process(
+                    target=_search_child, args=(problem, limit, prefixes, ranks, pipe)))
+                children[-1].start()
+                send_end.close()  # so a child's exit without a result reads as EOF
+            results = _run_prefixes(problem, limit, prefixes, ranks)
+            for conn in conns:
+                try:
+                    part = conn.recv()
+                except EOFError:
+                    raise RuntimeError("a search process ended without a result") from None
+                if isinstance(part, BaseException):
+                    raise part
+                results.update(part)
+        finally:
+            ranks[1] = -1  # after a failure, every child stops at its next poll
+            for conn in conns:
+                conn.close()  # and none blocks in send
+            for child in children:
+                child.join()
 
-    # Add up the nodes in sequential order.  A worker stops after a witness
-    # or a spent limit and starts no rank above the shared stop rank, so
-    # only a rank after such a stop can be missing.
+    # Add up the nodes in sequential order, ending at the stop rank (a witness
+    # or spent limit) at the latest: no rank left out or abandoned is read.
     spent = 0
-    for rank, (_, shallow) in ranked:
+    for rank, (_, shallow) in enumerate(prefixes):
         if rank not in results:
             raise RuntimeError(f"no result for search prefix {rank}")
         found, nodes, limit_hit = results[rank]

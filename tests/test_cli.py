@@ -377,7 +377,7 @@ def test_extend_golden_lp_route(capsys, monkeypatch, name, reaches_lp):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_search_golden_stdout(tmp_path, capsys, jobs):
-    # the wheel W5, searched in one process and over a process pool
+    # the wheel W5, searched in one process and split over two
     gf = write(tmp_path, "w5.txt", "".join(f"{u} {v}\n" for u, v in W5_EDGES))
     code, out, _ = run(capsys, "search", gf, "--dim", "2", "--max-copies", "5",
                        "--max-len", "15", "--jobs", jobs)

@@ -76,6 +76,9 @@ CASES = [
     ("search", {"g.txt": W5_GRAPH},
      ["search", "g.txt", "--dim", "2", "--max-copies", "5", "--max-len", "15", "--jobs", "1"],
      {"wordnerve.search"}, "w5_search_stdout.json"),
+    ("search-jobs2", {"g.txt": W5_GRAPH},
+     ["search", "g.txt", "--dim", "2", "--max-copies", "5", "--max-len", "15", "--jobs", "2"],
+     {"wordnerve.search"}, "w5_search_stdout.json"),
     ("extend-planar", {},
      ["extend", str(DATA / "planar_config.json"), str(DATA / "planar_extras.json"),
       "--mode", "planar"], PIPELINE, "planar_stdout.txt"),
@@ -111,6 +114,7 @@ def test_subcommand_in_a_fresh_interpreter(tmp_path, capsys, files, argv, extra,
     base = BASE - {"wordnerve.cli"} if entry == DASH_M else BASE
     assert {m for m in loaded if m.startswith("wordnerve")} == base | extra
     assert "dataclasses" not in loaded
+    assert "concurrent.futures" not in loaded  # a split search starts plain processes
     if golden:
         assert (code, out) == (0, (DATA / golden).read_text())
     else:

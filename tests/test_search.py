@@ -1,14 +1,15 @@
-import concurrent.futures
 import multiprocessing
 import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations, product
 
 import pytest
 
 from wordnerve import search
+from wordnerve.cli import main
 from wordnerve.encode import word_bipartite
 from wordnerve.graphs import Graph, bipartition, from_edge_list
 from wordnerve.search import (
@@ -184,66 +185,109 @@ def test_jobs_deterministic():
     assert v4b == v4
 
 
-def _inline_pool(sizes, runs=None):
-    """A stand-in for ProcessPoolExecutor that records its max_workers, runs
-    its initializer and then every submitted call inline, in submission
-    order, so no process starts.  Each call's last argument (the batch) and
-    its result are appended to `runs` when given."""
+def _inline_processes(monkeypatch, started, events=None):
+    """Stand-ins for `multiprocessing.Process` and `Pipe`, so that no
+    process starts.  Each child's args go to `started`.  The children's
+    search loops run inline, in start order, nested in the caller's first
+    prefix DFS: the caller holds the lowest rank while the children take
+    the next ones, and then completes it and goes on.  When `events` is
+    given, every prefix DFS appends ("start", rank) and then ("end", rank,
+    result) to it."""
+    pending = []
 
-    class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
+    class Process:
+        def __init__(self, target, args):
+            started.append(args)
+            self.run = lambda: target(*args)
 
-        def __enter__(self):
-            return self
+        def start(self):
+            pending.append(self.run)
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            pass
 
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            if runs is not None:
-                runs.append((args[-1], future.result()))
-            return future
+    class End:
+        """Both ends of a one-way pipe, in memory."""
 
-    return InlinePool
+        def __init__(self):
+            self.sent = []
+
+        def send(self, obj):
+            self.sent.append(obj)
+
+        def recv(self):
+            if not self.sent:
+                raise EOFError
+            return self.sent.pop(0)
+
+        def close(self):
+            pass
+
+    def pipe(duplex):
+        end = End()
+        return end, end
+
+    dfs = search._dfs
+
+    def nesting_dfs(*args, ranks=None, rank=0, **kw):
+        if ranks is None:  # the prefix cut
+            return dfs(*args, **kw)
+        children = pending[:]
+        pending.clear()
+        for child in children:
+            child()
+        if events is not None:
+            events.append(("start", rank))
+        result = dfs(*args, ranks=ranks, rank=rank, **kw)
+        if events is not None:
+            events.append(("end", rank, result))
+        return result
+
+    monkeypatch.setattr(multiprocessing, "Process", Process)
+    monkeypatch.setattr(multiprocessing, "Pipe", pipe)
+    monkeypatch.setattr(search, "_dfs", nesting_dfs)
 
 
-def test_pool_is_capped_at_cpu_count(monkeypatch):
+def test_process_count_is_capped_at_cpu_count(monkeypatch):
     # W5 has 4, 15, 66, 298, 1,304, 5,312 and 19,798 prefixes at depths 2
-    # to 8, and the cut deepens until there are 8 per worker
+    # to 8, and the cut deepens until there are 8 per process
     w5 = wheel5()
     budget = SearchBudget(5, 15, 10_000_000)
     cpus = search.usable_cpus()
-    sizes = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(sizes))
-    verdicts = [find_general_word(w5, 2, budget, jobs=64)]
+    started, counts = [], []
+
+    def run(g, d, budget, jobs):
+        started.clear()
+        verdict = find_general_word(g, d, budget, jobs=jobs)
+        counts.append(len(started) + 1)  # the caller is one of the processes
+        return verdict
+
+    _inline_processes(monkeypatch, started)
+    verdicts = [run(w5, 2, budget, 64)]
     monkeypatch.setattr(search, "usable_cpus", lambda: 2)
-    verdicts.append(find_general_word(w5, 2, budget, jobs=64))
+    verdicts.append(run(w5, 2, budget, 64))
     monkeypatch.setattr(search, "usable_cpus", lambda: 1000)
-    verdicts.append(find_general_word(w5, 2, budget, jobs=64))
-    verdicts.append(find_general_word(w5, 2, budget, jobs=3))
-    verdicts.append(find_general_word(w5, 2, budget, jobs=10**9))
+    verdicts.append(run(w5, 2, budget, 64))
+    verdicts.append(run(w5, 2, budget, 3))
+    verdicts.append(run(w5, 2, budget, 10**9))
     monkeypatch.setattr(search, "usable_cpus", lambda: 1)
-    verdicts.append(find_general_word(w5, 2, budget, jobs=64))  # in-process: no pool
-    assert sizes == ([min(64, cpus)] if cpus > 1 else []) + [2, 64, 3, 1000]
+    verdicts.append(run(w5, 2, budget, 64))  # the caller alone
+    assert counts == [min(64, cpus), 2, 64, 3, 1000, 1]
     assert all(v == sequential_search(w5, 2, budget) for v in verdicts)
-    # one batch per prefix at most, never one list per requested job: the
+    # one process per prefix at most, never one per requested job: the
     # prefixes of C4 at d = 1 stop growing at 7
     c4, c4_budget = cycle(4), SearchBudget(3, 12, 1_000_000)
     monkeypatch.setattr(search, "usable_cpus", lambda: 1000)
-    assert find_general_word(c4, 1, c4_budget, jobs=10**9) == sequential_search(c4, 1, c4_budget)
-    assert sizes[-1] == 7
+    assert run(c4, 1, c4_budget, 10**9) == sequential_search(c4, 1, c4_budget)
+    assert counts[-1] == 7
 
 
-def test_no_batch_starts_a_prefix_ranked_after_a_witness(monkeypatch):
-    """The inline pool runs the batches one after another.  Once a batch
-    has recorded a witness or a spent limit at some rank, no later batch
-    starts a rank above it, and the verdict stays the sequential one."""
-    runs = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([], runs))
+def test_no_process_starts_a_prefix_ranked_after_a_witness(monkeypatch):
+    """Once any process has recorded a witness or a spent limit at some
+    rank, no process starts a rank above it, some ranks are never started,
+    and the verdict stays the sequential one."""
+    started, events = [], []
+    _inline_processes(monkeypatch, started, events)
     monkeypatch.setattr(search, "usable_cpus", lambda: 2)
     instances = [(wheel5(), 2, SearchBudget(5, 15, 10_000_000))]
     rng = random.Random(26)
@@ -257,15 +301,18 @@ def test_no_batch_starts_a_prefix_ranked_after_a_witness(monkeypatch):
             instances.append((g, d, budget))
     skipped = 0
     for g, d, budget in instances:
-        runs.clear()
+        started.clear()
+        events.clear()
         assert find_general_word(g, d, budget, jobs=2) == sequential_search(g, d, budget)
         stop = float("inf")
-        for batch, part in runs:
-            assert all(rank <= stop for rank in part), (g, d)
-            skipped += sum(rank > stop for rank, _ in batch)
-            stop = min([stop] + [rank for rank, (found, _, limit_hit) in part.items()
-                                 if found is not None or limit_hit])
-    assert skipped > 0  # some batch had ranks after a recorded witness
+        for event in events:
+            if event[0] == "start":
+                assert event[1] <= stop, (g, d)
+            elif event[2][0] is not None or event[2][2]:
+                stop = min(stop, event[1])
+        if started:  # a split: the ranks above the stop were never started
+            skipped += len(started[0][2]) - 1 - max(e[1] for e in events)
+    assert skipped > 0  # some ranks came after a recorded witness
 
 
 def test_k33_over_two_processes_returns_the_sequential_verdict():
@@ -274,18 +321,64 @@ def test_k33_over_two_processes_returns_the_sequential_verdict():
     v1 = find_general_word(k33, 3, budget, jobs=1)
     assert (v1.outcome, v1.nodes_explored) == (FOUND, 79_280)
     assert find_general_word(k33, 3, budget, jobs=2) == v1
-    assert multiprocessing.active_children() == []  # no worker outlives the call
+    assert multiprocessing.active_children() == []  # no child outlives the call
+
+
+def test_abandoned_prefixes_are_never_read(monkeypatch):
+    """Over two real processes, a prefix ranked after a witness or a spent
+    limit is abandoned at its DFS's next poll of the stop rank, and the
+    caller's sequential sum never reads it: verdict, witness and node count
+    stay the sequential ones.  Under fork a wrapper the child inherits
+    counts the abandoned prefixes, so the poll is known to fire."""
+    monkeypatch.setattr(search, "usable_cpus", lambda: 2)
+    abandoned = multiprocessing.Value("q", 0)
+    dfs = search._dfs
+
+    def counting_dfs(*args, ranks=None, rank=0, **kw):
+        result = dfs(*args, ranks=ranks, rank=rank, **kw)
+        if ranks is not None and ranks[1] < rank and result != dfs(*args, **kw):
+            with abandoned.get_lock():  # cut short: the whole DFS returns more
+                abandoned.value += 1
+        return result
+
+    monkeypatch.setattr(search, "_dfs", counting_dfs)
+    k33 = from_edge_list([(u, v) for u in "abc" for v in "xyz"])
+    instances = [(wheel5(), 2, SearchBudget(5, 15, 10_000_000)),
+                 (wheel5(), 2, SearchBudget(5, 15, 20_000)),
+                 (k33, 3, SearchBudget(3, 24, 60_000))]
+    instances += [(k33, 3, SearchBudget(3, 24, 5_000_000))] * 3
+    for g, d, budget in instances:
+        assert find_general_word(g, d, budget, jobs=2) == sequential_search(g, d, budget)
+    assert multiprocessing.active_children() == []
+    if multiprocessing.get_start_method() == "fork":
+        assert abandoned.value > 0
+
+
+def test_more_processes_than_cores_share_the_ranks(monkeypatch):
+    """Six real processes on however few cores: a lost update of the shared
+    next or stop rank would leave a rank without a result or read one past
+    a witness or spent limit.  Time-bounded, and no child outlives a call."""
+    k33 = from_edge_list([(u, v) for u in "abc" for v in "xyz"])
+    instances = [(wheel5(), 2, SearchBudget(5, 15, 10_000_000)),
+                 (k33, 3, SearchBudget(3, 24, 5_000_000)), (k33, 3, SearchBudget(3, 24, 40_000)),
+                 (cycle(4), 1, SearchBudget(3, 12, 1_000_000))]
+    monkeypatch.setattr(search, "usable_cpus", lambda: 6)
+    t0 = time.monotonic()
+    for g, d, budget in instances:
+        assert find_general_word(g, d, budget, jobs=6) == sequential_search(g, d, budget)
+        assert multiprocessing.active_children() == []
+    assert time.monotonic() - t0 < 60
 
 
 def test_jobs_match_under_the_spawn_start_method():
-    """Spawned workers inherit nothing from the parent: the stop rank must
-    reach them through the pool's initializer."""
+    """Spawned children inherit nothing from the caller: the shared ranks
+    must reach them as arguments of the process they start in."""
     child = (
         "import multiprocessing\n"
         "multiprocessing.set_start_method('spawn')\n"
         "from wordnerve import search\n"
         "from wordnerve.graphs import from_edge_list\n"
-        "search.usable_cpus = lambda: 2  # a pool even on one CPU\n"
+        "search.usable_cpus = lambda: 2  # a split even on one CPU\n"
         "edges = [('1', '2'), ('2', '3'), ('3', '4'), ('4', '5'), ('1', '5')]\n"
         "g = from_edge_list(edges + [(v, '6') for v in '12345'])\n"
         "budget = search.SearchBudget(5, 15, 10_000_000)\n"
@@ -301,8 +394,94 @@ def test_jobs_match_under_the_spawn_start_method():
     assert proc.stdout == f"found {expected.nodes_explored} True\n", proc.stderr
 
 
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the failing stand-ins reach the child only by fork inheritance")
+
+
+def _fail_in_children(monkeypatch, fail):
+    """Run `fail()` in place of `_run_prefixes` in every process but this one."""
+    caller, run = os.getpid(), search._run_prefixes
+
+    def failing(*args):
+        if os.getpid() != caller:
+            fail()
+        return run(*args)
+
+    monkeypatch.setattr(search, "_run_prefixes", failing)
+    monkeypatch.setattr(search, "usable_cpus", lambda: 2)
+
+
+def _cli_search_w5(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("".join(f"{u} {v}\n" for u, v in wheel5().edges))
+    code = main(["search", str(graph), "--dim", "2", "--max-copies", "5", "--max-len", "15",
+                 "--jobs", "2"])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@fork_only
+def test_a_child_out_of_memory_is_an_input_error(monkeypatch, tmp_path, capsys):
+    """A MemoryError in a child is raised again, with its type, by the
+    caller, and `search --jobs 2` exits 2 with one error line."""
+    def out_of_memory():
+        raise MemoryError
+
+    _fail_in_children(monkeypatch, out_of_memory)
+    with pytest.raises(MemoryError):
+        find_general_word(wheel5(), 2, SearchBudget(5, 15, 10_000_000), jobs=2)
+    assert multiprocessing.active_children() == []
+    assert _cli_search_w5(tmp_path, capsys) == (
+        2, "", "error: search: the input needs more memory than is available\n")
+
+
+@fork_only
+def test_a_child_that_dies_without_a_result_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    """A child that exits without sending its result closes its pipe: the
+    caller raises RuntimeError within seconds, and the CLI exits 4."""
+    _fail_in_children(monkeypatch, lambda: os._exit(1))
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="ended without a result"):
+        find_general_word(wheel5(), 2, SearchBudget(5, 15, 10_000_000), jobs=2)
+    assert time.monotonic() - t0 < 10
+    assert multiprocessing.active_children() == []
+    code, out, err = _cli_search_w5(tmp_path, capsys)
+    assert (code, out) == (4, "")
+    assert err == "internal error: a search process ended without a result\n"
+
+
+@fork_only
+def test_a_failing_caller_leaves_no_child_behind(monkeypatch):
+    """The caller fails while its child is 0.2 s into rank 0 of the prism
+    at d = 2, a prefix of 1.5M nodes that takes about 2 s: the child
+    abandons it at its next poll of the stop rank, and the call returns
+    well within a second of the failure, with no child left."""
+    caller, run = os.getpid(), search._run_prefixes
+    failed_at = []
+
+    def failing_caller(problem, node_limit, prefixes, ranks):
+        if os.getpid() != caller:
+            return run(problem, node_limit, prefixes, ranks)
+        deadline = time.monotonic() + 10
+        while ranks[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)  # until the child has taken rank 0
+        time.sleep(0.2)
+        failed_at.append(time.monotonic())
+        raise KeyError("the caller's share failed")
+
+    monkeypatch.setattr(search, "_run_prefixes", failing_caller)
+    monkeypatch.setattr(search, "usable_cpus", lambda: 2)
+    prism = from_edge_list([("a", "b"), ("b", "c"), ("a", "c"), ("x", "y"), ("y", "z"),
+                            ("x", "z"), ("a", "x"), ("b", "y"), ("c", "z")])
+    with pytest.raises(KeyError):
+        find_general_word(prism, 2, SearchBudget(4, 24, 20_000_000), jobs=2)
+    assert time.monotonic() - failed_at[0] < 1
+    assert multiprocessing.active_children() == []
+
+
 def test_usable_cpus_follows_the_affinity_mask(monkeypatch):
-    """Under `taskset -c 0` on a 2-CPU machine the pool gets one worker."""
+    """Under `taskset -c 0` on a 2-CPU machine the search runs in one process."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert search.usable_cpus() == 1
@@ -326,7 +505,7 @@ def test_jobs_match_sequential_on_random_graphs():
 def test_every_jobs_value_returns_the_sequential_verdict(monkeypatch):
     """Outcome, witness and node count equal the plain DFS's for every
     jobs value, also when the node limit cuts the search short."""
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool([]))
+    _inline_processes(monkeypatch, [])
     monkeypatch.setattr(search, "usable_cpus", lambda: 64)
     rng = random.Random(24)
     outcomes = set()
@@ -393,7 +572,12 @@ def test_prefix_cut_and_replay_match_the_reference():
                 ref.node_limit = limit
                 ref.replay(prefix)
                 ref.dfs()
-                assert search._dfs(problem, limit, prefix) == (ref.found, ref.nodes, ref.limit_hit)
+                expected = (ref.found, ref.nodes, ref.limit_hit)
+                assert search._dfs(problem, limit, prefix) == expected
+                # polled every 1,024 nodes, a stop rank that is never lowered
+                # below the prefix's own rank changes nothing
+                rank = len(cut) - 1
+                assert search._dfs(problem, limit, prefix, ranks=[0, rank], rank=rank) == expected
 
 
 def test_budget_relative_completeness_vs_naive_enumeration():
