@@ -61,7 +61,7 @@ def fresh(argv, entry=MAIN):
 
 # (id, files to write, argv naming those files (and SVG for an SVG path),
 # modules beyond BASE, golden stdout file or None to compare with the
-# in-process run)
+# in-process run; with an SVG path, the golden stdout and SVG files)
 CASES = [
     ("induce", {"w.txt": W5_WORD}, ["induce", "w.txt", "--dim", "2"], set(), None),
     ("encode-any", {"g.txt": W5_GRAPH}, ["encode", "g.txt"], {"wordnerve.encode"}, None),
@@ -69,9 +69,12 @@ CASES = [
      ["encode", "g.txt", "--mode", "bipartite"], {"wordnerve.encode"}, None),
     ("encode-chords", {"c.json": CHORDS},
      ["encode", "c.json", "--mode", "chords"], {"wordnerve.encode"}, None),
-    ("realize", {"w.txt": W5_WORD}, ["realize", "w.txt", "--dim", "3"], PIPELINE, None),
+    ("realize", {"w.txt": W5_WORD}, ["realize", "w.txt", "--dim", "3"], PIPELINE,
+     "w5_realize_d3_stdout.json"),
+    ("realize-d4", {"w.txt": W5_WORD}, ["realize", "w.txt", "--dim", "4"], PIPELINE,
+     "w5_realize_d4_stdout.json"),
     ("realize-svg", {"w.txt": W5_WORD}, ["realize", "w.txt", "--dim", "2", "--svg", "SVG"],
-     PIPELINE | {"wordnerve.svgplot"}, None),
+     PIPELINE | {"wordnerve.svgplot"}, ("w5_realize_d2_stdout.json", "w5_realize_d2.svg")),
     ("facets", {}, ["facets", "7", "4"], GEOMETRY, None),
     ("search", {"g.txt": W5_GRAPH},
      ["search", "g.txt", "--dim", "2", "--max-copies", "5", "--max-len", "15", "--jobs", "1"],
@@ -115,13 +118,14 @@ def test_subcommand_in_a_fresh_interpreter(tmp_path, capsys, files, argv, extra,
     assert {m for m in loaded if m.startswith("wordnerve")} == base | extra
     assert "dataclasses" not in loaded
     assert "concurrent.futures" not in loaded  # a split search starts plain processes
+    if "SVG" in argv:
+        golden, svg = golden
+        assert (tmp_path / "fresh.svg").read_bytes() == (DATA / svg).read_bytes()
     if golden:
         assert (code, out) == (0, (DATA / golden).read_text())
     else:
         expected_code = main(resolved("in-process.svg"))
         assert (code, out) == (expected_code, capsys.readouterr().out)
-    if "SVG" in argv:
-        assert (tmp_path / "fresh.svg").read_bytes() == (tmp_path / "in-process.svg").read_bytes()
 
 
 def test_imports_load_no_pathlib_and_no_process_pool():
