@@ -128,7 +128,8 @@ def dump_words_text(words: list[Word]) -> str:
 
 # -- rationals and points ---------------------------------------------------
 
-def fraction_str(x: Fraction):
+def fraction_str(x: int | Fraction) -> int | str:
+    """An int, or a Fraction with denominator 1, as a JSON int; any other Fraction as "p/q"."""
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

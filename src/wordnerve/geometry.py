@@ -1,12 +1,12 @@
 """Exact rational geometry on and around the moment curve.
 
-Points are tuples of Fraction coordinates, all in a fixed dimension d.
-The moment curve sends a parameter t to (t, t^2, ..., t^d); configurations
-of distinct parameters are vertices of a cyclic polytope.  Facet structure
-(Gale's evenness condition), Radon-type hull intersections (Breen's
-alternation criterion, separating axes for two planar hulls, and exact LP
-feasibility, the exported `hulls_intersect`, for any shape), hyperplanes spanned by d curve points and a quadratic 2D
-general-position check live here.
+Points are tuples of int or Fraction coordinates in one dimension d.  The
+moment curve sends t to (t, t^2, ..., t^d), ints for an integer t, and
+configurations of distinct parameters are vertices of a cyclic polytope.
+Facet structure (Gale's evenness condition), Radon-type hull intersections
+(Breen's alternation criterion, separating axes for two planar hulls, and
+exact LP feasibility, the exported `hulls_intersect`, for any shape),
+hyperplanes through d curve points and a 2D general-position check live here.
 
 x(t) lies on the hyperplane n . x = c exactly when t is a root of
 n_d t^d + ... + n_1 t - c, so the hyperplane through x(t_1), ..., x(t_d)
@@ -30,7 +30,7 @@ from .graphs import Record
 from .lp import feasible_eq_nonneg
 from .words import pair_runs
 
-Point = tuple[Fraction, ...]
+Point = tuple[int | Fraction, ...]
 
 _EXACT = (int, Fraction)
 
@@ -68,7 +68,7 @@ def _point_text(p: Point) -> str:
 
 def moment_point(t, d: int) -> Point:
     """(t, t^2, ..., t^d) exactly, each power one multiplication on from
-    the last.  An integer t multiplies ints.  A fractional t multiplies
+    the last.  An integer t gives int coordinates.  A fractional t gives
     Fractions: `t^k * t` reduces by the small gcds of t's numerator and
     denominator with the other's, where `Fraction(n^k, q^k)` would take the
     gcd of two big coprime integers."""
@@ -79,7 +79,7 @@ def moment_point(t, d: int) -> Point:
     tk, coords = 1, []
     for _ in range(d):
         tk *= base
-        coords.append(Fraction(tk))
+        coords.append(tk)
     return tuple(coords)
 
 

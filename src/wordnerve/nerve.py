@@ -12,8 +12,8 @@ finds every other face, each an exact hull verdict of `_meets`, in the
 nerve and the extensions' re-check alike: two classes in the plane by
 separating axes on their hulls (`_planar_hulls_meet`), every other shape
 by the LP `hulls_intersect`.  The nerve decides on one integer copy of
-the points (`_integer_copy`), so every LP it builds has int entries.  On
-the curve the walk starts at triples, whose classes are the copy's
+the points (`_integer_copy`, scale 1 for int curve points), so every LP
+has int entries.  On the curve the walk starts at triples, on the copy's
 points; off it, at pairs, and `_kept_classes` keeps each class as those
 tests need it, its `_hull_2d` hull in the plane and its points otherwise.
 
@@ -123,7 +123,7 @@ class NerveResult(Record):
 
 
 def realize_on_moment_curve(w: Word, d: int, params=None) -> ColoredConfig:
-    """Point i is x(t_i) in R^d colored by letter i; t_i defaults to i."""
+    """Point i is x(t_i) in R^d colored by letter i; t_i defaults to i.  Integer t_i give ints."""
     if d < 1:
         raise DegenerateInputError("dimension must be >= 1")
     n = len(w)
@@ -466,7 +466,7 @@ def _curve_separator(config: ColoredConfig, order: list[int], ints: list[tuple[i
     """
     pair = [i for i in order if config.colors[i] in (a, b)]
     roots = [
-        (config.points[i][0] + config.points[j][0]) / 2
+        Fraction(config.points[i][0] + config.points[j][0], 2)
         for i, j in zip(pair, pair[1:])
         if config.colors[i] != config.colors[j]
     ]
@@ -559,8 +559,7 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
             "the separator construction does not cover them"
         )
     d = layout.d
-    curve = tuple(tuple(t**k for k in range(1, d + 1)) for t in range(1, len(w) + 1))
-    if config.points != curve or config.colors != w.letters:
+    if config != realize_on_moment_curve(w, d):
         raise DegenerateInputError("configuration is not the moment-curve realization of the word")
     extras, scale, ints = _coerce_extras(extras, config)
     n = len(config.points)

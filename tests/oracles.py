@@ -720,7 +720,7 @@ def curve_separator_fractions(config: ColoredConfig, order: list[int], a: str, b
     midpoint of the two classes' values."""
     pair = [i for i in order if config.colors[i] in (a, b)]
     roots = [
-        (config.points[i][0] + config.points[j][0]) / 2
+        Fraction(config.points[i][0] + config.points[j][0], 2)
         for i, j in zip(pair, pair[1:])
         if config.colors[i] != config.colors[j]
     ]
@@ -733,7 +733,7 @@ def curve_separator_fractions(config: ColoredConfig, order: list[int], a: str, b
         normal, va, vb = tuple(-x for x in normal), [-v for v in va], [-v for v in vb]
     if not max(va) < min(vb):
         raise ExtensionError(f"the curve-gap hyperplane does not separate {a} and {b}")
-    return normal, (max(va) + min(vb)) / 2
+    return normal, Fraction(max(va) + min(vb), 2)
 
 
 class FractionSeparations:

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from wordnerve import formats
-from wordnerve.encode import ChordDiagram
+from wordnerve.cli import main
+from wordnerve.encode import ChordDiagram, word_bipartite
 from wordnerve.graphs import from_edge_list
-from wordnerve.nerve import ColoredConfig, realize_on_moment_curve
+from wordnerve.nerve import (ColoredConfig, _curve_order, extend_coloring_bipartite, nerve,
+                             realize_on_moment_curve)
 from wordnerve.search import SearchBudget, SearchVerdict
 from wordnerve.words import word
 
@@ -81,12 +84,49 @@ def test_points_from_doc_rejects_bool_and_non_integer_dimension():
             formats.points_from_doc({"dimension": 2, "points": points})
 
 
-def test_config_doc_roundtrip():
+def test_config_doc_roundtrip(tmp_path, capsys):
+    """A curve configuration read back from its file has `Fraction`
+    coordinates where the curve gave ints, and the two are interchangeable:
+    equal with equal hashes, the same curve order and nerve, and `extend
+    --mode bipartite` on the file prints what the int configuration
+    extends to.  Seeded bipartite words at d = 1..5, with extras far from
+    and near the curve."""
     cfg = realize_on_moment_curve(word("abab"), 2)
     doc = formats.config_to_doc(cfg)
     assert formats.config_from_doc(doc) == cfg
     text = formats.dump_json(doc)
     assert formats.config_from_doc(formats.load_json(text)) == cfg
+    rng = random.Random(31)
+    for d in range(1, 6):
+        vs, us = [f"v{i}" for i in range(d)], [f"u{j}" for j in range(rng.randint(d, d + 1))]
+        edges = [(v, u) for v in vs for u in us if rng.random() < 0.5]
+        edges += [(v, rng.choice(us)) for v in vs] + [(rng.choice(vs), u) for u in us]
+        g = from_edge_list(edges)
+        w, _ = word_bipartite(g)
+        cfg = realize_on_moment_curve(w, d)
+        back = formats.config_from_doc(formats.config_to_doc(cfg))
+        assert {type(x) for p in cfg.points for x in p} == {int}
+        assert {type(x) for p in back.points for x in p} == {Fraction}
+        assert back == cfg and hash(back) == hash(cfg)
+        assert _curve_order(back) == _curve_order(cfg)
+        assert nerve(back, 3) == nerve(cfg, 3)
+        n = len(w)
+        extras = [tuple(F(rng.randint(-2 * n, n * n), rng.randint(1, 7)) for _ in range(d))
+                  for _ in range(2)]
+        extras += [tuple(F(sum(p[i] for p in pts), 2) + F(rng.randint(1, 8), 9) for i in range(d))
+                   for pts in (rng.sample(cfg.points, 2) for _ in range(3))]
+        extras = list(dict.fromkeys(extras))
+        files = {"config.json": formats.dump_json(formats.config_to_doc(cfg)),
+                 "extras.json": formats.dump_json(formats.points_to_doc(extras, d)),
+                 "graph.txt": formats.dump_graph_text(g)}
+        for name, content in files.items():
+            (tmp_path / name).write_text(content)
+        config, extras_file, graph = (str(tmp_path / name) for name in files)
+        assert main(["extend", config, extras_file, "--mode", "bipartite", "--graph", graph]) == 0
+        extended = extend_coloring_bipartite(g, w, cfg, extras)
+        edges = len(nerve(cfg, 1).complex.faces_of_size(2))
+        assert capsys.readouterr().out == (formats.dump_json(formats.config_to_doc(extended))
+                                           + f"nerve preserved: {edges} edges before, {edges} after\n")
 
 
 def test_circle_structure_docs():

@@ -622,7 +622,7 @@ def test_extend_bipartite_extra_inside_hull_stays_safe():
         [("v1", "u1"), ("v1", "u2"), ("v2", "u2"), ("v2", "u3")]
     )
     centroid = tuple(
-        sum(p[i] for p in cfg.points) / len(cfg.points) for i in range(d)
+        F(sum(p[i] for p in cfg.points), len(cfg.points)) for i in range(d)
     )
     ext = extend_coloring_bipartite(g, w, cfg, [centroid])
     assert nerve(ext, 2).complex == nerve(cfg, 2).complex
@@ -716,7 +716,7 @@ def test_curve_separator_strictly_separates_every_non_face_pair():
             va = [sum(n * x for n, x in zip(normal, p)) for p in given[a]]
             vb = [sum(n * x for n, x in zip(normal, p)) for p in given[b]]
             assert max(va) < F(offset2, 2 * scale) < min(vb)
-            assert F(offset2, 2 * scale) == (max(va) + min(vb)) / 2
+            assert F(offset2, 2 * scale) == F(max(va) + min(vb), 2)
             pairs += 1
     assert pairs > 300
 
@@ -735,7 +735,7 @@ def random_bipartite_instance(rng, d):
     classes = list(cfg.classes().values())
     while len(extras) < 5 and rng.random() < 0.7:
         pts = rng.sample(classes, 1)[0] if rng.random() < 0.5 else rng.sample(cfg.points, 3)
-        mean = tuple(sum(p[i] for p in pts) / len(pts) for i in range(d))
+        mean = tuple(F(sum(p[i] for p in pts), len(pts)) for i in range(d))
         if mean not in cfg.points and mean not in extras:
             extras.append(mean)
     return g, w, cfg, extras
@@ -856,7 +856,7 @@ def test_bipartite_extension_matches_the_fraction_route(monkeypatch):
                           for _ in range(d))
             elif roll < 0.9 or len(layout.u_labels) < 2:
                 pts = rng.sample(cfg.points, rng.randint(2, 3))
-                e = tuple(sum(p[i] for p in pts) / len(pts) + F(rng.randint(-9, 9), 9)
+                e = tuple(F(sum(p[i] for p in pts), len(pts)) + F(rng.randint(-9, 9), 9)
                           for i in range(d))
             else:
                 e = on_separator(rng, layout, d)
@@ -864,8 +864,11 @@ def test_bipartite_extension_matches_the_fraction_route(monkeypatch):
                 extras.append(e)
         scale = denominators_lcm(extras)
         got = routed(monkeypatch, lambda: extend_coloring_bipartite(g, w, cfg, extras), scale)
+        # the route decides on `Fraction` points, as read from a file, so
+        # `routed` tells them from the library's integer copy
+        given = ColoredConfig(tuple(tuple(map(F, p)) for p in cfg.points), cfg.colors)
         expected = routed(
-            monkeypatch, lambda: oracles.extend_bipartite_fractions(g, w, cfg, extras), scale)
+            monkeypatch, lambda: oracles.extend_bipartite_fractions(g, w, given, extras), scale)
         assert got == expected, (case, d, extras)
         outcomes[isinstance(got[0], str), scale > 1] += 1
     # colorings and rejections, nearly all on a copy scaled by more than 1
@@ -1098,7 +1101,7 @@ def test_face_candidates_match_the_combinations_reference(monkeypatch):
         extras = []
         for _ in range(rng.randint(1, 4)):
             pts = rng.sample(cfg.points, min(3, len(cfg.points)))
-            mean = tuple(sum(p[i] for p in pts) / len(pts) for i in range(d))
+            mean = tuple(F(sum(p[i] for p in pts), len(pts)) for i in range(d))
             if mean not in cfg.points and mean not in extras:
                 extras.append(mean)
         colors = [rng.choice(cfg.color_labels) for _ in extras]

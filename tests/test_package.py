@@ -113,6 +113,22 @@ def test_no_function_in_the_library_calls_itself():
     assert found == []
 
 
+def test_no_true_division_in_the_library():
+    """No `/` or `/=` under `src/wordnerve` but in `svgplot.py`, whose
+    canvas is float on purpose.  Curve points at integer parameters are
+    ints, and `/` on two ints is a float: a verdict read off it rounds.
+    An exact quotient is a `Fraction(p, q)`."""
+    root = Path(__file__).parents[1]
+    found = []
+    for path in sorted(root.glob("src/wordnerve/*.py")):
+        if path.name == "svgplot.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_test_oracle_has_a_caller():
     """Each top-level function and class of `tests/oracles.py` is read by
     some test file, or by another definition of `tests/oracles.py`, as a
