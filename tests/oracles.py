@@ -388,7 +388,7 @@ def det(matrix: list[list[Fraction]]) -> Fraction:
         result *= pivot
         for r in range(col + 1, n):
             if m[r][col] != 0:
-                f = m[r][col] / pivot
+                f = Fraction(m[r][col], pivot)
                 m[r] = [a - f * b for a, b in zip(m[r], m[col])]
     return sign * result
 
@@ -435,7 +435,7 @@ def feasible_eq_nonneg_fraction(rows: list[list[Fraction]], rhs: list[Fraction])
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][-1] / a
+                ratio = Fraction(tab[i][-1], a)
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
@@ -444,7 +444,7 @@ def feasible_eq_nonneg_fraction(rows: list[list[Fraction]], rhs: list[Fraction])
             # guard anyway.
             raise ArithmeticError("phase-I simplex unbounded")
         piv = tab[leave][enter]
-        tab[leave] = [a / piv for a in tab[leave]]
+        tab[leave] = [Fraction(a, piv) for a in tab[leave]]
         for i in range(m):
             if i != leave and tab[i][enter] != 0:
                 f = tab[i][enter]

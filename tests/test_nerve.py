@@ -786,22 +786,23 @@ def test_live_certificates_keep_their_pairs_apart(monkeypatch):
 HULL_TESTS = ("hulls_intersect", "_planar_hulls_meet")
 
 
-def routed(monkeypatch, run, scale):
+def routed(monkeypatch, run):
     """The colors of the extras or the error, and the hull tests run
     through `nerve.hulls_intersect` (on classes) and
     `nerve._planar_hulls_meet` (on two hulls) in order, each under its
-    name.  A point of ints only is one of the extension's integer copy,
-    and is recorded divided by `scale`."""
+    name.  A route may test the given points or an integer copy of them,
+    scaled by a positive factor that no verdict sees, and a point's type
+    does not tell which: each test's points are recorded divided by
+    their largest absolute coordinate."""
     tested = []
     reals = {name: getattr(nerve_lib, name) for name in HULL_TESTS}
 
     def recording(name):
         def recorded(*args):
-            tested.append((name, [
-                [p if any(type(x) is not int for x in p) else tuple(F(x, scale) for x in p)
-                 for p in cls]
-                for cls in (args if len(args) > 1 else args[0])
-            ]))
+            classes = args if len(args) > 1 else args[0]
+            top = max(abs(x) for cls in classes for p in cls for x in p) or 1
+            tested.append((name, [[tuple(F(x, top) for x in p) for p in cls]
+                                  for cls in classes]))
             return reals[name](*args)
         return recorded
 
@@ -836,10 +837,9 @@ def on_separator(rng, layout, d):
 def test_bipartite_extension_matches_the_fraction_route(monkeypatch):
     """On one integer copy the bipartite extension colors every extra, runs
     every hull test on the same points in the same order, and fails with
-    the same message as the route that decided on the given `Fraction`
-    points.  In the plane both routes test pairs by
-    `_planar_hulls_meet`, the library on the hulls it keeps, the route on
-    hulls it builds for the test.  Extras have denominators up to 9; some
+    the same message as the route that decides on the given points.  In
+    the plane both routes test pairs by `_planar_hulls_meet`, the library
+    on the hulls it keeps, the route on hulls it builds for the test.  Extras have denominators up to 9; some
     are means of points of one or two classes, where certificates fail and
     hull tests run, and some lie exactly on a separator hyperplane."""
     rng = random.Random(44)
@@ -863,12 +863,8 @@ def test_bipartite_extension_matches_the_fraction_route(monkeypatch):
             if e not in cfg.points and e not in extras:
                 extras.append(e)
         scale = denominators_lcm(extras)
-        got = routed(monkeypatch, lambda: extend_coloring_bipartite(g, w, cfg, extras), scale)
-        # the route decides on `Fraction` points, as read from a file, so
-        # `routed` tells them from the library's integer copy
-        given = ColoredConfig(tuple(tuple(map(F, p)) for p in cfg.points), cfg.colors)
-        expected = routed(
-            monkeypatch, lambda: oracles.extend_bipartite_fractions(g, w, given, extras), scale)
+        got = routed(monkeypatch, lambda: extend_coloring_bipartite(g, w, cfg, extras))
+        expected = routed(monkeypatch, lambda: oracles.extend_bipartite_fractions(g, w, cfg, extras))
         assert got == expected, (case, d, extras)
         outcomes[isinstance(got[0], str), scale > 1] += 1
     # colorings and rejections, nearly all on a copy scaled by more than 1

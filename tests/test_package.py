@@ -115,12 +115,13 @@ def test_no_function_in_the_library_calls_itself():
 
 def test_no_true_division_in_the_library():
     """No `/` or `/=` under `src/wordnerve` but in `svgplot.py`, whose
-    canvas is float on purpose.  Curve points at integer parameters are
-    ints, and `/` on two ints is a float: a verdict read off it rounds.
-    An exact quotient is a `Fraction(p, q)`."""
+    canvas is float on purpose, nor in the exact references of
+    `tests/oracles.py`.  Curve points at integer parameters are ints, and
+    `/` on two ints is a float: a verdict read off it rounds.  An exact
+    quotient is a `Fraction(p, q)`."""
     root = Path(__file__).parents[1]
     found = []
-    for path in sorted(root.glob("src/wordnerve/*.py")):
+    for path in [*sorted(root.glob("src/wordnerve/*.py")), root / "tests" / "oracles.py"]:
         if path.name == "svgplot.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
