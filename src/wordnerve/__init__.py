@@ -14,7 +14,6 @@ Library layout:
 * nerve     -- colored configurations, nerve complexes, extensions
 * formats   -- stable text/JSON formats
 * svgplot   -- deterministic SVG rendering (2D)
-* oracles   -- brute-force oracles shared by `selftest` and the tests
 * cli       -- the `wordnerve` command
 """
 

@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: induce, encode, realize, search, facets, extend, selftest.
+Subcommands: induce, encode, realize, search, facets, extend.
 Exit codes: 0 success, 2 input error (an input too large for the memory
 at hand included), 3 search budget exhausted, 4 internal invariant
 violation.
@@ -15,11 +15,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from itertools import combinations
 
 from . import _deferred, formats
-from .graphs import Graph, from_edge_list, one_skeleton
-from .words import Word, induced_graph_general, max_alternation
+from .graphs import Graph, one_skeleton
+from .words import Word, induced_graph_general
 
 # Each handler imports the modules it runs on first use, so a subcommand
 # loads only those.  The four functions below are bindings of this module
@@ -171,66 +170,6 @@ def cmd_extend(args) -> int:
     return EXIT_OK
 
 
-def _selftest(seed: int) -> list[tuple[str, bool]]:
-    import random
-
-    from .encode import word_any_graph
-    from .geometry import (_hull_2d, _planar_hulls_meet, breen_intersect, hulls_intersect,
-                           moment_point)
-    from .oracles import brute_max_alternation, facet_oracle
-
-    rng = random.Random(seed)
-    checks: list[tuple[str, bool]] = []
-
-    ok = True
-    for _ in range(60):  # Breen's criterion, the LP and, in the plane, separating axes
-        r = rng.randint(2, 7)
-        d = rng.randint(1, 4)
-        params = sorted(rng.sample(range(1, 40), r))
-        cut = rng.randint(1, r - 1)
-        marked = set(rng.sample(params, cut))
-        a = [t for t in params if t in marked]
-        b = [t for t in params if t not in marked]
-        pair = [[moment_point(t, d) for t in a], [moment_point(t, d) for t in b]]
-        verdict = breen_intersect(a, b, d)
-        ok = ok and hulls_intersect(pair) == verdict
-        ok = ok and (d != 2 or _planar_hulls_meet(*map(_hull_2d, pair)) == verdict)
-    checks.append(("breen-vs-feasibility", ok))
-
-    ok = all(
-        facet_oracle(r, d) == _cli.gale_facets(r, d) for r, d in [(5, 3), (6, 2), (6, 4), (7, 3)]
-    )
-    checks.append(("gale-vs-hyperplane-sides", ok))
-
-    ok = True
-    for _ in range(40):  # encoder round-trip on random graphs
-        n = rng.randint(1, 6)
-        verts = [f"v{i}" for i in range(n)]
-        edges = [e for e in combinations(verts, 2) if rng.random() < 0.5]
-        g = from_edge_list(edges, verts)
-        w, d = word_any_graph(g)
-        ok = ok and induced_graph_general(w, d) == g
-    checks.append(("encode-roundtrip", ok))
-
-    ok = True
-    for _ in range(200):  # run-count alternation vs brute-force enumeration
-        n = rng.randint(2, 12)
-        letters = [rng.choice("abc") for _ in range(n)]
-        best = brute_max_alternation(letters, "a", "b")
-        ok = ok and best == max_alternation(Word(tuple(letters)), "a", "b")
-    checks.append(("alternation-vs-bruteforce", ok))
-    return checks
-
-
-def cmd_selftest(args) -> int:
-    checks = _selftest(args.seed)
-    failed = False
-    for name, ok in checks:
-        sys.stdout.write(f"{'PASS' if ok else 'FAIL'} {name}\n")
-        failed = failed or not ok
-    return EXIT_INTERNAL if failed else EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wordnerve",
@@ -280,10 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="bipartite mode: the encoded graph")
     p.add_argument("--output", help="extended configuration path (default: stdout)")
     p.set_defaults(func=cmd_extend)
-
-    p = sub.add_parser("selftest", help="run the oracle cross-check suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 

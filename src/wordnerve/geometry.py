@@ -74,7 +74,7 @@ def moment_point(t, d: int) -> Point:
     gcd of two big coprime integers."""
     if d < 1:
         raise GeometryError("dimension must be >= 1")
-    t = rational(t)
+    t = t if type(t) is int else rational(t)
     base = t.numerator if t.denominator == 1 else t
     tk, coords = 1, []
     for _ in range(d):

@@ -1,16 +1,20 @@
-"""Independent references used only by the tests (the ones
-`wordnerve selftest` also runs live are in `wordnerve.oracles`).
+"""Independent references used only by the tests.
 
 Each reference recomputes a quantity through a different route than the
 library (dynamic programming, exhaustive enumeration, LP membership, the
 state or arithmetic a refactor replaced), so agreement is evidence rather
-than tautology.  One reference answers each question:
+than tautology.  Most questions have one reference; a few have two, each
+by its own route:
 
-- run counts: `dp_max_alternation`; alternating pairs: `strictly_alternates`;
+- run counts: `brute_max_alternation` by enumerating every subsequence,
+  `dp_max_alternation` by dynamic programming; alternating pairs:
+  `strictly_alternates`;
 - bipartiteness: `has_odd_cycle_bruteforce`;
 - general position: `check_general_position_2d_cubic`;
 - nerve: `nerve_lp`; face walk: `new_faces_reference`;
-- Gale facets: `gale_facets_scan`; orientation: `det`;
+- Gale facets: `facet_oracle` by the sides of each spanned hyperplane,
+  `gale_facets_scan` by scanning the evenness condition; orientation:
+  `det`;
 - automorphisms: `automorphisms_bruteforce`;
 - search: `StepEnumeration`, whole trees through `sequential_search`;
 - LP verdict: `feasible_eq_nonneg_fraction`; LP pivots: `feasible_eq_nonneg_full`;
@@ -19,8 +23,9 @@ than tautology.  One reference answers each question:
 - bipartite colors and hull tests: `extend_bipartite_fractions`;
 - extra refusals: `coerce_extras_reference`.
 
-A replaced route stays only while it catches a mutant that no remaining
-reference catches.
+The enumerations are exponential: keep their inputs small.  A replaced
+route stays only while it catches a mutant that no remaining reference
+catches.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from wordnerve.geometry import (
     _hull_lp,
     _point_text,
     hyperplane_through_moment_points,
+    moment_point,
     rational,
 )
 from wordnerve.graphs import SimplicialComplex
@@ -61,6 +67,21 @@ from wordnerve.search import (
     automorphisms,
 )
 from wordnerve.words import Word
+
+
+def brute_max_alternation(letters, x, y) -> int:
+    """Longest alternating x/y subsequence by explicit enumeration."""
+    n = len(letters)
+    best = 0
+    for mask in range(1 << n):
+        sub = [letters[i] for i in range(n) if mask >> i & 1]
+        if not sub:
+            continue
+        if any(a not in (x, y) for a in sub):
+            continue
+        if all(a != b for a, b in zip(sub, sub[1:])):
+            best = max(best, len(sub))
+    return best
 
 
 def dp_max_alternation(letters, x, y) -> int:
@@ -150,6 +171,19 @@ def new_faces_reference(faces, labels, sizes, kept, grown=None) -> list[tuple[st
         faces.update(map(frozenset, met))
         gained += met
     return gained
+
+
+def facet_oracle(r: int, d: int) -> list[tuple[int, ...]]:
+    """Facets of C(r, d) by the definition: all remaining vertices lie
+    strictly on one side of the spanned hyperplane."""
+    pts = [moment_point(t, d) for t in range(1, r + 1)]
+    out = []
+    for sub in combinations(range(r), d):
+        h = hyperplane_through_moment_points([i + 1 for i in sub], d)
+        sides = {h.side(pts[i]) for i in range(r) if i not in sub}
+        if len(sides) == 1 and 0 not in sides:
+            out.append(tuple(i + 1 for i in sub))
+    return out
 
 
 def gale_facets_scan(r: int, d: int) -> list[tuple[int, ...]]:

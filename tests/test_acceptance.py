@@ -23,7 +23,8 @@ from wordnerve.nerve import (
 )
 from wordnerve.search import SearchBudget, find_general_word
 from wordnerve.words import Word, induced_graph_general, rotate, word
-from wordnerve.oracles import facet_oracle
+
+from .oracles import facet_oracle
 
 F = Fraction
 

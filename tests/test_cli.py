@@ -518,38 +518,16 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, command):
     assert out == "" and err.startswith("error: ")
 
 
-def test_selftest(capsys):
-    code, out, _ = run(capsys, "selftest", "--seed", "0")
-    assert code == 0
-    assert out.count("PASS") == 4 and "FAIL" not in out
-
-
-def test_selftest_reaches_the_lp_on_planar_pairs(capsys, monkeypatch):
-    # the library decides planar pairs by separating axes, so selftest must
-    # still run the LP, `hulls_intersect`, on them to see an LP that is
-    # wrong there
-    real = geometry_lib._hull_lp
-
-    def flipped(classes):
-        verdict = real(classes)
-        if len(classes) == 2 and len(classes[0][0]) == 2:
-            return not verdict
-        return verdict
-
-    monkeypatch.setattr(geometry_lib, "_hull_lp", flipped)
-    code, out, _ = run(capsys, "selftest", "--seed", "0")
-    assert code == 4
-    assert "FAIL breen-vs-feasibility\n" in out
-
-
-def test_selftest_checks_the_separating_axes(capsys, monkeypatch):
-    # `hulls_intersect` no longer reaches the separating axes, so selftest
-    # runs them itself on the planar pairs
-    real = geometry_lib._planar_hulls_meet
-    monkeypatch.setattr(geometry_lib, "_planar_hulls_meet", lambda ha, hb: not real(ha, hb))
-    code, out, _ = run(capsys, "selftest", "--seed", "0")
-    assert code == 4
-    assert "FAIL breen-vs-feasibility\n" in out
+@pytest.mark.parametrize("argv", [["selftest"], ["nerve", "w.txt"],
+                                  ["realize", "w.txt", "--dim", "x"]],
+                         ids=["retired-selftest", "unknown-subcommand", "non-integer-dim"])
+def test_usage_errors_exit_2_with_argparse_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "usage: wordnerve" in captured.err and "Traceback" not in captured.err
 
 
 def test_output_byte_determinism(tmp_path, capsys):

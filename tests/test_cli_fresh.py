@@ -89,8 +89,6 @@ CASES = [
      ["extend", str(DATA / "bipartite_config.json"), str(DATA / "bipartite_extras.json"),
       "--mode", "bipartite", "--graph", str(DATA / "bipartite_graph.txt")],
      PIPELINE, "bipartite_stdout.txt"),
-    ("selftest", {}, ["selftest", "--seed", "0"],
-     GEOMETRY | {"wordnerve.encode", "wordnerve.oracles"}, None),
 ]
 
 

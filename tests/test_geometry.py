@@ -18,11 +18,11 @@ from wordnerve.geometry import (
     point,
     rational,
 )
-from wordnerve.oracles import facet_oracle
 
 from .oracles import (
     check_general_position_2d_cubic,
     det,
+    facet_oracle,
     gale_facets_scan,
     moment_point_products,
 )
@@ -49,6 +49,9 @@ def test_rational_rejects_bool():
             rational(x)
     with pytest.raises(GeometryError):
         point([True, 9])
+    for t, d in ((True, 2), (False, 3), (0.5, 2)):
+        with pytest.raises(GeometryError):
+            moment_point(t, d)
 
 
 def test_moment_point_examples():

@@ -17,9 +17,8 @@ from wordnerve.words import (
     rotate,
     word,
 )
-from wordnerve.oracles import brute_max_alternation
 
-from .oracles import dp_max_alternation, strictly_alternates
+from .oracles import brute_max_alternation, dp_max_alternation, strictly_alternates
 
 # Fixed examples and no example database: every run draws the same cases.
 EXAMPLES = settings(max_examples=300, deadline=None, derandomize=True, database=None)
