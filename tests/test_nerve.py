@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -556,6 +557,58 @@ def test_extend_2d_matches_reference_on_rational_inputs():
         assert_extend_2d_matches_reference(cfg, extras)
 
 
+PLANAR_PEEL_FUZZ = Path(__file__).parent / "data" / "planar_peel_fuzz.jsonl"
+
+
+def planar_peel_inputs(count=400, seed=1):
+    """`count` seeded (word, params, extras) inputs of `extend_coloring_2d`.
+    Words have 2 to 7 colors and up to 14 letters, triangles allowed, and
+    every 10th is a shuffled word of 10 to 40 distinct one-letter colors.
+    Curve parameters cycle through the default, increasing ints and
+    increasing rationals.  The 0 to 12 extras are rationals on a coarse
+    grid, so collinear triples and filled hollow triangles occur."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 10 == 9:
+            letters = [f"c{j}" for j in range(rng.randint(10, 40))]
+            rng.shuffle(letters)
+        else:
+            k = rng.randint(2, 7)
+            letters = []
+            while len(set(letters)) < k:
+                letters = [f"c{rng.randrange(k)}" for _ in range(rng.randint(k, 14))]
+        n = len(letters)
+        params = None
+        if i % 3:
+            den = 1 if i % 3 == 1 else 6
+            params = sorted(F(t, den) for t in rng.sample(range(-4 * n * den, 4 * n * den), n))
+        extras = [(F(rng.randint(-24, 24), rng.randint(1, 4)),
+                   F(rng.randint(-40, 400), rng.randint(1, 6))) for _ in range(rng.randint(0, 12))]
+        yield Word(tuple(letters)), params, extras
+
+
+def planar_peel_lines(count=400):
+    """One JSON line per `planar_peel_inputs` input: the word, the curve
+    parameters, the extras and the extras' colors, or the refusal as
+    `ExceptionName: message`."""
+    for w, params, extras in planar_peel_inputs(count):
+        cfg = realize_on_moment_curve(w, 2, params)
+        try:
+            out = " ".join(extend_coloring_2d(cfg, extras).colors[len(cfg.points):])
+        except (DegenerateInputError, ExtensionError) as e:
+            out = f"{type(e).__name__}: {e}"
+        yield json.dumps({"word": " ".join(w.letters),
+                          "params": params and [str(t) for t in params],
+                          "extras": [[str(x) for x in e] for e in extras], "out": out})
+
+
+def test_planar_peel_fuzz_golden():
+    # colors and refusals of 400 seeded planar extensions, as the per-line
+    # search over other classes' dot products gave them
+    lines = "".join(line + "\n" for line in planar_peel_lines())
+    assert lines.encode() == PLANAR_PEEL_FUZZ.read_bytes()
+
+
 def test_extend_2d_rejects_a_filled_hollow_triangle():
     # c0, c1 and c3 meet pairwise but share no point; the extension keeps
     # every pair verdict, and the grown classes do share a point
@@ -879,12 +932,12 @@ def test_planar_extension_matches_the_eager_line_search(monkeypatch):
     line must give way to the next."""
     rng = random.Random(45)
     kept = []
-    real_lines = nerve_lib._support_lines
+    real_choices = nerve_lib._peel_choices
 
-    def recording(own, class_points):
-        for line in real_lines(own, class_points):
-            kept.append((len(class_points), line))
-            yield line
+    def recording(class_points, original, extras):
+        for choice in real_choices(class_points, original, extras):
+            kept.append((len(class_points), choice))
+            yield choice
 
     moved = 0
     for case in range(300):
@@ -898,12 +951,12 @@ def test_planar_extension_matches_the_eager_line_search(monkeypatch):
         cfg = realize_on_moment_curve(w, 2, params)
         extras = random_general_position_extras(rng, cfg, rng.randint(0, 6))
         kept.clear()
-        monkeypatch.setattr(nerve_lib, "_support_lines", recording)
+        monkeypatch.setattr(nerve_lib, "_peel_choices", recording)
         extend_coloring_2d(cfg, extras)
-        monkeypatch.setattr(nerve_lib, "_support_lines", real_lines)
-        top = [line for size, line in kept if size == len(cfg.color_labels)]
+        monkeypatch.setattr(nerve_lib, "_peel_choices", real_choices)
+        top = [choice for size, choice in kept if size == len(cfg.color_labels)]
         if top:
-            (a, b), offset, _ = top[-1]
+            _, (a, b), offset = top[0]
             pts = list(cfg.points) + extras
             scale = denominators_lcm(pts)
             for _ in range(20):  # a point on the kept line, off every other
