@@ -21,6 +21,7 @@ oracle cross-checks in the test-suite rely on bit-true answers.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -217,7 +218,7 @@ def gale_facets(r: int, d: int) -> list[tuple[int, ...]]:
 
 
 def _dot(normal, q):
-    return sum(a * x for a, x in zip(normal, q))
+    return sum(map(operator.mul, normal, q))
 
 
 class Hyperplane(Record):

@@ -31,7 +31,9 @@ constant is scaled too, and a positive scale keeps every such sign.  The
 general-position check, every decision and the re-check run on that
 copy, one kept class per color, so no pair test rebuilds a copy or a
 hull.  The planar extension peels colors behind support lines on the
-copy, one per loop step.  The bipartite one keeps each non-face pair
+copy, one per loop step; the two extreme lines of each support
+direction read every other class once, by its least and greatest
+value along the direction.  The bipartite one keeps each non-face pair
 apart with a fixed hyperplane midway between the pair, whose normal has
 its roots on the curve in the gaps between the pair's runs (Breen's
 criterion bounds them by d + 1), and runs a hull test only when an extra
@@ -315,27 +317,16 @@ _FIXED_DIRECTIONS = [
 
 
 def _support_lines(own: list[IntPoint], class_points: dict[str, list[IntPoint]]):
-    """Yield candidate support lines of conv(own), lazily and in a fixed
-    order, as (normal, offset, chord): the line normal.q = offset with the
-    class on the side normal.q <= offset.  Points are integer pairs of the
-    extension's one integer copy, so the normal and the offset are
-    integers too.
+    """Yield the directions of candidate support lines of conv(own),
+    lazily and in a fixed order, each a primitive integer pair (dx, dy)
+    once.  Points are integer pairs of the extension's one integer copy.
 
     Directions come from the class's own hull edges first (the cheap,
     usually admissible chords), then a fixed fan, then every pairwise point
     direction and its perpendicular (these realize separating tangents
-    whose direction is forced by other classes), each primitive direction
-    once.  For each direction the two extreme lines are offered; a line
-    through two own points is a chord, which other classes may straddle,
-    and a tangent is not.
-
-    No point is tested for lying on a line here.  Class points need no
-    test: a third point on a chord would be a collinear triple, which the
-    general-position check rejects up front, and a point of another class
-    on a tangent has value 0 there, so the caller's strict inside/outside
-    test already rejects the line.  The caller drops a line through an
-    extra only once the line is admissible: the two tests filter one lazy
-    sequence, so in either order the first line to pass both is the same.
+    whose direction is forced by other classes).  The caller offers the
+    two extreme lines of conv(own) along each direction, as in
+    `_peel_choices`.
     """
     hull = _hull_2d(own)
     points = [q for c in sorted(class_points) for q in class_points[c]]
@@ -347,35 +338,60 @@ def _support_lines(own: list[IntPoint], class_points: dict[str, list[IntPoint]])
     )
     seen: set[tuple[int, ...]] = set()
     for direction in directions:
-        dx, dy = primitive = _primitive(direction)
-        if primitive in seen:
-            continue
-        seen.add(primitive)
-        values = [dx * p[1] - dy * p[0] for p in own]
-        for sign, extreme in ((1, max(values)), (-1, min(values))):
-            yield (-sign * dy, sign * dx), sign * extreme, values.count(extreme) >= 2
+        primitive = _primitive(direction)
+        if primitive not in seen:
+            seen.add(primitive)
+            yield primitive
 
 
 def _peel_choices(class_points: dict[str, list[IntPoint]], original: SimplicialComplex,
                   extras: list[IntPoint]):
-    """Yield each (color, normal, offset) that may be peeled, colors in
-    label order and lines in `_support_lines` order: no class disjoint
-    from the color (by the original nerve) on its side, a class cut only
-    across a chord, and no extra on the line, tested last."""
+    """Yield each (color, normal, offset) that may be peeled: the line
+    normal.q = offset with the color's class on the side
+    normal.q <= offset, no class disjoint from the color (by the original
+    nerve) on that side, a class cut only across a chord, and no extra on
+    the line, tested last.  Colors come in label order and directions in
+    `_support_lines` order.
+
+    Along a direction (dx, dy) a point q has the value v = dx q_1 - dy q_0.
+    The `+` line is normal (-dy, dx) at offset max v over the class, the
+    `-` line normal (dy, -dx) at offset -min v, and either is a chord when
+    two class points attain its extreme.  Both lines walk the other
+    classes together, each class read once per direction by the min and
+    max of its values, until neither line is admissible: across the `+`
+    line a class is inside when its max is below the class's max and
+    outside when its min is above it, and the `-` line mirrors this.
+
+    No point is tested for lying on a line but the extras.  A third class
+    point on a chord would be a collinear triple, which the
+    general-position check rejects up front, and a point of another class
+    on a tangent leaves its class neither inside nor outside, so the line
+    is rejected.  An extra on an admissible line drops it, and the next
+    line is tried.
+    """
     colors = sorted(class_points)
     for color in colors:
-        for (a, b), offset, chord in _support_lines(class_points[color], class_points):
-            for other in colors:
-                if other == color:
-                    continue
-                values = [a * q[0] + b * q[1] for q in class_points[other]]
-                inside = all(v < offset for v in values)
-                if inside and not original.is_face((color, other)):
-                    break  # disjoint class trapped on our side
-                if not inside and not chord and not all(v > offset for v in values):
-                    break  # straddling is only safe across a chord
-            else:
-                if not any(a * q[0] + b * q[1] == offset for q in extras):
+        own = class_points[color]
+        others = [c for c in colors if c != color]
+        for dx, dy in _support_lines(own, class_points):
+            values = [dx * p[1] - dy * p[0] for p in own]
+            lo, hi = min(values), max(values)
+            hi_chord, lo_chord = values.count(hi) >= 2, values.count(lo) >= 2
+            up = down = True  # the `+` and the `-` line are still admissible
+            for other in others:
+                v = [dx * q[1] - dy * q[0] for q in class_points[other]]
+                vmin, vmax = min(v), max(v)
+                # a class inside must meet ours; any other must lie
+                # outside, or straddle a chord
+                if up:
+                    up = original.is_face((color, other)) if vmax < hi else hi_chord or vmin > hi
+                if down:
+                    down = original.is_face((color, other)) if vmin > lo else lo_chord or vmax < lo
+                if not (up or down):
+                    break
+            for sign, offset, admissible in ((1, hi, up), (-1, -lo, down)):
+                a, b = -sign * dy, sign * dx
+                if admissible and not any(a * q[0] + b * q[1] == offset for q in extras):
                     yield color, (a, b), offset
 
 
