@@ -158,10 +158,9 @@ def cmd_extend(args) -> int:
     else:
         from .nerve import extend_coloring_bipartite
 
-        if not args.graph:
-            raise ValueError("--mode bipartite requires --graph")
-        g = formats.parse_graph_file(_read(args.graph))
-        extended = extend_coloring_bipartite(g, Word(config.colors), config, extras)
+        w = Word(config.colors)  # the encoding, whose level-d graph is the encoded one
+        g = induced_graph_general(w, config.dimension)
+        extended = extend_coloring_bipartite(g, w, config, extras)
     # Both extensions check that the extended nerve equals the original one,
     # so one edge count serves before and after.
     edges = len(_cli.nerve(config, 1).complex.faces_of_size(2))
@@ -215,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="extend a coloring over extra points")
     p.add_argument("config_file")
     p.add_argument("extras_file")
-    p.add_argument("--mode", choices=["planar", "bipartite"], required=True)
-    p.add_argument("--graph", help="bipartite mode: the encoded graph")
+    p.add_argument("--mode", choices=["planar", "bipartite"], required=True,
+                   help="bipartite reads its graph off the configuration's colors and dimension")
     p.add_argument("--output", help="extended configuration path (default: stdout)")
     p.set_defaults(func=cmd_extend)
 

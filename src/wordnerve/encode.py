@@ -68,6 +68,14 @@ class BipartiteLayout(Record):
     trailing: tuple[str, ...]  # isolated vertices appended at the end
 
 
+def bipartite_parts(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...], int]:
+    """Parts (U, V) of g, |V| <= |U|, and the level d = max(|V|, 1) of its encoding."""
+    parts = bipartition(g)
+    if parts is None:
+        raise GraphError("graph is not bipartite")
+    return *parts, max(len(parts[1]), 1)
+
+
 def bipartite_layout(g: Graph) -> BipartiteLayout:
     """The block structure behind word_bipartite.
 
@@ -76,21 +84,13 @@ def bipartite_layout(g: Graph) -> BipartiteLayout:
     over {v_i, u_j} for each edge {v_i, u_j}.  The u-order reversal between
     consecutive W_i is what caps the alternation of non-adjacent u-pairs.
     """
-    parts = bipartition(g)
-    if parts is None:
-        raise GraphError("graph is not bipartite")
-    u_part, v_part = parts  # |v_part| <= |u_part|
-    d = max(len(v_part), 1)
+    u_part, v_part, d = bipartite_parts(g)
 
     letters: list[str] = []
     spans: dict[tuple[int, int], range] = {}
+    u_order = list(enumerate(u_part, start=1))
     for i, v in enumerate(v_part, start=1):
-        u_order = (
-            list(enumerate(u_part, start=1))
-            if i % 2 == 1
-            else list(reversed(list(enumerate(u_part, start=1))))
-        )
-        for j, u in u_order:
+        for j, u in u_order if i % 2 == 1 else reversed(u_order):
             start = len(letters)
             if g.has_edge(v, u):
                 letters.extend(_alternating_factor(v, u, d + 2))

@@ -155,8 +155,7 @@ def bipartition(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
             continue
         color[start] = 0
         queue = [start]
-        while queue:
-            u = queue.pop(0)
+        for u in queue:  # read by index while it grows: BFS in linear time
             for w in sorted(g.neighbors(u)):
                 if w not in color:
                     color[w] = 1 - color[u]

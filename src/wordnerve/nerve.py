@@ -46,7 +46,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .encode import BipartiteLayout, bipartite_layout
+from .encode import BipartiteLayout, bipartite_layout, bipartite_parts
 from .geometry import (
     GeometryError,
     Hyperplane,
@@ -550,11 +550,13 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
                               extras: list[Point]) -> ColoredConfig:
     """Extend the bipartite moment-curve coloring over arbitrary extras.
 
-    For each u-color except the last, a hyperplane through d separator
-    points splits off the curve stretch holding that color's blocks; an
-    extra is offered first to the color of the first hyperplane whose
-    block side contains it, else to the last u-color, then to the other
-    colors.  A color is taken when it keeps every non-face pair apart
+    `config` is the realization of w, g's bipartite encoding, at its level
+    d, so g is the level-d induced graph of `config.colors`.  For each
+    u-color except the last, a hyperplane through d separator points
+    splits off the curve stretch holding that color's blocks; an extra is
+    offered first to the color of the first hyperplane whose block side
+    contains it, else to the last u-color, then to the other colors.  A
+    color is taken when it keeps every non-face pair apart
     (`_Separations`: curve-gap certificates, hull tests where they fail).
     Extras lying exactly on a separator hyperplane, given twice or equal
     to a configuration point are rejected.
@@ -566,15 +568,16 @@ def extend_coloring_bipartite(g: Graph, w: Word, config: ColoredConfig,
     by `_verified_extension`: a filled hollow triangle is an input error,
     any other change of the nerve an internal error.
     """
-    layout = bipartite_layout(g)
-    if layout.word != w:
+    _, _, d = bipartite_parts(g)
+    # the encoding's length, d + 2 letters per edge and one per isolated vertex, comes first
+    isolated = sum(not g.neighbors(v) for v in g.vertices)
+    if len(g.edges) * (d + 2) + isolated != len(w) or (layout := bipartite_layout(g)).word != w:
         raise DegenerateInputError("word does not match the bipartite encoding of the graph")
     if layout.trailing:
         raise DegenerateInputError(
             f"isolated vertices {layout.trailing} have no block region; "
             "the separator construction does not cover them"
         )
-    d = layout.d
     if config != realize_on_moment_curve(w, d):
         raise DegenerateInputError("configuration is not the moment-curve realization of the word")
     extras, scale, ints = _coerce_extras(extras, config)

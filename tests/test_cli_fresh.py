@@ -87,7 +87,7 @@ CASES = [
       "--mode", "planar"], PIPELINE, "planar_stdout.txt"),
     ("extend-bipartite", {},
      ["extend", str(DATA / "bipartite_config.json"), str(DATA / "bipartite_extras.json"),
-      "--mode", "bipartite", "--graph", str(DATA / "bipartite_graph.txt")],
+      "--mode", "bipartite"],
      PIPELINE, "bipartite_stdout.txt"),
 ]
 

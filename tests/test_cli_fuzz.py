@@ -32,7 +32,6 @@ VALID = {
     "bipartite.json": formats.dump_json(
         formats.config_to_doc(realize_on_moment_curve(word_bipartite(K22)[0], 2))
     ),
-    "graph.txt": formats.dump_graph_text(K22),
     "extras.json": formats.dump_json({"dimension": 2, "points": [["-2", "3"], ["10", "91"]]}),
 }
 
@@ -140,10 +139,8 @@ def test_a_string_is_not_a_list(field):
 def test_fuzz_config(text):
     files = {"fuzz.json": text}
     assert exit_code(["extend", "fuzz.json", "extras.json", "--mode", "planar"], files) in (0, 2)
-    assert exit_code(
-        ["extend", "fuzz.json", "extras.json", "--mode", "bipartite", "--graph", "graph.txt"],
-        files,
-    ) in (0, 2)
+    argv = ["extend", "fuzz.json", "extras.json", "--mode", "bipartite"]
+    assert exit_code(argv, files) in (0, 2)
 
 
 @given(documents(point_docs))
@@ -154,10 +151,8 @@ def test_fuzz_config(text):
 def test_fuzz_extras(text):
     files = {"fuzz.json": text}
     assert exit_code(["extend", "planar.json", "fuzz.json", "--mode", "planar"], files) in (0, 2)
-    assert exit_code(
-        ["extend", "bipartite.json", "fuzz.json", "--mode", "bipartite", "--graph", "graph.txt"],
-        files,
-    ) in (0, 2)
+    argv = ["extend", "bipartite.json", "fuzz.json", "--mode", "bipartite"]
+    assert exit_code(argv, files) in (0, 2)
 
 
 @given(documents(graph_docs) | st.text(alphabet="abc #\n\t", max_size=24))
@@ -168,10 +163,6 @@ def test_fuzz_graph(text):
     files = {"fuzz.txt": text}
     for mode in ("any", "bipartite"):
         assert exit_code(["encode", "fuzz.txt", "--mode", mode], files) in (0, 2)
-    assert exit_code(
-        ["extend", "bipartite.json", "extras.json", "--mode", "bipartite", "--graph", "fuzz.txt"],
-        files,
-    ) in (0, 2)
 
 
 @given(documents(chord_docs))

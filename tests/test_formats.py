@@ -117,12 +117,11 @@ def test_config_doc_roundtrip(tmp_path, capsys):
                    for pts in (rng.sample(cfg.points, 2) for _ in range(3))]
         extras = list(dict.fromkeys(extras))
         files = {"config.json": formats.dump_json(formats.config_to_doc(cfg)),
-                 "extras.json": formats.dump_json(formats.points_to_doc(extras, d)),
-                 "graph.txt": formats.dump_graph_text(g)}
+                 "extras.json": formats.dump_json(formats.points_to_doc(extras, d))}
         for name, content in files.items():
             (tmp_path / name).write_text(content)
-        config, extras_file, graph = (str(tmp_path / name) for name in files)
-        assert main(["extend", config, extras_file, "--mode", "bipartite", "--graph", graph]) == 0
+        config, extras_file = (str(tmp_path / name) for name in files)
+        assert main(["extend", config, extras_file, "--mode", "bipartite"]) == 0
         extended = extend_coloring_bipartite(g, w, cfg, extras)
         edges = len(nerve(cfg, 1).complex.faces_of_size(2))
         assert capsys.readouterr().out == (formats.dump_json(formats.config_to_doc(extended))

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -87,6 +88,15 @@ def test_bipartition_examples():
     parts = bipartition(k23)
     assert parts == (("a", "b", "c"), ("x", "y"))
     assert len(parts[1]) <= len(parts[0])
+
+
+def test_bipartition_of_a_large_star_is_linear():
+    # the BFS reads its queue by index, so it is linear in the component size
+    star = from_edge_list([("c", f"l{i:06}") for i in range(100_000)])
+    start = time.process_time()
+    parts = bipartition(star)
+    assert time.process_time() - start < 0.5
+    assert parts == (tuple(f"l{i:06}" for i in range(100_000)), ("c",))
 
 
 def test_bipartition_matches_odd_cycle_bruteforce():

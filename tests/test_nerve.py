@@ -703,6 +703,23 @@ def test_extend_bipartite_rejects_mismatched_word():
         extend_coloring_bipartite(g, other, cfg, [(F(1, 3),)])
 
 
+def test_extend_bipartite_refuses_a_word_of_another_length_before_encoding_the_graph():
+    # s1, then l_i l_i s_(i+1) s_i for i = 1..2000: its level-1 graph, a
+    # path s_1..s_2001 with a leg l_i at each s_i, encodes at level 2,000
+    # into 8,008,000 letters, none of which is built to refuse 8,001
+    letters = ["s1"]
+    for i in range(1, 2001):
+        letters += [f"l{i}", f"l{i}", f"s{i + 1}", f"s{i}"]
+    w = Word(tuple(letters))
+    g = from_edge_list([(f"s{i}", f"s{i + 1}") for i in range(1, 2001)]
+                       + [(f"s{i}", f"l{i}") for i in range(1, 2001)])
+    cfg = realize_on_moment_curve(w, 1)
+    start = time.process_time()
+    with pytest.raises(DegenerateInputError, match="^word does not match the bipartite encoding"):
+        extend_coloring_bipartite(g, w, cfg, [(F(1, 2),)])
+    assert time.process_time() - start < 0.1
+
+
 def test_extend_bipartite_random_graphs():
     rng = random.Random(37)
     done = 0
