@@ -29,7 +29,7 @@ from itertools import combinations
 
 from .graphs import Record
 from .lp import feasible_eq_nonneg
-from .words import pair_runs
+from .words import _intersecting_pairs
 
 Point = tuple[int | Fraction, ...]
 
@@ -173,7 +173,7 @@ def breen_intersect(positions_a, positions_b, d: int) -> bool:
     if set(a) & set(b):
         raise GeometryError("parameter sets must be disjoint")
     merged = sorted([(t, "a") for t in a] + [(t, "b") for t in b])
-    return pair_runs([label for _, label in merged], "a", "b") >= d + 2
+    return bool(_intersecting_pairs([label for _, label in merged], d))
 
 
 def gale_facets(r: int, d: int) -> list[tuple[int, ...]]:

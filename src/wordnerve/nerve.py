@@ -185,7 +185,7 @@ def nerve(config: ColoredConfig, max_dim: int) -> NerveResult:
         kept, first = _group(ints, config.colors), 3
     else:
         kept, first = _kept_classes(ints, config.colors), 2
-    faces.update(map(frozenset, _new_faces(faces, labels, range(first, max_dim + 2), kept)))
+    faces.update(map(frozenset, _new_faces(faces, range(first, max_dim + 2), kept)))
     return NerveResult(SimplicialComplex(labels, frozenset(faces)))
 
 
@@ -210,26 +210,28 @@ def _meets(kept: list[list]) -> bool:
     return hulls_intersect(kept)
 
 
-def _new_faces(faces, labels, sizes, kept, grown=None) -> list[tuple[str, ...]]:
+def _new_faces(faces, sizes, kept, grown=None) -> list[tuple[str, ...]]:
     """The faces gained over `faces`, layer by layer over `sizes`, each
     layer joining the faces before the next: label sets, in label order,
     not faces while every subset one smaller is, whose classes `kept[c]`
-    meet (`_meets`).  A candidate is a face one smaller, sorted, plus a
-    larger label of the sorted `labels`, so the walk is bounded by the
-    faces, not the label sets, and stops at a size with no face one
-    smaller.  Given the set `grown`, only candidates holding a grown label
-    are built: a face with none takes only the larger grown labels."""
+    meet (`_meets`).  A candidate is a face f one smaller, sorted, plus
+    the last label c > f[-1] of a face f[:-1] + (c,), so the walk is
+    bounded by the faces, not the label sets, and stops at a size with no
+    face one smaller.  Given the set `grown`, only candidates holding a
+    grown label are built: a face with none takes only the larger grown labels."""
     faces, gained = set(faces), []
-    rank = {c: i for i, c in enumerate(labels)}
     grown_sorted = sorted(grown or ())
     for size in sizes:
         base = sorted(tuple(sorted(f)) for f in faces if len(f) == size - 1)
         if not base:
             break
+        lasts: dict[tuple[str, ...], list[str]] = {}
+        for f in base:
+            lasts.setdefault(f[:-1], []).append(f[-1])
         met = [
-            combo for f in base for combo in (f + (c,) for c in (
-                labels[rank[f[-1]] + 1 :] if grown is None or not grown.isdisjoint(f)
-                else grown_sorted[bisect_right(grown_sorted, f[-1]) :]))
+            combo for f in base
+            for row in [lasts[f[:-1]] if grown is None or not grown.isdisjoint(f) else grown_sorted]
+            for combo in (f + (c,) for c in row[bisect_right(row, f[-1]) :])
             if frozenset(combo) not in faces
             and all(frozenset(combo[:i] + combo[i + 1 :]) in faces for i in range(size - 1))
             and _meets([kept[c] for c in combo])
@@ -292,7 +294,7 @@ def _verified_extension(config: ColoredConfig, before: NerveResult, extras: list
     kept = _kept_classes(ints, colors)
     if set(kept) != set(before.complex.vertices):
         raise ExtensionError("extension changed the nerve")
-    met = _new_faces(before.complex.faces, list(kept), (2, 3), kept, set(new_colors))
+    met = _new_faces(before.complex.faces, (2, 3), kept, set(new_colors))
     if any(len(combo) == 2 for combo in met):
         raise ExtensionError("extension changed the nerve")
     if met:

@@ -3,7 +3,9 @@
 The central quantity is the pairwise alternation value of two letters x, y
 in a word W: the length of the longest alternating subsequence of W using
 only x and y.  That equals the number of maximal runs in the restriction
-of W to {x, y}, so it is computed in one left-to-right pass.
+of W to {x, y}.  One left-to-right sweep (`_pair_runs`) counts the runs
+of every pair at once, one step per run beyond the two that each pair of
+occurring letters starts from, not one per pair.
 
 Two letters are d-intersecting when their alternation value reaches d+2.
 A word induces two graphs on its alphabet:
@@ -13,6 +15,8 @@ A word induces two graphs on its alphabet:
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .graphs import Graph, Record, check_token
 
@@ -37,9 +41,6 @@ class Word(Record):
     def __len__(self):
         return len(self.letters)
 
-    def count(self, x: str) -> int:
-        return self.letters.count(x)
-
     def __str__(self):
         return " ".join(self.letters)
 
@@ -59,25 +60,38 @@ def word(seq) -> Word:
     return Word(tuple(str(a) for a in seq))
 
 
-def pair_runs(letters, x: str, y: str) -> int:
-    """Run count of the restriction of a plain letter sequence to {x, y}.
-    Zero when neither letter occurs."""
-    if x == y:
-        raise WordError("alternation needs two distinct letters")
-    runs = 0
-    prev = None
+def _pair_runs(letters) -> tuple[dict[str, int], dict[tuple[str, str], int]]:
+    """(counts, runs) of a plain letter sequence: each letter's number of
+    copies, and the run count of the restriction to {x, y}, keyed (x, y)
+    with x < y, of every pair making more than two runs; a pair with no
+    entry makes 2 runs when both letters occur, else 1 or 0.  `recent`
+    holds the letters in the order of their last copies.  A first copy of
+    a opens one run of every pair holding a; a repeat opens a run of {a, b}
+    exactly when b's last copy follows a's, so it bumps those pairs, each
+    from 2, and moves a to the end of `recent`."""
+    counts: dict[str, int] = {}
+    runs: dict[tuple[str, str], int] = {}
+    recent: list[str] = []
     for a in letters:
-        if a == x or a == y:
-            if a != prev:
-                runs += 1
-                prev = a
-    return runs
+        if a in counts:
+            i = len(recent) - 1
+            while (b := recent[i]) != a:
+                pair = (a, b) if a < b else (b, a)
+                runs[pair] = runs.get(pair, 2) + 1
+                i -= 1
+            del recent[i]
+        recent.append(a)
+        counts[a] = counts.get(a, 0) + 1
+    return counts, runs
 
 
 def max_alternation(w: Word, x: str, y: str) -> int:
     """Longest alternating x/y subsequence length = run count of the
     restriction of w to {x, y}.  Zero when neither letter occurs."""
-    return pair_runs(w.letters, x, y)
+    if x == y:
+        raise WordError("alternation needs two distinct letters")
+    counts, runs = _pair_runs([a for a in w.letters if a == x or a == y])
+    return runs.get((x, y) if x < y else (y, x), len(counts))
 
 
 def is_d_intersecting(w: Word, x: str, y: str, d: int) -> bool:
@@ -87,34 +101,11 @@ def is_d_intersecting(w: Word, x: str, y: str, d: int) -> bool:
     return max_alternation(w, x, y) >= d + 2
 
 
-def _opened_runs(letters) -> tuple[list[str], list[list[int]]]:
-    """The sorted alphabet of a plain letter sequence and, for letters
-    i != j of it, opened[i][j]: how many runs of the restriction to
-    {i, j} letter i opens, so the pair makes opened[i][j] + opened[j][i]
-    runs.  One left-to-right sweep keeps last[x], the position of x's
-    last copy (-1 before its first): appending x opens a run of {x, y}
-    exactly when last[x] <= last[y]."""
-    alphabet = sorted(set(letters))
-    index = {a: i for i, a in enumerate(alphabet)}
-    last = [-1] * len(alphabet)
-    opened = [[0] * len(alphabet) for _ in alphabet]
-    for pos, a in enumerate(letters):
-        x = index[a]
-        lx = last[x]
-        row = opened[x]
-        for y, ly in enumerate(last):
-            if lx <= ly:
-                row[y] += 1
-        last[x] = pos
-    return alphabet, opened
-
-
 def _intersecting_pairs(letters, d: int) -> list[tuple[str, str]]:
     """The pairs (x, y), x < y, of a plain letter sequence whose
-    restriction makes at least d + 2 runs: its d-intersecting pairs."""
-    alphabet, opened = _opened_runs(letters)
-    return [(x, alphabet[j]) for i, x in enumerate(alphabet) for j in range(i + 1, len(alphabet))
-            if opened[i][j] + opened[j][i] >= d + 2]
+    restriction makes at least d + 2 runs (`_pair_runs`): its
+    d-intersecting pairs, sorted."""
+    return sorted(pair for pair, r in _pair_runs(letters)[1].items() if r >= d + 2)
 
 
 def induced_graph_general(w: Word, d: int) -> Graph:
@@ -129,14 +120,12 @@ def induced_graph_general(w: Word, d: int) -> Graph:
 def induced_graph_classic(w: Word) -> Graph:
     """Graph on the alphabet with an edge exactly where the pair
     restriction strictly alternates (no two adjacent equal letters)."""
-    letters, opened = _opened_runs(w.letters)
-    # strict alternation <=> every occurrence starts a new run
-    counts = [w.count(x) for x in letters]
-    edges = frozenset(
-        (x, letters[j]) for i, x in enumerate(letters) for j in range(i + 1, len(letters))
-        if opened[i][j] == counts[i] and opened[j][i] == counts[j]
-    )
-    return Graph(tuple(letters), edges)
+    counts, runs = _pair_runs(w.letters)
+    # strict alternation <=> every copy opens a run; two once-occurring
+    # letters make their 2 runs with no entry in `runs`
+    edges = {pair for pair, r in runs.items() if r == counts[pair[0]] + counts[pair[1]]}
+    edges.update(combinations(sorted(x for x, n in counts.items() if n == 1), 2))
+    return Graph(tuple(sorted(counts)), frozenset(edges))
 
 
 def rotate(w: Word, s: int) -> Word:

@@ -67,7 +67,7 @@ def test_word_any_graph_triangle():
 def test_word_any_graph_isolated_trailing():
     g = from_edge_list([("a", "b")], ["z"])
     w, d = word_any_graph(g)
-    assert w.letters[-1] == "z" and w.count("z") == 1
+    assert w.letters[-1] == "z" and w.letters.count("z") == 1
     assert induced_graph_general(w, d) == g
 
 

@@ -1141,10 +1141,11 @@ def test_face_candidates_match_the_combinations_reference(monkeypatch):
     real = nerve_lib._new_faces
     calls = []
 
-    def checked(faces, labels, sizes, kept, grown=None):
+    def checked(faces, sizes, kept, grown=None):
         walked, brute = [], []
-        out = real(faces, labels, sizes, _Reads(kept, walked), grown)
-        assert out == oracles.new_faces_reference(faces, labels, sizes, _Reads(kept, brute), grown)
+        out = real(faces, sizes, _Reads(kept, walked), grown)
+        assert out == oracles.new_faces_reference(faces, sorted(kept), sizes, _Reads(kept, brute),
+                                                  grown)
         assert walked == brute
         calls.append(len(out))
         return out
@@ -1180,7 +1181,7 @@ def test_face_candidates_match_the_combinations_reference(monkeypatch):
         in_recheck += calls
         grown = set(pick.sample(cfg.color_labels, pick.randint(0, len(cfg.color_labels))))
         kept = nerve_lib._kept_classes(ints[: len(cfg.points)], cfg.colors)
-        in_draws.append(len(checked(before.complex.faces, cfg.color_labels, (2, 3), kept, grown)))
+        in_draws.append(len(checked(before.complex.faces, (2, 3), kept, grown)))
     assert len(in_nerve) == 300 and sum(in_nerve) > 200
     assert len(in_recheck) == 300 and sum(in_recheck) > 150
     assert sum(in_draws) == 0  # the classes kept their points: no face is gained
@@ -1194,10 +1195,41 @@ def test_face_candidates_do_not_walk_every_label_set():
     child = ("from wordnerve.nerve import _new_faces\n"
              "labels = [f'c{i}' for i in range(2000)]\n"
              "faces = {frozenset([c]) for c in labels}\n"
-             "print(_new_faces(faces, labels, (3,), dict.fromkeys(labels)))\n")
+             "print(_new_faces(faces, (3,), dict.fromkeys(labels)))\n")
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                           timeout=30, env={**os.environ, "PYTHONPATH": path})
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_caterpillar_graph_and_nerve_cost_the_pairs_that_alternate():
+    """s1, then l_i l_i s_(i+1) s_i for i = 1..2000: 8,001 letters on an
+    alphabet of 4,001, so about 8 million pairs, of which 4,000 alternate.
+    Its level-1 graph and its nerve up to triangles (it has none) cost
+    time and memory in the runs and faces, not in the alphabet squared:
+    a child process reads its own CPU time and max RSS.  Linux carries a
+    process's max RSS over to the program it execs, so a small launcher
+    interpreter starts the child, not this test process."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    child = ("import resource\n"
+             "from wordnerve.nerve import nerve, realize_on_moment_curve\n"
+             "from wordnerve.words import Word, induced_graph_general\n"
+             "letters = ['s1']\n"
+             "for i in range(1, 2001):\n"
+             "    letters += [f'l{i}', f'l{i}', f's{i + 1}', f's{i}']\n"
+             "w = Word(tuple(letters))\n"
+             "edges = len(induced_graph_general(w, 1).edges)\n"
+             "faces = len(nerve(realize_on_moment_curve(w, 1), 2).complex.faces)\n"
+             "use = resource.getrusage(resource.RUSAGE_SELF)\n"
+             "print(edges, faces, use.ru_utime + use.ru_stime, use.ru_maxrss)\n")
+    launcher = ("import subprocess, sys\n"
+                "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)\n")
+    proc = subprocess.run([sys.executable, "-c", launcher, child], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    edges, faces, cpu, max_rss_kb = proc.stdout.split()
+    assert (int(edges), int(faces)) == (4000, 8001)
+    assert float(cpu) < 1.0, cpu  # 8.4 s with a dense alphabet x alphabet table
+    assert int(max_rss_kb) < 60 * 1024, max_rss_kb  # 141 MB with that table
 
 
 def test_recheck_builds_candidates_linear_in_the_colors(monkeypatch):

@@ -168,7 +168,7 @@ def test_construction_consistency_bipartite():
             continue
         g = from_edge_list(edges, vs + us)
         w, d = word_bipartite(g)
-        copies = max(w.count(x) for x in w.alphabet)
+        copies = max(w.letters.count(x) for x in w.alphabet)
         verdict = find_general_word(g, d, SearchBudget(copies, len(w), 20_000_000))
         assert verdict.found, g
         seen += 1

@@ -13,7 +13,6 @@ from wordnerve.words import (
     induced_graph_general,
     is_d_intersecting,
     max_alternation,
-    pair_runs,
     rotate,
     word,
 )
@@ -124,11 +123,11 @@ def test_induced_graph_classic_matches_definition_fuzz():
 
 @EXAMPLES
 @given(st.lists(st.sampled_from("abcdef"), max_size=40))
-def test_sweep_matches_pair_runs(letters):
-    # one sweep of the word against one `pair_runs` scan per pair, on words
+def test_sweep_matches_the_dp_run_count(letters):
+    # one sweep of the word against the dynamic program per pair, on words
     # with repeated letters, empty words included
     alphabet = sorted(set(letters))
-    runs = {(x, y): pair_runs(letters, x, y)
+    runs = {(x, y): dp_max_alternation(letters, x, y)
             for i, x in enumerate(alphabet) for y in alphabet[i + 1 :]}
     for d in (1, 2, 3, 4):
         assert _intersecting_pairs(letters, d) == [pair for pair, r in runs.items() if r >= d + 2]
@@ -169,7 +168,7 @@ def test_uniform_classic_edges_survive_as_general_edges():
         letters = [x for x in alpha for _ in range(k)]
         rng.shuffle(letters)
         w = Word(tuple(letters))
-        if not all(w.count(x) == k for x in w.alphabet):
+        if not all(w.letters.count(x) == k for x in w.alphabet):
             continue
         classic = induced_graph_classic(w)
         for x, y in classic.edge_list:
