@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import wordnerve
+from wordnerve import search
 
 SRC = str(Path(wordnerve.__file__).parents[1])
 
@@ -91,15 +92,25 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert sorted(set(wordnerve.__all__) - used) == []
 
 
-def test_no_function_in_the_library_calls_itself():
-    """No function under `src/wordnerve` calls itself by name, as a plain
-    name or as a method of `self` or `cls`: a recursion keeps one Python
-    frame per level, and an input deep enough ends in `RecursionError`.
-    Deep work is a loop over an explicit list or stack instead."""
+def library_sources() -> list[tuple[str, str]]:
+    """(name, source) of each file under `src/wordnerve`, found from this
+    test file, and of the DFS that `search` generates for each letter count
+    it compiles one for."""
     root = Path(__file__).parents[1]
+    files = [(path.name, path.read_text()) for path in sorted(root.glob("src/wordnerve/*.py"))]
+    return files + [(f"dfs over {n} letters", search._dfs_source(n))
+                    for n in range(1, search._UNROLL_MAX + 1)]
+
+
+def test_no_function_in_the_library_calls_itself():
+    """No function under `src/wordnerve`, nor any DFS that `search`
+    generates, calls itself by name, as a plain name or as a method of
+    `self` or `cls`: a recursion keeps one Python frame per level, and an
+    input deep enough ends in `RecursionError`.  Deep work is a loop over
+    an explicit list or stack instead."""
     found = []
-    for path in sorted(root.glob("src/wordnerve/*.py")):
-        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+    for name, text in library_sources():
+        for fn in ast.walk(ast.parse(text, name)):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(fn):
@@ -109,25 +120,26 @@ def test_no_function_in_the_library_calls_itself():
                 if (isinstance(f, ast.Name) and f.id == fn.name
                         or isinstance(f, ast.Attribute) and f.attr == fn.name
                         and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")):
-                    found.append(f"{path.name}:{node.lineno} {fn.name}")
+                    found.append(f"{name}:{node.lineno} {fn.name}")
     assert found == []
 
 
 def test_no_true_division_in_the_library():
     """No `/` or `/=` under `src/wordnerve` but in `svgplot.py`, whose
-    canvas is float on purpose, nor in the exact references of
-    `tests/oracles.py`.  Curve points at integer parameters are ints, and
-    `/` on two ints is a float: a verdict read off it rounds.  An exact
-    quotient is a `Fraction(p, q)`."""
-    root = Path(__file__).parents[1]
+    canvas is float on purpose, nor in any DFS that `search` generates, nor
+    in the exact references of `tests/oracles.py`.  Curve points at integer
+    parameters are ints, and `/` on two ints is a float: a verdict read off
+    it rounds.  An exact quotient is a `Fraction(p, q)`."""
+    oracles = Path(__file__).parent / "oracles.py"
     found = []
-    for path in [*sorted(root.glob("src/wordnerve/*.py")), root / "tests" / "oracles.py"]:
-        if path.name == "svgplot.py":
+    for name, text in [*library_sources(), (oracles.name, oracles.read_text())]:
+        if name == "svgplot.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in ast.walk(ast.parse(text, name)):
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-                found.append(f"{path.name}:{node.lineno}")
+                found.append(f"{name}:{node.lineno}")
     assert found == []
+
 
 
 def test_every_test_oracle_has_a_caller():

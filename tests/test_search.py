@@ -547,37 +547,97 @@ def test_last_positions_match_end_matrix_reference():
     assert outcomes == {FOUND, NOT_FOUND, NODE_LIMIT}
 
 
-def test_prefix_cut_and_replay_match_the_reference():
-    """The flat loop emits the reference DFS's prefixes with the same node
-    counts, and below each replayed prefix returns its witness, node count
-    and limit verdict, also under limits spent inside or before the prefix."""
-    rng = random.Random(27)
-    for _ in range(40):
-        n = rng.randint(2, 6)
+def _every_small_graph_then_draws():
+    """Every labelled graph on 1 to 4 vertices, then seeded 5- to 7-vertex
+    draws."""
+    for n in range(1, 5):
         labels = [f"v{i}" for i in range(n)]
-        g = from_edge_list([e for e in combinations(labels, 2) if rng.random() < 0.5], labels)
-        budget = SearchBudget(rng.randint(1, 3), rng.randint(n, 12), 20_000)
-        d = rng.randint(1, 3)
+        pairs = list(combinations(labels, 2))
+        for mask in range(1 << len(pairs)):
+            yield from_edge_list([pair for i, pair in enumerate(pairs) if mask >> i & 1], labels)
+    rng = random.Random(28)
+    for _ in range(40):
+        labels = [f"v{i}" for i in range(rng.randint(5, 7))]
+        yield from_edge_list([e for e in combinations(labels, 2) if rng.random() < 0.5], labels)
+
+
+def test_prefix_cut_and_replay_match_the_reference():
+    """Both DFS paths, the generated one that runs up to `_UNROLL_MAX`
+    letters and the kept loop `_dfs_loop`, return what `StepEnumeration`
+    returns: the same (witness, nodes, limit_hit) and prefix_sink list on
+    whole trees and on depth-capped cuts, and the same results below each
+    replayed prefix, also under node limits spent before, inside or after
+    it.  A stop rank never lowered below the prefix's own rank changes
+    nothing; one below it stops both paths at the same poll."""
+    rng = random.Random(27)
+    outcomes = set()
+    for g in _every_small_graph_then_draws():
+        n = len(g.vertices)
+        assert n <= search._UNROLL_MAX
         letters, adj = search._problem_arrays(g)
-        args = (len(letters), adj, d, budget, automorphisms(g))
-        problem = search._problem(g, d, budget)
-        ref = StepEnumeration(*args)
-        cut, ref_cut = [], []
-        found, nodes, _ = search._dfs(problem, budget.node_limit, (), 3, cut)
-        ref.dfs(depth_cap=3, prefix_sink=ref_cut)
-        assert (cut, found, nodes) == (ref_cut, ref.found, ref.nodes)
-        for prefix, _ in cut:
-            for limit in (0, 7, budget.node_limit):
-                ref = StepEnumeration(*args)
-                ref.node_limit = limit
-                ref.replay(prefix)
-                ref.dfs()
+        for d in (1, 2, 3):
+            budget = SearchBudget(rng.randint(1, 3), rng.randint(n, 12),
+                                  rng.choice((1, 10, 100, 2_000, 20_000)))
+            problem = search._problem(g, d, budget)
+            args = (len(letters), adj, d, budget, automorphisms(g))
+            for cap in (None, 3):
+                ref, sinks = StepEnumeration(*args), ([], [], [])
+                ref.dfs(depth_cap=cap, prefix_sink=sinks[0])
                 expected = (ref.found, ref.nodes, ref.limit_hit)
-                assert search._dfs(problem, limit, prefix) == expected
-                # polled every 1,024 nodes, a stop rank that is never lowered
-                # below the prefix's own rank changes nothing
-                rank = len(cut) - 1
-                assert search._dfs(problem, limit, prefix, ranks=[0, rank], rank=rank) == expected
+                outcomes.add(expected[0] is not None or expected[2])
+                assert search._dfs(problem, budget.node_limit, (), cap, sinks[1]) == expected
+                assert search._dfs_loop(problem, budget.node_limit, (), cap, sinks[2]) == expected
+                assert sinks[1] == sinks[2] == sinks[0], (g, d, budget, cap)
+            for rank, (prefix, _) in enumerate(sinks[0]):
+                # whole subtrees below the first two and the last two ranks
+                whole = rank < 2 or rank >= len(sinks[0]) - 2
+                for limit in (0, 7, budget.node_limit) if whole else (0, 7):
+                    ref = StepEnumeration(*args)
+                    ref.node_limit = limit
+                    ref.replay(prefix)
+                    ref.dfs()
+                    expected = (ref.found, ref.nodes, ref.limit_hit)
+                    for dfs in (search._dfs, search._dfs_loop):
+                        assert dfs(problem, limit, prefix) == expected, (g, d, budget, prefix)
+                        assert dfs(problem, limit, prefix, ranks=[0, rank], rank=rank) == expected
+                    assert (search._dfs(problem, limit, prefix, ranks=[0, rank - 1], rank=rank)
+                            == search._dfs_loop(problem, limit, prefix, ranks=[0, rank - 1],
+                                                rank=rank))
+    assert outcomes == {True, False}
+
+
+def test_the_generated_source_depends_on_the_letter_count_alone(monkeypatch):
+    """Two searches over different graphs, labels, levels and budgets on 6
+    vertices compile the same text; a count past `_UNROLL_MAX` compiles
+    nothing and runs the loop, with the reference's verdict."""
+    sources = []
+    generate = search._dfs_source
+    monkeypatch.setattr(search, "_dfs_source", lambda n: sources.append(generate(n)) or sources[-1])
+    two_edges = from_edge_list([("a", "b"), ("c", "d")], list("abcdef"))
+    searches = [(wheel5(), 2, SearchBudget(5, 15, 10_000_000)),
+                (two_edges, 1, SearchBudget(3, 9, 500))]
+    for g, d, budget in searches:
+        monkeypatch.setattr(search, "_UNROLLED", {})
+        assert find_general_word(g, d, budget) == sequential_search(g, d, budget)
+    assert len(sources) == 2 and sources[0] == sources[1]
+    # a path one letter past the bound: the loop, under a small limit
+    monkeypatch.setattr(search, "_UNROLLED", {})
+    n = search._UNROLL_MAX + 1
+    labels = [f"v{i:02}" for i in range(n)]
+    g = from_edge_list(list(zip(labels, labels[1:])), labels)
+    budget = SearchBudget(2, 2 * n, 300)
+    loop_calls = []
+    loop = search._dfs_loop
+    monkeypatch.setattr(search, "_dfs_loop", lambda *args: loop_calls.append(args) or loop(*args))
+    for jobs in (1, 2):
+        assert find_general_word(g, 1, budget, jobs=jobs) == sequential_search(g, 1, budget)
+    assert loop_calls and len(sources) == 2 and list(search._UNROLLED) == []
+
+
+def test_the_generated_source_stays_small():
+    """The source grows as about 16 n^2 lines; above `_UNROLL_MAX` the loop
+    keeps a search on hundreds of letters in bounded memory."""
+    assert search._dfs_source(search._UNROLL_MAX).count("\n") < 1_600
 
 
 def test_budget_relative_completeness_vs_naive_enumeration():
