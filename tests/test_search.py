@@ -635,8 +635,8 @@ def test_the_generated_source_depends_on_the_letter_count_alone(monkeypatch):
 
 
 def test_the_generated_source_stays_small():
-    """The source grows as about 16 n^2 lines; above `_UNROLL_MAX` the loop
-    keeps a search on hundreds of letters in bounded memory."""
+    """The source grows as about 16 n^2 lines, and its compile time and
+    memory with it: at the bound `_UNROLL_MAX` it stays under 1,600."""
     assert search._dfs_source(search._UNROLL_MAX).count("\n") < 1_600
 
 
