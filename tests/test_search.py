@@ -547,18 +547,66 @@ def test_last_positions_match_end_matrix_reference():
     assert outcomes == {FOUND, NOT_FOUND, NODE_LIMIT}
 
 
-def _every_small_graph_then_draws():
-    """Every labelled graph on 1 to 4 vertices, then seeded 5- to 7-vertex
-    draws."""
+def _differential_cases(rng):
+    """(graph, d, budget, cut depth) for every labelled graph on 1 to 4
+    vertices at d = 1..3 and for seeded 5- to 7-vertex draws at one d each,
+    under random budgets; then one seeded graph for each n from 8 to
+    `_UNROLL_MAX` under node limits 1, 100 and 2,000, cut at depth 2, since
+    a depth-3 cut of 9 letters has hundreds of prefixes to replay."""
+    def budget(n):
+        return SearchBudget(rng.randint(1, 3), rng.randint(n, 12),
+                            rng.choice((1, 10, 100, 2_000, 20_000)))
     for n in range(1, 5):
         labels = [f"v{i}" for i in range(n)]
         pairs = list(combinations(labels, 2))
         for mask in range(1 << len(pairs)):
-            yield from_edge_list([pair for i, pair in enumerate(pairs) if mask >> i & 1], labels)
-    rng = random.Random(28)
+            g = from_edge_list([pair for i, pair in enumerate(pairs) if mask >> i & 1], labels)
+            for d in (1, 2, 3):
+                yield g, d, budget(n), 3
     for _ in range(40):
         labels = [f"v{i}" for i in range(rng.randint(5, 7))]
-        yield from_edge_list([e for e in combinations(labels, 2) if rng.random() < 0.5], labels)
+        g = from_edge_list([e for e in combinations(labels, 2) if rng.random() < 0.5], labels)
+        yield g, rng.randint(1, 3), budget(len(labels)), 3
+    for n in range(8, search._UNROLL_MAX + 1):
+        labels = [f"v{i}" for i in range(n)]
+        g = from_edge_list([e for e in combinations(labels, 2) if rng.random() < 0.3], labels)
+        d, copies, length = rng.randint(1, 2), rng.randint(2, 3), rng.randint(3 * n // 2, 2 * n)
+        for limit in (1, 100, 2_000):
+            yield g, d, SearchBudget(copies, length, limit), 2
+
+
+def _both_dfs_paths_match_the_reference(g, d, budget, depth=3):
+    """Assert that `_dfs` and `_dfs_loop` return what `StepEnumeration`
+    returns on the whole tree and on its cut at `depth`, and below every
+    prefix of that cut under node limits 0, 7 and the budget's.  Returns
+    whether the whole search ended in a witness or a spent limit."""
+    letters, adj = search._problem_arrays(g)
+    problem = search._problem(g, d, budget)
+    args = (len(letters), adj, d, budget, automorphisms(g))
+    for cap in (None, depth):
+        ref, sinks = StepEnumeration(*args), ([], [], [])
+        ref.dfs(depth_cap=cap, prefix_sink=sinks[0])
+        expected = (ref.found, ref.nodes, ref.limit_hit)
+        if cap is None:
+            ended = expected[0] is not None or expected[2]
+        assert search._dfs(problem, budget.node_limit, (), cap, sinks[1]) == expected
+        assert search._dfs_loop(problem, budget.node_limit, (), cap, sinks[2]) == expected
+        assert sinks[1] == sinks[2] == sinks[0], (g, d, budget, cap)
+    for rank, (prefix, _) in enumerate(sinks[0]):
+        for limit in (0, 7, budget.node_limit):
+            ref = StepEnumeration(*args)
+            ref.node_limit = limit
+            ref.replay(prefix)
+            ref.dfs()
+            expected = (ref.found, ref.nodes, ref.limit_hit)
+            for dfs in (search._dfs, search._dfs_loop):
+                assert dfs(problem, limit, prefix) == expected, (g, d, budget, prefix)
+                # polled every 1,024 nodes, a stop rank that is never
+                # lowered below the prefix's own rank changes nothing
+                assert dfs(problem, limit, prefix, ranks=[0, rank], rank=rank) == expected
+            assert (search._dfs(problem, limit, prefix, ranks=[0, rank - 1], rank=rank)
+                    == search._dfs_loop(problem, limit, prefix, ranks=[0, rank - 1], rank=rank))
+    return ended
 
 
 def test_prefix_cut_and_replay_match_the_reference():
@@ -570,40 +618,14 @@ def test_prefix_cut_and_replay_match_the_reference():
     it.  A stop rank never lowered below the prefix's own rank changes
     nothing; one below it stops both paths at the same poll."""
     rng = random.Random(27)
-    outcomes = set()
-    for g in _every_small_graph_then_draws():
-        n = len(g.vertices)
-        assert n <= search._UNROLL_MAX
-        letters, adj = search._problem_arrays(g)
-        for d in (1, 2, 3):
-            budget = SearchBudget(rng.randint(1, 3), rng.randint(n, 12),
-                                  rng.choice((1, 10, 100, 2_000, 20_000)))
-            problem = search._problem(g, d, budget)
-            args = (len(letters), adj, d, budget, automorphisms(g))
-            for cap in (None, 3):
-                ref, sinks = StepEnumeration(*args), ([], [], [])
-                ref.dfs(depth_cap=cap, prefix_sink=sinks[0])
-                expected = (ref.found, ref.nodes, ref.limit_hit)
-                outcomes.add(expected[0] is not None or expected[2])
-                assert search._dfs(problem, budget.node_limit, (), cap, sinks[1]) == expected
-                assert search._dfs_loop(problem, budget.node_limit, (), cap, sinks[2]) == expected
-                assert sinks[1] == sinks[2] == sinks[0], (g, d, budget, cap)
-            for rank, (prefix, _) in enumerate(sinks[0]):
-                # whole subtrees below the first two and the last two ranks
-                whole = rank < 2 or rank >= len(sinks[0]) - 2
-                for limit in (0, 7, budget.node_limit) if whole else (0, 7):
-                    ref = StepEnumeration(*args)
-                    ref.node_limit = limit
-                    ref.replay(prefix)
-                    ref.dfs()
-                    expected = (ref.found, ref.nodes, ref.limit_hit)
-                    for dfs in (search._dfs, search._dfs_loop):
-                        assert dfs(problem, limit, prefix) == expected, (g, d, budget, prefix)
-                        assert dfs(problem, limit, prefix, ranks=[0, rank], rank=rank) == expected
-                    assert (search._dfs(problem, limit, prefix, ranks=[0, rank - 1], rank=rank)
-                            == search._dfs_loop(problem, limit, prefix, ranks=[0, rank - 1],
-                                                rank=rank))
+    outcomes, sizes = set(), set()
+    for g, d, budget, depth in _differential_cases(rng):
+        assert len(g.vertices) <= search._UNROLL_MAX
+        outcomes.add(_both_dfs_paths_match_the_reference(g, d, budget, depth))
+        sizes.add(len(g.vertices))
     assert outcomes == {True, False}
+    # every letter count the generated path serves ran, and was compiled
+    assert sizes == set(range(1, search._UNROLL_MAX + 1)) <= set(search._UNROLLED)
 
 
 def test_the_generated_source_depends_on_the_letter_count_alone(monkeypatch):
